@@ -22,7 +22,7 @@ class IdentifiabilityError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """An SVD (or an SVD-backed solve) failed to converge."""
+    """An SVD failed to converge, or a receiver got non-finite input."""
 
 
 class ScalingResolutionError(RuntimeError):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverOptions
-from .errors import IdentifiabilityError, ScalingResolutionError
+from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, build_core, reshape_views
 from .tensor_ops import (
     best_rank1,
@@ -35,6 +35,7 @@ from .tensor_ops import (
     kron_rearrange,
     nearest_kronecker,
     pinv,
+    solve_rows,
     unfold,
     unvec,
 )
@@ -72,14 +73,20 @@ def _require(name, lhs, rhs):
         raise IdentifiabilityError(name, lhs, rhs)
 
 
+def _require_finite(data):
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("received tensor has non-finite entries")
+
+
 def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                   init_seed: int, gbar_init=None) -> StageOneResult:
     """Bilinear ALS on the third-order view ``z``.
 
-    Alternates the two closed-form updates
+    Alternates the two closed-form updates (``solve_rows(z, m)`` is
+    ``z @ pinv(m)``, solved by Cholesky on the normal equations)
 
-        omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)
-        gbar  <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)
+        omega <- solve_rows(unfold(z,0), khatri_rao(gbar, psi).T)
+        gbar  <- solve_rows(unfold(z,2), khatri_rao(psi, omega).T)
 
     until the normalized reconstruction error stops improving by more than
     ``solver.delta``.  ``left_shape = (slots, tx_antennas)`` and
@@ -90,6 +97,7 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     indeterminacy to a separable one without degrading the noiseless fit.
     """
     z = np.asarray(z)
+    _require_finite(z)
     tm_r, k, frames = z.shape
     d = psi.shape[1]
     _require("frames*blocks >= tx_antennas*ris_elements", frames * k, d)
@@ -108,14 +116,17 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                 + 1j * rng.standard_normal((frames, d))) / np.sqrt(2)
 
     tol = solver.pinv_tol
+    # Gram of a Khatri-Rao product: (a^T conj(a)) * (b^T conj(b))
+    psi_gram = psi.T @ psi.conj()
     trajectory = []
     prev = np.inf
     converged = False
     omega = None
     for _ in range(solver.max_iters):
-        omega = z1 @ pinv(khatri_rao(gbar, psi).T, tol)
+        omega = solve_rows(z1, khatri_rao(gbar, psi).T, tol,
+                           (gbar.T @ gbar.conj()) * psi_gram)
         kr_po = khatri_rao(psi, omega)
-        gbar = z3 @ pinv(kr_po.T, tol)
+        gbar = solve_rows(z3, kr_po.T, tol, psi_gram * (omega.T @ omega.conj()))
         err = float(np.linalg.norm(z3 - gbar @ kr_po.T) ** 2) / znorm2
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:
@@ -127,9 +138,9 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     if solver.structure_projection:
         xa, hb = nearest_kronecker(omega, left_shape, right_shape)
         omega_p = kron(xa, hb)
-        gbar = z3 @ pinv(khatri_rao(psi, omega_p).T, tol)
+        gbar = solve_rows(z3, khatri_rao(psi, omega_p).T, tol)
         kr_gp = khatri_rao(gbar, psi)
-        omega = z1 @ pinv(kr_gp.T, tol)
+        omega = solve_rows(z1, kr_gp.T, tol)
         fit = float(np.linalg.norm(z1 - omega @ kr_gp.T) ** 2) / znorm2
 
     return StageOneResult(omega=omega, gbar=gbar, trajectory=tuple(trajectory),
@@ -191,15 +202,16 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
                 x_init=None, gbar_init=None):
     """Trilinear ALS on the fourth-order view with known structured core.
 
-    Per sweep, solves the three conditional LS problems for the effective
-    channel ``F = H @ S`` (mode 0), the symbols ``X`` (mode 1) and the
-    stacked per-frame channel (mode 3), each against the mode unfolding of
-    ``q4`` and the corresponding core-times-Kronecker mixing matrix.
+    Per sweep, ``solve_rows`` solves the three conditional LS problems for the
+    effective channel ``F = H @ S`` (mode 0), the symbols ``X`` (mode 1) and
+    the stacked per-frame channel (mode 3), each against the mode unfolding
+    of ``q4`` and the corresponding core-times-Kronecker mixing matrix.
 
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
     normalized reconstruction errors.
     """
     q4 = np.asarray(q4)
+    _require_finite(q4)
     mr, slots, k, frames = q4.shape
     n, mt = core.shape[0], core.shape[1]
     d = n * mt
@@ -235,11 +247,11 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
         # etc.; the selection structure of the core reduces them to these
         # contractions.
         v1 = np.einsum("tm,knm,inm->ntki", x, psi3, g3).reshape(n, -1, order="F")
-        f = q1 @ pinv(v1, tol)
+        f = solve_rows(q1, v1, tol)
         v2 = np.einsum("rn,knm,inm->mrki", f, psi3, g3).reshape(mt, -1, order="F")
-        x = q2 @ pinv(v2, tol)
+        x = solve_rows(q2, v2, tol)
         v4 = np.einsum("rn,tm,knm->nmrtk", f, x, psi3).reshape(d, -1, order="F")
-        gbar = q4m @ pinv(v4, tol)
+        gbar = solve_rows(q4m, v4, tol)
         err = float(np.linalg.norm(q4m - gbar @ v4) ** 2) / qnorm2
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:
@@ -311,7 +323,8 @@ def resolve_and_detect(out: ReceiverOutput, alphabet,
     ref = complex(alphabet[0]) if reference_value is None else complex(reference_value)
     x = out.x_hat
     pivot = x[0, :]
-    if np.any(np.abs(pivot) < 1e-150):
+    # zero relative to its column: a tiny column whose scale is intact is fine
+    if np.any(np.abs(pivot) <= np.finfo(float).eps * np.linalg.norm(x, axis=0)):
         raise ScalingResolutionError(
             "reference-row estimate is numerically zero; cannot resolve scaling"
         )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import SystemConfig
 from .tensor_ops import khatri_rao
@@ -103,8 +102,11 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
     phases (or deterministic DFT-style phases when ``phase_design = dft``).
     """
     nbar = cfg.group_size
-    block = scipy.linalg.dft(nbar) / math.sqrt(nbar)
-    s = scipy.linalg.block_diag(*([block] * cfg.groups)).astype(complex)
+    omegas = np.exp(-2j * np.pi * np.arange(nbar) / nbar)[:, None]
+    block = omegas ** np.arange(nbar) / math.sqrt(nbar)
+    s = np.zeros((cfg.ris_elements, cfg.ris_elements), dtype=complex)
+    for q in range(cfg.groups):
+        s[q * nbar:(q + 1) * nbar, q * nbar:(q + 1) * nbar] = block
 
     k = cfg.blocks
     n = cfg.ris_elements

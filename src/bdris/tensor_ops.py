@@ -1,5 +1,5 @@
-"""Dense complex matrix/tensor kernel: unfoldings, multilinear and structured
-products, SVD-backed pseudo-inverse and rank-1 approximation.
+"""Dense complex matrix/tensor kernel on numpy: unfoldings, multilinear and
+structured products, least squares (normal equations, SVD) and rank-1 fits.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -17,7 +17,6 @@ and for a dense core ``G`` of any order,
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 
@@ -109,7 +108,7 @@ def khatri_rao(a, b):
         raise ValueError(
             f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    return scipy.linalg.khatri_rao(a, b)
+    return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
 
 
 def selection_matrix(l):
@@ -131,6 +130,28 @@ def pinv(a, tol=DEFAULT_PINV_TOL):
         return np.linalg.pinv(np.asarray(a), rcond=tol)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD did not converge in pinv: {err}") from err
+
+
+def solve_rows(z, m, tol=DEFAULT_PINV_TOL, gram=None):
+    """``z @ pinv(m, tol)`` for a wide ``m``, by Cholesky on the normal
+    equations ``x @ gram = z @ m^H`` (Kolda & Bader 2009, §3.4), where
+    ``gram = m @ m^H`` unless the caller passes it, formed more cheaply.
+    The Gram squares the condition number of ``m``: when Cholesky fails or its
+    1-norm reciprocal condition number is below ``tol``, the result is
+    ``z @ pinv(m, tol)``.
+    """
+    m = np.asarray(m)
+    mh = m.conj().T
+    gram = m @ mh if gram is None else gram
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return z @ pinv(m, tol)
+    gram_inv = l_inv.conj().T @ l_inv
+    rcond = 1.0 / (np.linalg.norm(gram, 1) * np.linalg.norm(gram_inv, 1))
+    if not rcond >= tol:  # also true for NaN
+        return z @ pinv(m, tol)
+    return (z @ mh) @ gram_inv
 
 
 def best_rank1(a):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdris
 from bdris.cli import EXIT_CONFIG, EXIT_IDENT, main
 from bdris.config import ConfigError, SystemConfig, load_config, parse_config_file
 from bdris.fixtures import decode_array, encode_array
@@ -185,3 +190,13 @@ def _strip_timing(obj):
 def _csv_without_wall(path):
     rows = path.read_text().splitlines()
     return [",".join(r.split(",")[:-1]) for r in rows]
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: importing it would add about 20 MB to
+    # every sweep worker and about 0.4 s to start-up
+    code = "import sys, bdris.experiments, bdris.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(bdris.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"

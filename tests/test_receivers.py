@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bdris.config import SolverOptions
-from bdris.errors import IdentifiabilityError, ScalingResolutionError
+from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from bdris.experiments import nmse_aligned, ser
 from bdris.receivers import (
     kron_factorize,
@@ -15,7 +15,7 @@ from bdris.receivers import (
     tucker_tals,
     zf_perfect_csi,
 )
-from bdris.signal import add_noise, reshape_views
+from bdris.signal import ReceivedTensor, add_noise, reshape_views
 from bdris.tensor_ops import kron, vec
 from util import desk_config, draw_instance, rel_err, tight_solver
 
@@ -204,6 +204,17 @@ class TestTucker:
         assert a.residual_trajectory == b.residual_trajectory
 
 
+@pytest.mark.parametrize("receiver", [pakron, tucker])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_received_tensor_raises(receiver, bad):
+    cfg = desk_config()
+    design, _, symbols, received = draw_instance(cfg, 39)
+    y = received.y.copy()
+    y[1, 2, 3, 0] = bad
+    with pytest.raises(NumericalError, match="non-finite"):
+        receiver(ReceivedTensor(y=y), design, symbols.alphabet, cfg.solver, 0)
+
+
 class TestZeroForcing:
     def test_noiseless_exact(self):
         cfg = desk_config()
@@ -260,6 +271,21 @@ class TestResolveAndDetect:
         x[5, 1] = alphabet[(np.argmin(np.abs(alphabet - x[5, 1])) + 1) % len(alphabet)]
         out = resolve_and_detect(self._output_with(x), alphabet)
         assert np.isclose(ser(sym, out.x_detected), 0.01)
+
+    def test_tiny_column_is_rescaled(self):
+        sym = draw_instance(desk_config(), 36)[2]
+        x = sym.x.copy()
+        x[:, 1] *= 1e-160
+        out = resolve_and_detect(self._output_with(x), sym.alphabet)
+        assert rel_err(out.x_hat, sym.x) < 1e-12
+        assert ser(sym, out.x_detected) == 0.0
+
+    def test_reference_negligible_in_its_column_raises(self):
+        sym = draw_instance(desk_config(), 36)[2]
+        x = sym.x.copy()
+        x[0, 0] = 1e-20
+        with pytest.raises(ScalingResolutionError):
+            resolve_and_detect(self._output_with(x), sym.alphabet)
 
     def test_zero_reference_raises(self):
         sym = draw_instance(desk_config(), 36)[2]

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from bdris.signal import design_scattering
 from bdris.tensor_ops import (
     best_rank1,
     fold,
@@ -12,12 +17,13 @@ from bdris.tensor_ops import (
     nmode_product,
     pinv,
     selection_matrix,
+    solve_rows,
     unfold,
     unfold_multi,
     unvec,
     vec,
 )
-from util import rel_err, trilinear_oracle
+from util import desk_config, rel_err, trilinear_oracle
 
 
 def random_complex(rng, *shape):
@@ -167,6 +173,65 @@ class TestPinv:
         assert np.linalg.norm(ai @ a @ ai - ai) < 1e-10 * np.linalg.norm(ai)
         assert np.linalg.norm((a @ ai).conj().T - a @ ai) < 1e-10
         assert np.linalg.norm((ai @ a).conj().T - ai @ a) < 1e-10
+
+
+class TestSolveRows:
+    TOL = 1e-12
+
+    def test_matches_pinv_well_conditioned(self):
+        rng = np.random.default_rng(17)
+        for d, n, r in ((32, 512, 2), (16, 64, 16), (2, 256, 16), (1, 3, 1)):
+            m = random_complex(rng, d, n)
+            z = random_complex(rng, r, n)
+            assert rel_err(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL)) < 1e-12
+
+    def test_khatri_rao_gram_from_factor_grams(self):
+        # the receivers pass the Gram of a Khatri-Rao product this way
+        rng = np.random.default_rng(20)
+        a = random_complex(rng, 4, 6)
+        b = random_complex(rng, 8, 6)
+        m = khatri_rao(a, b).T
+        z = random_complex(rng, 3, 32)
+        gram = (a.T @ a.conj()) * (b.T @ b.conj())
+        assert rel_err(gram, m @ m.conj().T) < 1e-14
+        assert rel_err(solve_rows(z, m, self.TOL, gram), z @ pinv(m, self.TOL)) < 1e-12
+
+    def test_rank_deficient_falls_back_to_pinv(self):
+        rng = np.random.default_rng(18)
+        m = random_complex(rng, 5, 20)
+        m[3] = m[1]
+        z = random_complex(rng, 4, 20)
+        assert np.array_equal(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 6), extra=st.integers(0, 8), r=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_equals_pinv(self, d, extra, r, seed):
+        rng = np.random.default_rng(seed)
+        m = random_complex(rng, d, d + extra)
+        z = random_complex(rng, r, d + extra)
+        # the normal equations square the condition number of m
+        bound = 100 * np.finfo(float).eps * np.linalg.cond(m) ** 2
+        assert rel_err(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL)) <= bound
+
+
+class TestScipyOracles:
+    """The numpy kernels equal the scipy.linalg routines they replaced."""
+
+    def test_khatri_rao(self):
+        rng = np.random.default_rng(19)
+        a = random_complex(rng, 3, 4)
+        b = random_complex(rng, 5, 4)
+        assert np.array_equal(khatri_rao(a, b), scipy.linalg.khatri_rao(a, b))
+
+    @pytest.mark.parametrize("n, groups", [(2, 1), (4, 2), (8, 2), (16, 1), (16, 2), (12, 2)])
+    def test_scattering_matrix(self, n, groups):
+        design = design_scattering(desk_config(ris_elements=n, groups=groups,
+                                               tx_antennas=1, blocks=n), 0)
+        nbar = n // groups
+        block = scipy.linalg.dft(nbar) / math.sqrt(nbar)
+        expected = scipy.linalg.block_diag(*([block] * groups)).astype(complex)
+        assert np.array_equal(design.s, expected)
 
 
 class TestBestRank1:
