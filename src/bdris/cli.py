@@ -93,6 +93,7 @@ def cmd_check(cfg, args) -> int:
 
 def cmd_simulate(cfg, args) -> int:
     if args.from_fixture:
+        experiments.require_receiver(args.receiver)
         cfg, design, channels, symbols, received, recorded = fixtures.load_fixture(
             args.from_fixture)
         recon_err = float(np.linalg.norm(received.y - recorded)

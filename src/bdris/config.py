@@ -15,6 +15,7 @@ Dimension vocabulary (uplink, surface-assisted MIMO):
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -47,8 +48,10 @@ class SolverOptions:
     pinv_tol: float = 1e-12
 
     def validate(self):
-        if self.delta < 0:
-            raise ConfigError("solver.delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ConfigError("solver.delta must be finite and nonnegative")
+        if not 0 <= self.pinv_tol < 1:  # also true for NaN
+            raise ConfigError("solver.pinv_tol must be in [0, 1)")
         if self.max_iters < 1:
             raise ConfigError("solver.max_iters must be at least 1")
 

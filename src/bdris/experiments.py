@@ -85,7 +85,7 @@ def ser(symbols: SymbolBlock, detected) -> float:
     return float(np.mean(tx_idx != rx_idx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a sweep keeps one per trial
 class TrialResult:
     seed: int
     snr_db: float
@@ -97,7 +97,7 @@ class TrialResult:
     wall_ms: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialFailure:
     seed: int
     snr_db: float
@@ -137,14 +137,19 @@ def json_safe(obj):
     return obj
 
 
-def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
-              snr_index: int = 0, trial_index: int = 0,
-              master_seed: int | None = None, noiseless: bool = False):
-    """One seeded end-to-end trial; returns a TrialResult."""
+def require_receiver(receiver: str) -> None:
+    """Raise unless ``receiver`` names an implemented receiver."""
     if receiver in RESERVED_RECEIVER_NAMES:
         raise NotImplementedError(f"receiver {receiver!r} is reserved but not implemented")
     if receiver not in RECEIVER_NAMES:
         raise ValueError(f"unknown receiver {receiver!r}; choose from {RECEIVER_NAMES}")
+
+
+def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
+              snr_index: int = 0, trial_index: int = 0,
+              master_seed: int | None = None, noiseless: bool = False):
+    """One seeded end-to-end trial; returns a TrialResult."""
+    require_receiver(receiver)
     master = cfg.seed if master_seed is None else master_seed
     scenario_seed = derive_seed(master, "scenario", snr_index, trial_index)
     design = design_scattering(cfg, derive_seed(scenario_seed, "design"))

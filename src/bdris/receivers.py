@@ -4,7 +4,9 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
 
 * ``pakron``  - two stages.  Stage I runs bilinear alternating least squares
   on the third-order view to estimate the mixed factor
-  ``omega = kron(X, H @ S)`` together with the stacked per-frame channel.
+  ``omega = kron(X, H @ S)`` together with the stacked per-frame channel; its
+  updates and fit work on the data contracted with the known coding and
+  rotation matrix ``psi``, and each sweep tries an extrapolated step.
   Stage II splits ``omega`` by an SVD rank-1 factorization of its Kronecker
   rearrangement.
 * ``tucker``  - single stage.  Trilinear alternating least squares on the
@@ -35,6 +37,7 @@ from .tensor_ops import (
     kron_rearrange,
     nearest_kronecker,
     pinv,
+    solve_gram,
     solve_rows,
     unfold,
     unvec,
@@ -82,14 +85,20 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                   init_seed: int, gbar_init=None) -> StageOneResult:
     """Bilinear ALS on the third-order view ``z``.
 
-    Alternates the two closed-form updates (``solve_rows(z, m)`` is
-    ``z @ pinv(m)``, solved by Cholesky on the normal equations)
+    Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
+    ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
+    either Khatri-Rao matrix: with ``psi`` contracted out of the data once,
+    ``zp = z^T @ conj(psi)``, the normal-equation right-hand sides are
+    ``sum_i zp[i] * conj(gbar[i])`` and ``sum_t zp[:, t] * conj(omega[t])``,
+    the Grams are Hadamard products of factor Grams, and :func:`solve_gram`
+    solves them (an untrusted Gram falls back to ``pinv``).  The fit is
+    ``(||z||^2 - 2 Re<gbar, rhs> + <gbar, gbar @ gram>) / ||z||^2`` of the
+    ``gbar`` system, clamped at 0.  From sweep 3 on, both factors move on to
+    ``old + sqrt(sweep) * (new - old)`` (Bro 1998, §4.6) when that lowers the
+    fit, so the fits never rise; the loop stops when the fit improves by no
+    more than ``solver.delta``.
 
-        omega <- solve_rows(unfold(z,0), khatri_rao(gbar, psi).T)
-        gbar  <- solve_rows(unfold(z,2), khatri_rao(psi, omega).T)
-
-    until the normalized reconstruction error stops improving by more than
-    ``solver.delta``.  ``left_shape = (slots, tx_antennas)`` and
+    ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
     structure of ``omega``; when ``solver.structure_projection`` is set, a
     final sweep replaces the converged ``omega`` by its nearest separable
@@ -116,18 +125,39 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                 + 1j * rng.standard_normal((frames, d))) / np.sqrt(2)
 
     tol = solver.pinv_tol
+    zp = np.transpose(z, (2, 0, 1)) @ psi.conj()
     # Gram of a Khatri-Rao product: (a^T conj(a)) * (b^T conj(b))
     psi_gram = psi.T @ psi.conj()
+
+    def solve(rhs, gram, unfolded, kr_factors):
+        x = solve_gram(rhs, gram, tol)
+        return unfolded @ pinv(khatri_rao(*kr_factors).T, tol) if x is None else x
+
+    def gbar_system(omega):
+        return (zp * omega.conj()).sum(1), psi_gram * (omega.T @ omega.conj())
+
+    def gram_fit(gbar, rhs, gram):
+        err = znorm2 - 2 * np.vdot(gbar, rhs).real + np.vdot(gbar, gbar @ gram).real
+        return max(float(err) / znorm2, 0.0)
+
     trajectory = []
     prev = np.inf
     converged = False
     omega = None
-    for _ in range(solver.max_iters):
-        omega = solve_rows(z1, khatri_rao(gbar, psi).T, tol,
-                           (gbar.T @ gbar.conj()) * psi_gram)
-        kr_po = khatri_rao(psi, omega)
-        gbar = solve_rows(z3, kr_po.T, tol, psi_gram * (omega.T @ omega.conj()))
-        err = float(np.linalg.norm(z3 - gbar @ kr_po.T) ** 2) / znorm2
+    for sweep in range(1, solver.max_iters + 1):
+        omega_new = solve((zp * gbar.conj()[:, None, :]).sum(0),
+                          (gbar.T @ gbar.conj()) * psi_gram, z1, (gbar, psi))
+        rhs, gram = gbar_system(omega_new)
+        gbar_new = solve(rhs, gram, z3, (psi, omega_new))
+        err = gram_fit(gbar_new, rhs, gram)
+        if sweep >= 3:
+            step = np.sqrt(sweep)
+            omega_x = omega + step * (omega_new - omega)
+            gbar_x = gbar + step * (gbar_new - gbar)
+            err_x = gram_fit(gbar_x, *gbar_system(omega_x))
+            if err_x < err:
+                omega_new, gbar_new, err = omega_x, gbar_x, err_x
+        omega, gbar = omega_new, gbar_new
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:
             converged = True

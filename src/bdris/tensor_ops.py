@@ -132,26 +132,29 @@ def pinv(a, tol=DEFAULT_PINV_TOL):
         raise NumericalError(f"SVD did not converge in pinv: {err}") from err
 
 
-def solve_rows(z, m, tol=DEFAULT_PINV_TOL, gram=None):
-    """``z @ pinv(m, tol)`` for a wide ``m``, by Cholesky on the normal
-    equations ``x @ gram = z @ m^H`` (Kolda & Bader 2009, §3.4), where
-    ``gram = m @ m^H`` unless the caller passes it, formed more cheaply.
-    The Gram squares the condition number of ``m``: when Cholesky fails or its
-    1-norm reciprocal condition number is below ``tol``, the result is
-    ``z @ pinv(m, tol)``.
+def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL):
+    """``rhs @ inv(gram)`` for a Hermitian positive definite Gram, by Cholesky
+    (Kolda & Bader 2009, §3.4), or ``None`` when the Gram is not trusted:
+    Cholesky fails or its 1-norm reciprocal condition number is below ``tol``.
     """
-    m = np.asarray(m)
-    mh = m.conj().T
-    gram = m @ mh if gram is None else gram
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
-        return z @ pinv(m, tol)
+        return None
     gram_inv = l_inv.conj().T @ l_inv
     rcond = 1.0 / (np.linalg.norm(gram, 1) * np.linalg.norm(gram_inv, 1))
     if not rcond >= tol:  # also true for NaN
-        return z @ pinv(m, tol)
-    return (z @ mh) @ gram_inv
+        return None
+    return rhs @ gram_inv
+
+
+def solve_rows(z, m, tol=DEFAULT_PINV_TOL):
+    """``z @ pinv(m, tol)`` for a wide ``m``: :func:`solve_gram` on the normal
+    equations ``x @ (m @ m^H) = z @ m^H``, else ``z @ pinv(m, tol)``."""
+    m = np.asarray(m)
+    mh = m.conj().T
+    x = solve_gram(z @ mh, m @ mh, tol)
+    return z @ pinv(m, tol) if x is None else x
 
 
 def best_rank1(a):

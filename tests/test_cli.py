@@ -9,7 +9,13 @@ import pytest
 
 import bdris
 from bdris.cli import EXIT_CONFIG, EXIT_IDENT, main
-from bdris.config import ConfigError, SystemConfig, load_config, parse_config_file
+from bdris.config import (
+    ConfigError,
+    SolverOptions,
+    SystemConfig,
+    load_config,
+    parse_config_file,
+)
 from bdris.fixtures import decode_array, encode_array
 
 REFERENCE_ARGS = ["--set", "ris_elements=16", "--set", "blocks=32",
@@ -75,6 +81,12 @@ class TestConfigParsing:
         dict(modulation_order=3),
         dict(channel_model="awgn"),
         dict(blocks=0),
+        dict(solver=SolverOptions(delta=float("nan"))),
+        dict(solver=SolverOptions(delta=float("inf"))),
+        dict(solver=SolverOptions(delta=-1e-6)),
+        dict(solver=SolverOptions(pinv_tol=float("nan"))),
+        dict(solver=SolverOptions(pinv_tol=-1e-12)),
+        dict(solver=SolverOptions(pinv_tol=1.0)),
     ])
     def test_validation_failures(self, kwargs):
         with pytest.raises(ConfigError):
@@ -165,6 +177,17 @@ class TestFixture:
         result = json.loads(out)
         assert result["fixture_reconstruction_error"] <= 1e-12
         assert result["nmse_g"] <= 1e-6
+
+    @pytest.mark.parametrize("receiver", ["bogus", "hybrid"])
+    def test_unknown_receiver_rejected(self, capsys, tmp_path, receiver):
+        fx = tmp_path / "fx.json"
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
+        code, out, err = run_cli(capsys, *args, "simulate", "--receiver", receiver,
+                                 "--from-fixture", str(fx))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid"
 
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)

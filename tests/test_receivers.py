@@ -1,8 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bdris import receivers, tensor_ops
 from bdris.config import SolverOptions
 from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from bdris.experiments import nmse_aligned, ser
@@ -16,8 +19,22 @@ from bdris.receivers import (
     zf_perfect_csi,
 )
 from bdris.signal import ReceivedTensor, add_noise, reshape_views
-from bdris.tensor_ops import kron, vec
+from bdris.tensor_ops import khatri_rao, kron, pinv, unfold, vec
 from util import desk_config, draw_instance, rel_err, tight_solver
+
+
+def stage1(cfg, design, received, solver, init_seed=0, gbar_init=None):
+    views = reshape_views(received, design)
+    res = pakron_stage1(views.z, design.psi, (cfg.slots, cfg.tx_antennas),
+                        (cfg.rx_antennas, cfg.ris_elements), solver,
+                        init_seed, gbar_init=gbar_init)
+    return views.z, res
+
+
+def explicit_fit(z, psi, res):
+    """Normalized residual of the returned factors, from the full model."""
+    model = res.gbar @ khatri_rao(psi, res.omega).T
+    return float(np.linalg.norm(unfold(z, 2) - model) ** 2 / np.linalg.norm(z) ** 2)
 
 
 class TestStageOne:
@@ -66,6 +83,77 @@ class TestStageOne:
         traj = res.trajectory
         slack = 1e-12 * traj[0]
         assert all(traj[i + 1] <= traj[i] + slack for i in range(len(traj) - 1))
+
+    @pytest.mark.parametrize("snr", [10.0, math.inf])
+    def test_gram_fit_equals_explicit_residual(self, snr):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 30)
+        if math.isfinite(snr):
+            received = add_noise(received, snr, 31)
+        solver = SolverOptions(delta=1e-12, structure_projection=False)
+        z, res = stage1(cfg, design, received, solver, init_seed=32)
+        assert abs(res.trajectory[-1] - explicit_fit(z, design.psi, res)) <= 1e-12
+        assert res.fit == res.trajectory[-1]
+        assert min(res.trajectory) >= 0.0
+
+    def test_zero_column_init_takes_pinv_fallback(self):
+        cfg = desk_config()
+        design, channels, _, received = draw_instance(cfg, 33)
+        received = add_noise(received, 10.0, 34)
+        gbar_init = channels.gbar.copy()
+        gbar_init[:, 1] = 0.0  # singular Gram: Cholesky fails
+        solver = SolverOptions(max_iters=1, structure_projection=False)
+        z, res = stage1(cfg, design, received, solver, gbar_init=gbar_init)
+        expected = unfold(z, 0) @ pinv(khatri_rao(gbar_init, design.psi).T,
+                                       solver.pinv_tol)
+        assert np.array_equal(res.omega, expected)
+
+    @pytest.mark.parametrize("projection, calls", [(True, 2), (False, 0)])
+    def test_sweeps_form_no_khatri_rao_product(self, monkeypatch, projection, calls):
+        # only the structure projection's two re-solves build the matrix
+        shapes = []
+
+        def counting(a, b):
+            shapes.append((a.shape, b.shape))
+            return tensor_ops.khatri_rao(a, b)
+
+        monkeypatch.setattr(receivers, "khatri_rao", counting)
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 35)
+        solver = SolverOptions(max_iters=40, structure_projection=projection)
+        _, res = stage1(cfg, design, add_noise(received, 0.0, 36), solver, 37)
+        assert res.iterations > 3
+        assert len(shapes) == calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(tx=st.integers(1, 2), rx=st.integers(1, 3), ris=st.sampled_from([2, 4]),
+           extra_slots=st.integers(0, 2), frames=st.integers(1, 3),
+           extra_blocks=st.integers(0, 3),
+           snr=st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+           seed=st.integers(0, 2**16))
+    def test_property_monotone_and_fit_exact(self, tx, rx, ris, extra_slots, frames,
+                                             extra_blocks, snr, seed):
+        slots = tx + extra_slots
+        d = tx * ris
+        blocks = max(-(-d // frames), -(-d // (slots * rx))) + extra_blocks
+        cfg = desk_config(tx_antennas=tx, rx_antennas=rx, ris_elements=ris,
+                          groups=2, slots=slots, frames=frames, blocks=blocks)
+        design, _, _, received = draw_instance(cfg, seed)
+        if math.isfinite(snr):
+            received = add_noise(received, snr, seed + 1)
+        solver = SolverOptions(delta=1e-10, max_iters=200, structure_projection=False)
+        z, res = stage1(cfg, design, received, solver, init_seed=seed + 2)
+        # The Gram fit cancels terms whose magnitudes sum to terms.sum(), so
+        # it rounds by a few eps of that (relative to ||z||^2): 1e-16 on
+        # well-conditioned instances, 5e-12 on tiny ones with an
+        # ill-conditioned psi.
+        m = khatri_rao(design.psi, res.omega).T
+        terms = np.abs(res.gbar) @ np.abs(m @ m.conj().T) * np.abs(res.gbar)
+        rounding = 8 * np.finfo(float).eps * terms.sum() / np.linalg.norm(z) ** 2
+        traj = res.trajectory
+        slack = 1e-12 * traj[0] + rounding  # criterion 8's slack plus rounding
+        assert all(traj[i + 1] <= traj[i] + slack for i in range(len(traj) - 1))
+        assert abs(traj[-1] - explicit_fit(z, design.psi, res)) <= 1e-12 + rounding
 
 
 class TestKronFactorize:

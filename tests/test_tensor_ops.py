@@ -17,6 +17,7 @@ from bdris.tensor_ops import (
     nmode_product,
     pinv,
     selection_matrix,
+    solve_gram,
     solve_rows,
     unfold,
     unfold_multi,
@@ -186,7 +187,7 @@ class TestSolveRows:
             assert rel_err(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL)) < 1e-12
 
     def test_khatri_rao_gram_from_factor_grams(self):
-        # the receivers pass the Gram of a Khatri-Rao product this way
+        # pakron stage I passes the Gram of a Khatri-Rao product this way
         rng = np.random.default_rng(20)
         a = random_complex(rng, 4, 6)
         b = random_complex(rng, 8, 6)
@@ -194,7 +195,19 @@ class TestSolveRows:
         z = random_complex(rng, 3, 32)
         gram = (a.T @ a.conj()) * (b.T @ b.conj())
         assert rel_err(gram, m @ m.conj().T) < 1e-14
-        assert rel_err(solve_rows(z, m, self.TOL, gram), z @ pinv(m, self.TOL)) < 1e-12
+        x = solve_gram(z @ m.conj().T, gram, self.TOL)
+        assert rel_err(x, z @ pinv(m, self.TOL)) < 1e-12
+
+    def test_solve_gram_reports_untrusted_gram(self):
+        rng = np.random.default_rng(21)
+        m = random_complex(rng, 4, 12)
+        rhs = random_complex(rng, 2, 4)
+        singular = m @ m.conj().T
+        singular[:, 2] = singular[2, :] = 0.0  # Cholesky fails
+        assert solve_gram(rhs, singular, self.TOL) is None
+        scaled = np.diag([1.0, 1.0, 1.0, 1e-7]) @ m  # Cholesky works, rcond ~3e-15
+        assert solve_gram(rhs, scaled @ scaled.conj().T, self.TOL) is None
+        assert solve_gram(rhs, m @ m.conj().T, self.TOL) is not None
 
     def test_rank_deficient_falls_back_to_pinv(self):
         rng = np.random.default_rng(18)
@@ -213,6 +226,22 @@ class TestSolveRows:
         # the normal equations square the condition number of m
         bound = 100 * np.finfo(float).eps * np.linalg.cond(m) ** 2
         assert rel_err(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL)) <= bound
+
+
+def test_psi_contracted_right_hand_sides():
+    # pakron stage I forms both normal-equation right-hand sides from
+    # zp = z^T @ conj(psi) instead of the Khatri-Rao matrices
+    rng = np.random.default_rng(22)
+    rows, blocks, frames, d = 6, 10, 3, 5
+    z = random_complex(rng, rows, blocks, frames)
+    psi = random_complex(rng, blocks, d)
+    gbar = random_complex(rng, frames, d)
+    omega = random_complex(rng, rows, d)
+    zp = np.transpose(z, (2, 0, 1)) @ psi.conj()
+    rhs1 = unfold(z, 0) @ khatri_rao(gbar, psi).conj()
+    rhs3 = unfold(z, 2) @ khatri_rao(psi, omega).conj()
+    assert rel_err((zp * gbar.conj()[:, None, :]).sum(0), rhs1) < 1e-12
+    assert rel_err((zp * omega.conj()).sum(1), rhs3) < 1e-12
 
 
 class TestScipyOracles:
