@@ -209,6 +209,8 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
     (snr index, receiver, trial index) and includes failures.  Identifiability
     is checked up front for every requested receiver unless ``force``.
     """
+    if runs < 1 or jobs < 1:
+        raise ValueError(f"runs and jobs must be at least 1, got {runs} and {jobs}")
     receivers = list(receivers)
     if not receivers:
         raise ValueError("at least one receiver is required")

@@ -11,7 +11,10 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
   rearrangement.
 * ``tucker``  - single stage.  Trilinear alternating least squares on the
   fourth-order view with its known structured core, jointly updating
-  ``H @ S``, ``X`` and the stacked per-frame channel.
+  ``H @ S``, ``X`` and the stacked per-frame channel.  Its ``H @ S`` and
+  ``X`` updates split stage I's ``omega`` system over the two Kronecker
+  factors of ``omega``; its channel update and fit are stage I's.  Both
+  receivers fall back to ``pinv`` of the explicit matrix on an untrusted Gram.
 
 Both inherit the model's indeterminacies: a per-stream scale on the symbol
 columns (pinned by the known reference row, see ``resolve_and_detect``) and a
@@ -29,7 +32,8 @@ import numpy as np
 
 from .config import SolverOptions
 from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
-from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, build_core, reshape_views
+from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
+                     complex_normal, reshape_views)
 from .tensor_ops import (
     best_rank1,
     khatri_rao,
@@ -81,19 +85,46 @@ def _require_finite(data):
         raise NumericalError("received tensor has non-finite entries")
 
 
+# Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
+# unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
+# with Khatri-Rao Grams as Hadamard products of factor Grams.
+
+def _contract(z, psi):
+    return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi.T @ psi.conj(),
+            float(np.linalg.norm(z) ** 2))
+
+
+def _omega_system(zp, psi_gram, gbar):
+    return (zp * gbar.conj()[:, None, :]).sum(0), (gbar.T @ gbar.conj()) * psi_gram
+
+
+def _gbar_system(zp, psi_gram, omega):
+    return (zp * omega.conj()).sum(1), psi_gram * (omega.T @ omega.conj())
+
+
+def _gram_fit(gbar, rhs, gram, znorm2):
+    """Normalized residual of the ``gbar`` system, from its Gram, clamped at 0."""
+    err = znorm2 - 2 * np.vdot(gbar, rhs).real + np.vdot(gbar, gbar @ gram).real
+    return max(float(err) / znorm2, 0.0)
+
+
+def _solve(rhs, gram, tol, unfolded, mixing):
+    """``rhs @ inv(gram)`` by :func:`solve_gram`; on an untrusted Gram,
+    ``unfolded @ pinv(mixing(), tol)``, building the mixing matrix only then."""
+    x = solve_gram(rhs, gram, tol)
+    return unfolded @ pinv(mixing(), tol) if x is None else x
+
+
 def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                   init_seed: int, gbar_init=None) -> StageOneResult:
     """Bilinear ALS on the third-order view ``z``.
 
     Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
     ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
-    either Khatri-Rao matrix: with ``psi`` contracted out of the data once,
-    ``zp = z^T @ conj(psi)``, the normal-equation right-hand sides are
-    ``sum_i zp[i] * conj(gbar[i])`` and ``sum_t zp[:, t] * conj(omega[t])``,
-    the Grams are Hadamard products of factor Grams, and :func:`solve_gram`
-    solves them (an untrusted Gram falls back to ``pinv``).  The fit is
-    ``(||z||^2 - 2 Re<gbar, rhs> + <gbar, gbar @ gram>) / ||z||^2`` of the
-    ``gbar`` system, clamped at 0.  From sweep 3 on, both factors move on to
+    either Khatri-Rao matrix: both are solved from the normal equations on
+    the ``psi``-contracted data (``_omega_system``, ``_gbar_system``), with a
+    ``pinv`` fallback on an untrusted Gram.  The fit is the ``gbar`` system's
+    Gram fit, clamped at 0.  From sweep 3 on, both factors move on to
     ``old + sqrt(sweep) * (new - old)`` (Bro 1998, §4.6) when that lowers the
     fit, so the fits never rise; the loop stops when the fit improves by no
     more than ``solver.delta``.
@@ -116,45 +147,25 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
 
     z1 = unfold(z, 0)
     z3 = unfold(z, 2)
-    znorm2 = float(np.linalg.norm(z) ** 2)
-    if gbar_init is not None:
-        gbar = np.array(gbar_init, dtype=complex)
-    else:
-        rng = np.random.default_rng(init_seed)
-        gbar = (rng.standard_normal((frames, d))
-                + 1j * rng.standard_normal((frames, d))) / np.sqrt(2)
-
+    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
+            else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
-    zp = np.transpose(z, (2, 0, 1)) @ psi.conj()
-    # Gram of a Khatri-Rao product: (a^T conj(a)) * (b^T conj(b))
-    psi_gram = psi.T @ psi.conj()
-
-    def solve(rhs, gram, unfolded, kr_factors):
-        x = solve_gram(rhs, gram, tol)
-        return unfolded @ pinv(khatri_rao(*kr_factors).T, tol) if x is None else x
-
-    def gbar_system(omega):
-        return (zp * omega.conj()).sum(1), psi_gram * (omega.T @ omega.conj())
-
-    def gram_fit(gbar, rhs, gram):
-        err = znorm2 - 2 * np.vdot(gbar, rhs).real + np.vdot(gbar, gbar @ gram).real
-        return max(float(err) / znorm2, 0.0)
-
+    zp, psi_gram, znorm2 = _contract(z, psi)
     trajectory = []
     prev = np.inf
     converged = False
     omega = None
     for sweep in range(1, solver.max_iters + 1):
-        omega_new = solve((zp * gbar.conj()[:, None, :]).sum(0),
-                          (gbar.T @ gbar.conj()) * psi_gram, z1, (gbar, psi))
-        rhs, gram = gbar_system(omega_new)
-        gbar_new = solve(rhs, gram, z3, (psi, omega_new))
-        err = gram_fit(gbar_new, rhs, gram)
+        omega_new = _solve(*_omega_system(zp, psi_gram, gbar), tol, z1,
+                           lambda: khatri_rao(gbar, psi).T)
+        rhs, gram = _gbar_system(zp, psi_gram, omega_new)
+        gbar_new = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega_new).T)
+        err = _gram_fit(gbar_new, rhs, gram, znorm2)
         if sweep >= 3:
             step = np.sqrt(sweep)
             omega_x = omega + step * (omega_new - omega)
             gbar_x = gbar + step * (gbar_new - gbar)
-            err_x = gram_fit(gbar_x, *gbar_system(omega_x))
+            err_x = _gram_fit(gbar_x, *_gbar_system(zp, psi_gram, omega_x), znorm2)
             if err_x < err:
                 omega_new, gbar_new, err = omega_x, gbar_x, err_x
         omega, gbar = omega_new, gbar_new
@@ -223,19 +234,27 @@ def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
     return replace(out, wall_time=time.perf_counter() - t0)
 
 
-def _psi_slices(psi, n, mt):
-    # column r = n_idx + m_idx*n of psi maps to [k, n_idx, m_idx]
-    return np.reshape(psi, (psi.shape[0], n, mt), order="F")
+def _mixing(spec, factor, psi, gbar, n):
+    """Mixing matrix ``V`` of mode 0 or 1 of the fourth-order view (``unfold(q4,
+    mode) == F @ V`` or ``X @ V``): the structured core reduces it to the einsum
+    ``spec`` of the other factor with the ``psi`` and ``gbar`` slices."""
+    mt = psi.shape[1] // n
+    slices = [np.reshape(a, (a.shape[0], n, mt), order="F") for a in (psi, gbar)]
+    v = np.einsum(spec, factor, *slices)
+    return v.reshape(v.shape[0], -1, order="F")
 
 
 def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
                 x_init=None, gbar_init=None):
     """Trilinear ALS on the fourth-order view with known structured core.
 
-    Per sweep, ``solve_rows`` solves the three conditional LS problems for the
-    effective channel ``F = H @ S`` (mode 0), the symbols ``X`` (mode 1) and
-    the stacked per-frame channel (mode 3), each against the mode unfolding
-    of ``q4`` and the corresponding core-times-Kronecker mixing matrix.
+    Per sweep it updates the effective channel ``F = H @ S``, the symbols
+    ``X`` and the stacked per-frame channel ``gbar`` on ``pakron_stage1``'s
+    ``psi``-contracted systems with ``omega = kron(X, F)``.  The F and X
+    updates split its ``omega`` system (formed once per sweep from ``gbar``)
+    over the two Kronecker factors; the ``gbar`` update and the clamped Gram
+    fit are its ``gbar`` system.  A mode whose Gram is not trusted falls back
+    to ``pinv`` of its explicit mixing matrix.
 
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
     normalized reconstruction errors.
@@ -252,37 +271,35 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     if not np.array_equal(core, build_core(n, mt)):
         raise ValueError("core must be the canonical selection-structured core")
 
-    psi3 = _psi_slices(psi, n, mt)
-    q1 = unfold(q4, 0)
-    q2 = unfold(q4, 1)
-    q4m = unfold(q4, 3)
-    qnorm2 = float(np.linalg.norm(q4) ** 2)
-
     rng = np.random.default_rng(init_seed)
-
-    def _cn(shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    x = np.array(x_init, dtype=complex) if x_init is not None else _cn((slots, mt))
-    gbar = np.array(gbar_init, dtype=complex) if gbar_init is not None else _cn((frames, d))
+    x = (np.array(x_init, dtype=complex) if x_init is not None
+         else complex_normal(rng, (slots, mt)))
+    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
+            else complex_normal(rng, (frames, d)))
 
     tol = solver.pinv_tol
+    z = np.reshape(q4, (mr * slots, k, frames), order="F")
+    zp, psi_gram, znorm2 = _contract(z, psi)
+    q1, q2, z3 = unfold(q4, 0), unfold(q4, 1), unfold(z, 2)
     trajectory = []
     prev = np.inf
     converged = False
     f = None
     for _ in range(solver.max_iters):
-        g3 = np.reshape(gbar, (frames, n, mt), order="F")
-        # mixing matrices below equal unfold(core x2 X x3 psi x4 gbar, mode)
-        # etc.; the selection structure of the core reduces them to these
-        # contractions.
-        v1 = np.einsum("tm,knm,inm->ntki", x, psi3, g3).reshape(n, -1, order="F")
-        f = solve_rows(q1, v1, tol)
-        v2 = np.einsum("rn,knm,inm->mrki", f, psi3, g3).reshape(mt, -1, order="F")
-        x = solve_rows(q2, v2, tol)
-        v4 = np.einsum("rn,tm,knm->nmrtk", f, x, psi3).reshape(d, -1, order="F")
-        gbar = solve_rows(q4m, v4, tol)
-        err = float(np.linalg.norm(q4m - gbar @ v4) ** 2) / qnorm2
+        # the omega system, indexed (r, t, n, m) as omega = kron(X, F)
+        rhs, gram = _omega_system(zp, psi_gram, gbar)
+        r4 = np.reshape(rhs, (mr, slots, n, mt), order="F")
+        g4 = np.reshape(gram, (n, mt, n, mt), order="F")
+        f = _solve(np.einsum("tm,rtnm->rn", x.conj(), r4),
+                   np.einsum("mp,nmqp->nq", x.T @ x.conj(), g4), tol, q1,
+                   lambda: _mixing("tm,knm,inm->ntki", x, psi, gbar, n))
+        x = _solve(np.einsum("rn,rtnm->tm", f.conj(), r4),
+                   np.einsum("nq,nmqp->mp", f.T @ f.conj(), g4), tol, q2,
+                   lambda: _mixing("rn,knm,inm->mrki", f, psi, gbar, n))
+        omega = kron(x, f)
+        rhs, gram = _gbar_system(zp, psi_gram, omega)
+        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T)
+        err = _gram_fit(gbar, rhs, gram, znorm2)
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:
             converged = True
@@ -324,15 +341,9 @@ def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
     ``X = unfold(q4, 1) @ pinv(V)`` with ``V`` built from the true channels
     and the design.
     """
-    q4 = received.y
-    mr, slots, k, frames = q4.shape
-    n = design.s.shape[0]
-    mt = design.psi.shape[1] // n
-    f = channels.h @ design.s
-    psi3 = _psi_slices(design.psi, n, mt)
-    g3 = np.reshape(channels.gbar, (frames, n, mt), order="F")
-    v2 = np.einsum("rn,knm,inm->mrki", f, psi3, g3).reshape(mt, -1, order="F")
-    return unfold(q4, 1) @ pinv(v2, pinv_tol)
+    v2 = _mixing("rn,knm,inm->mrki", channels.h @ design.s, design.psi,
+                 channels.gbar, design.s.shape[0])
+    return unfold(received.y, 1) @ pinv(v2, pinv_tol)
 
 
 def hard_decisions(x, alphabet) -> np.ndarray:

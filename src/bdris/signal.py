@@ -136,8 +136,8 @@ def gen_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     rng = np.random.default_rng(seed)
     mr, n, mt, ni = cfg.rx_antennas, cfg.ris_elements, cfg.tx_antennas, cfg.frames
     if cfg.channel_model == "rayleigh":
-        h = _cn(rng, (mr, n))
-        g = _cn(rng, (ni, n, mt))
+        h = complex_normal(rng, (mr, n))
+        g = complex_normal(rng, (ni, n, mt))
     else:
         root = math.isqrt(n)
         if root * root != n:
@@ -151,7 +151,7 @@ def gen_channels(cfg: SystemConfig, seed: int) -> ChannelSet:
     return ChannelSet(h=h, g=g)
 
 
-def _cn(rng, shape):
+def complex_normal(rng, shape):
     """i.i.d. circularly symmetric complex Gaussian entries, unit variance."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
 
@@ -170,7 +170,7 @@ def _upa(root, azimuth, elevation):
 
 def _geometric(rng, paths, array_size, root):
     """Multipath low-rank channel: linear array x planar surface array."""
-    gains = _cn(rng, paths) / math.sqrt(paths)
+    gains = complex_normal(rng, paths) / math.sqrt(paths)
     h = np.zeros((array_size, root * root), dtype=complex)
     for gain in gains:
         theta = rng.uniform(-np.pi / 2, np.pi / 2)
@@ -215,7 +215,7 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     signal_power = float(np.linalg.norm(y0) ** 2)
     sigma2 = signal_power / (y0.size * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
-    noise = _cn(rng, y0.shape) * math.sqrt(sigma2)
+    noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)
     achieved = 10.0 * math.log10(signal_power / float(np.linalg.norm(noise) ** 2))
     return ReceivedTensor(
         y=y0 + noise,

@@ -162,6 +162,18 @@ class TestSweep:
         rows_b = _csv_without_wall(tmp_path / "b" / "trials.csv")
         assert rows_a == rows_b
 
+    @pytest.mark.parametrize("flag, value", [("--runs", "-3"), ("--runs", "0"),
+                                             ("--jobs", "-4")])
+    def test_rejects_counts_below_one(self, capsys, tmp_path, flag, value):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, "--set", "ris_elements=4", "--set", "blocks=8",
+                                 "--set", "frames=4", "sweep", "--receiver", "zf-oracle",
+                                 flag, value, "--out", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid"
+        assert not out_dir.exists()
+
 
 class TestFixture:
     def test_roundtrip(self, capsys, tmp_path):

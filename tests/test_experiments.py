@@ -173,6 +173,11 @@ class TestRunSweep:
         assert np.isclose(cell["nmse_h_median"],
                           np.median([t.nmse_h for t in loaded]))
 
+    @pytest.mark.parametrize("runs, jobs", [(0, 1), (-3, 1), (2, 0), (2, -4)])
+    def test_rejects_runs_or_jobs_below_one(self, runs, jobs):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_sweep(desk_config(snr_db=(10.0,)), ["zf-oracle"], runs=runs, jobs=jobs)
+
     def test_report_json_serializable(self):
         cfg = desk_config(snr_db=(10.0,), seed=12)
         _, report = run_sweep(cfg, ["zf-oracle"], runs=1)

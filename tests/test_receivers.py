@@ -20,7 +20,14 @@ from bdris.receivers import (
 )
 from bdris.signal import ReceivedTensor, add_noise, reshape_views
 from bdris.tensor_ops import khatri_rao, kron, pinv, unfold, vec
-from util import desk_config, draw_instance, rel_err, tight_solver
+from util import (
+    desk_config,
+    draw_instance,
+    rel_err,
+    tight_solver,
+    tucker_mixing,
+    tucker_tals_explicit,
+)
 
 
 def stage1(cfg, design, received, solver, init_seed=0, gbar_init=None):
@@ -228,6 +235,12 @@ class TestPakron:
         assert a.residual_trajectory == b.residual_trajectory
 
 
+def run_tals(design, received, solver, init_seed=0, **inits):
+    views = reshape_views(received, design)
+    return views.q4, tucker_tals(views.q4, views.core, design.psi, solver,
+                                 init_seed, **inits)
+
+
 class TestTucker:
     def test_noiseless_recovery(self):
         cfg = desk_config()
@@ -281,6 +294,84 @@ class TestTucker:
         with pytest.raises(IdentifiabilityError) as exc:
             tucker_tals(views.q4, views.core, design.psi, cfg.solver, 0)
         assert "blocks*slots*rx_antennas" in exc.value.inequality
+
+    @pytest.mark.parametrize("overrides, snr", [
+        ({}, 0.0), ({}, 10.0), ({}, math.inf),
+        ({"tx_antennas": 1}, 5.0), ({"frames": 1}, 5.0), ({"frames": 1}, math.inf),
+        ({"ris_elements": 16, "blocks": 32, "frames": 2}, 0.0),
+    ])
+    def test_matches_explicit_oracle(self, overrides, snr):
+        cfg = desk_config(**overrides)
+        design, _, _, received = draw_instance(cfg, 40)
+        if math.isfinite(snr):
+            received = add_noise(received, snr, 41)
+        q4, (f, x, gbar, traj, converged) = run_tals(design, received,
+                                                     cfg.solver, init_seed=42)
+        f0, x0, gbar0, traj0, converged0 = tucker_tals_explicit(
+            q4, design.psi, cfg.tx_antennas, cfg.solver, 42)
+        assert len(traj) == len(traj0) and converged == converged0
+        assert np.max(np.abs(np.subtract(traj, traj0))) <= 1e-12
+        for new, old in ((f, f0), (x, x0), (gbar, gbar0)):
+            assert rel_err(new, old) <= 1e-10
+
+    def test_singular_f_gram_takes_pinv_fallback(self):
+        cfg = desk_config()
+        design, channels, symbols, received = draw_instance(cfg, 43)
+        received = add_noise(received, 10.0, 44)
+        gbar_init = channels.gbar.copy()
+        gbar_init[:, [1, 1 + cfg.ris_elements]] = 0.0  # element 1: F Gram singular
+        solver = SolverOptions(max_iters=1)
+        q4, (f, _, _, _, _) = run_tals(design, received, solver,
+                                       x_init=symbols.x, gbar_init=gbar_init)
+        v1 = tucker_mixing(0, None, symbols.x, design.psi, gbar_init)
+        assert np.array_equal(f, unfold(q4, 0) @ pinv(v1, solver.pinv_tol))
+
+    def test_sweeps_form_no_mixing_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            def kernel(*args, **kwargs):
+                calls.append(name)
+                return getattr(tensor_ops, name)(*args, **kwargs)
+            return kernel
+
+        for name in ("pinv", "khatri_rao", "solve_rows"):
+            monkeypatch.setattr(receivers, name, counting(name))
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 45)
+        _, (_, _, _, traj, _) = run_tals(design, add_noise(received, 0.0, 46),
+                                         cfg.solver, init_seed=47)
+        assert len(traj) > 3
+        assert calls == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(tx=st.integers(1, 2), rx=st.integers(1, 3), ris=st.sampled_from([2, 4]),
+           extra_slots=st.integers(0, 2), frames=st.integers(1, 3),
+           extra_blocks=st.integers(0, 3),
+           snr=st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+           seed=st.integers(0, 2**16))
+    def test_property_monotone_and_fit_exact(self, tx, rx, ris, extra_slots, frames,
+                                             extra_blocks, snr, seed):
+        slots = tx + extra_slots
+        d = tx * ris
+        blocks = max(-(-d // (slots * rx)), -(-ris // (frames * slots)),
+                     -(-tx // (frames * rx))) + extra_blocks
+        cfg = desk_config(tx_antennas=tx, rx_antennas=rx, ris_elements=ris,
+                          groups=2, slots=slots, frames=frames, blocks=blocks)
+        design, _, _, received = draw_instance(cfg, seed)
+        if math.isfinite(snr):
+            received = add_noise(received, snr, seed + 1)
+        solver = SolverOptions(delta=1e-10, max_iters=200)
+        q4, (f, x, gbar, traj, _) = run_tals(design, received, solver,
+                                             init_seed=seed + 2)
+        # the Gram fit's rounding bound, as in TestStageOne's property
+        v4 = tucker_mixing(3, f, x, design.psi, gbar)
+        terms = np.abs(gbar) @ np.abs(v4 @ v4.conj().T) * np.abs(gbar)
+        rounding = 8 * np.finfo(float).eps * terms.sum() / np.linalg.norm(q4) ** 2
+        slack = 1e-12 * traj[0] + rounding  # criterion 8's slack plus rounding
+        assert all(traj[i + 1] <= traj[i] + slack for i in range(len(traj) - 1))
+        fit = np.linalg.norm(unfold(q4, 3) - gbar @ v4) ** 2 / np.linalg.norm(q4) ** 2
+        assert abs(traj[-1] - fit) <= 1e-12 + rounding
 
     def test_deterministic(self):
         cfg = desk_config()

@@ -127,6 +127,14 @@ class TestKron:
         a, b, c, d = (random_complex(rng, 2, 2) for _ in range(4))
         assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((4, 2), (4, 16)), ((1, 3), (5, 1)),
+                                                  ((2, 2), (3, 0))])
+    def test_bit_equal_to_numpy(self, a_shape, b_shape):
+        rng = np.random.default_rng(8)
+        a, b = random_complex(rng, *a_shape), random_complex(rng, *b_shape)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+        assert kron(a, b).shape == np.kron(a, b).shape
+
 
 class TestKhatriRao:
     def test_single_column(self):

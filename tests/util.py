@@ -9,6 +9,7 @@ from bdris.signal import (
     gen_symbols,
     synthesize_received,
 )
+from bdris.tensor_ops import solve_rows, unfold
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -69,3 +70,57 @@ def rel_err(actual, expected) -> float:
     if denom == 0:
         return float(np.linalg.norm(actual))
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)) / denom)
+
+
+def tucker_mixing(mode, f, x, psi, gbar):
+    """Mixing matrix of mode 0, 1 or 3 of the fourth-order view:
+    ``unfold(q4, 0) == f @ v``, ``unfold(q4, 1) == x @ v`` or
+    ``unfold(q4, 3) == gbar @ v``.  The selection structure of the core
+    reduces ``unfold(core x2 X x3 psi x4 gbar, 0)`` etc. to these
+    contractions."""
+    mt = x.shape[1]
+    n = psi.shape[1] // mt
+    psi3 = np.reshape(psi, (psi.shape[0], n, mt), order="F")
+    g3 = np.reshape(gbar, (gbar.shape[0], n, mt), order="F")
+    if mode == 0:
+        return np.einsum("tm,knm,inm->ntki", x, psi3, g3).reshape(n, -1, order="F")
+    if mode == 1:
+        return np.einsum("rn,knm,inm->mrki", f, psi3, g3).reshape(mt, -1, order="F")
+    return np.einsum("rn,tm,knm->nmrtk", f, x, psi3).reshape(n * mt, -1, order="F")
+
+
+def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
+                         init_seed: int, x_init=None, gbar_init=None):
+    """Trilinear ALS oracle: each sweep builds the mode mixing matrices,
+    solves ``solve_rows(unfold(q4, mode), v, tol)`` for ``F``, ``X`` and
+    ``gbar`` in turn and takes the residual explicitly.  Same initial draws,
+    stopping rule and return tuple as ``receivers.tucker_tals``."""
+    q4 = np.asarray(q4)
+    slots, frames = q4.shape[1], q4.shape[3]
+    d, mt = psi.shape[1], tx_antennas
+    q1, q2, q4m = unfold(q4, 0), unfold(q4, 1), unfold(q4, 3)
+    qnorm2 = float(np.linalg.norm(q4) ** 2)
+    rng = np.random.default_rng(init_seed)
+
+    def cn(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+    x = np.array(x_init, dtype=complex) if x_init is not None else cn((slots, mt))
+    gbar = np.array(gbar_init, dtype=complex) if gbar_init is not None else cn((frames, d))
+    tol = solver.pinv_tol
+    trajectory = []
+    prev = np.inf
+    converged = False
+    f = None
+    for _ in range(solver.max_iters):
+        f = solve_rows(q1, tucker_mixing(0, f, x, psi, gbar), tol)
+        x = solve_rows(q2, tucker_mixing(1, f, x, psi, gbar), tol)
+        v4 = tucker_mixing(3, f, x, psi, gbar)
+        gbar = solve_rows(q4m, v4, tol)
+        err = float(np.linalg.norm(q4m - gbar @ v4) ** 2) / qnorm2
+        trajectory.append(err)
+        if abs(err - prev) <= solver.delta:
+            converged = True
+            break
+        prev = err
+    return f, x, gbar, tuple(trajectory), converged
