@@ -19,6 +19,7 @@ from .signal import (
     SymbolBlock,
     add_noise,
     design_scattering,
+    draw_scenario,
     gen_channels,
     gen_symbols,
     psk_alphabet,

@@ -26,21 +26,13 @@ from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .identifiability import check_feasible
 from .receivers import (
     RECEIVER_NAMES,
-    RESERVED_RECEIVER_NAMES,
     ReceiverOutput,
     hard_decisions,
     pakron,
     tucker,
     zf_perfect_csi,
 )
-from .signal import (
-    SymbolBlock,
-    add_noise,
-    design_scattering,
-    gen_channels,
-    gen_symbols,
-    synthesize_received,
-)
+from .signal import SymbolBlock, add_noise, draw_scenario
 
 TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
                     "iters", "wall_ms")
@@ -137,54 +129,47 @@ def json_safe(obj):
     return obj
 
 
-def require_receiver(receiver: str) -> None:
-    """Raise unless ``receiver`` names an implemented receiver."""
-    if receiver in RESERVED_RECEIVER_NAMES:
-        raise NotImplementedError(f"receiver {receiver!r} is reserved but not implemented")
+def evaluate(receiver: str, received, design, channels, symbols,
+             solver, init_seed: int) -> dict:
+    """Run ``receiver`` on one received tensor and score it against the truth.
+
+    Returns ``nmse_h``, ``nmse_g``, ``ser``, ``iterations`` and ``wall_ms``.
+    The oracle is given the true channels, so its NMSEs are 0 and its time
+    is that of the zero-forcing solve alone.
+    """
+    if receiver == "zf-oracle":
+        t0 = time.perf_counter()
+        x_hat = zf_perfect_csi(received, channels, design, solver.pinv_tol)
+        wall = time.perf_counter() - t0
+        detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
+        return dict(nmse_h=0.0, nmse_g=0.0, ser=ser(symbols, detected),
+                    iterations=0, wall_ms=wall * 1e3)
     if receiver not in RECEIVER_NAMES:
         raise ValueError(f"unknown receiver {receiver!r}; choose from {RECEIVER_NAMES}")
+    run = pakron if receiver == "pakron" else tucker
+    out: ReceiverOutput = run(received, design, symbols.alphabet, solver, init_seed)
+    return dict(
+        nmse_h=nmse_aligned(channels.h @ design.s, out.hs_hat, "per-column"),
+        nmse_g=nmse_aligned(channels.gbar, out.gbar_hat, "per-column"),
+        ser=ser(symbols, out.x_detected),
+        iterations=out.iterations,
+        wall_ms=out.wall_time * 1e3,
+    )
 
 
 def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
               snr_index: int = 0, trial_index: int = 0,
               master_seed: int | None = None, noiseless: bool = False):
     """One seeded end-to-end trial; returns a TrialResult."""
-    require_receiver(receiver)
     master = cfg.seed if master_seed is None else master_seed
     scenario_seed = derive_seed(master, "scenario", snr_index, trial_index)
-    design = design_scattering(cfg, derive_seed(scenario_seed, "design"))
-    channels = gen_channels(cfg, derive_seed(scenario_seed, "channels"))
-    symbols = gen_symbols(cfg, derive_seed(scenario_seed, "symbols"))
-    received = synthesize_received(channels, design, symbols)
+    design, channels, symbols, received = draw_scenario(cfg, scenario_seed)
     if not noiseless:
         received = add_noise(received, snr_db, derive_seed(scenario_seed, "noise"))
     init_seed = derive_seed(master, "init", receiver, snr_index, trial_index,
                             cfg.solver.init_seed)
-
-    if receiver == "zf-oracle":
-        t0 = time.perf_counter()
-        x_hat = zf_perfect_csi(received, channels, design, cfg.solver.pinv_tol)
-        wall = time.perf_counter() - t0
-        detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
-        return TrialResult(
-            seed=scenario_seed, snr_db=snr_db, receiver=receiver,
-            nmse_h=0.0, nmse_g=0.0, ser=ser(symbols, detected),
-            iterations=0, wall_ms=wall * 1e3)
-
-    run = pakron if receiver == "pakron" else tucker
-    out: ReceiverOutput = run(received, design, symbols.alphabet,
-                              cfg.solver, init_seed)
-    hs_true = channels.h @ design.s
-    return TrialResult(
-        seed=scenario_seed,
-        snr_db=snr_db,
-        receiver=receiver,
-        nmse_h=nmse_aligned(hs_true, out.hs_hat, "per-column"),
-        nmse_g=nmse_aligned(channels.gbar, out.gbar_hat, "per-column"),
-        ser=ser(symbols, out.x_detected),
-        iterations=out.iterations,
-        wall_ms=out.wall_time * 1e3,
-    )
+    return TrialResult(scenario_seed, snr_db, receiver, **evaluate(
+        receiver, received, design, channels, symbols, cfg.solver, init_seed))
 
 
 def _trial_task(args):
@@ -273,19 +258,6 @@ def write_trials_csv(path, trials) -> None:
             if isinstance(t, TrialResult):
                 writer.writerow([t.seed, t.snr_db, t.receiver, t.nmse_h,
                                  t.nmse_g, t.ser, t.iterations, t.wall_ms])
-
-
-def read_trials_csv(path):
-    """Load per-trial rows back as TrialResult objects."""
-    out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(TrialResult(
-                seed=int(row["seed"]), snr_db=float(row["snr_db"]),
-                receiver=row["receiver"], nmse_h=float(row["nmse_h"]),
-                nmse_g=float(row["nmse_g"]), ser=float(row["ser"]),
-                iterations=int(row["iters"]), wall_ms=float(row["wall_ms"])))
-    return out
 
 
 def trial_to_dict(trial) -> dict:

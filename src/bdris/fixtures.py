@@ -17,9 +17,7 @@ from .signal import (
     ChannelSet,
     ScatteringDesign,
     SymbolBlock,
-    design_scattering,
-    gen_channels,
-    gen_symbols,
+    draw_scenario,
     psk_alphabet,
     synthesize_received,
 )
@@ -50,11 +48,8 @@ def decode_array(obj) -> np.ndarray:
 def make_fixture(cfg: SystemConfig, master_seed: int | None = None) -> dict:
     """Draw one noiseless instance and package truth plus received tensor."""
     master = cfg.seed if master_seed is None else master_seed
-    scenario_seed = derive_seed(master, "scenario", 0, 0)
-    design = design_scattering(cfg, derive_seed(scenario_seed, "design"))
-    channels = gen_channels(cfg, derive_seed(scenario_seed, "channels"))
-    symbols = gen_symbols(cfg, derive_seed(scenario_seed, "symbols"))
-    received = synthesize_received(channels, design, symbols)
+    design, channels, symbols, received = draw_scenario(
+        cfg, derive_seed(master, "scenario", 0, 0))
     return {
         "kind": FIXTURE_KIND,
         "version": FIXTURE_VERSION,
@@ -80,22 +75,25 @@ def load_fixture(obj_or_path):
             obj = json.load(fh)
     else:
         obj = obj_or_path
-    if obj.get("kind") != FIXTURE_KIND:
+    if not isinstance(obj, dict) or obj.get("kind") != FIXTURE_KIND:
         raise ValueError("not a fixture document")
-    cfg = SystemConfig.from_mapping(obj["config"])
-    s = decode_array(obj["design"]["scattering"])
-    p = decode_array(obj["design"]["rotation"])
-    w = decode_array(obj["design"]["coding"])
+    if obj.get("version") != FIXTURE_VERSION:
+        raise ValueError(f"fixture version {obj.get('version')!r} is not "
+                         f"{FIXTURE_VERSION}")
+    try:
+        cfg = SystemConfig.from_mapping(obj["config"])
+        s = decode_array(obj["design"]["scattering"])
+        p = decode_array(obj["design"]["rotation"])
+        w = decode_array(obj["design"]["coding"])
+        h = decode_array(obj["channels"]["ris_bs"])
+        g = np.stack([decode_array(gi) for gi in obj["channels"]["ut_ris"]])
+        x = decode_array(obj["symbols"]["x"])
+        recorded = decode_array(obj["received_noiseless"])
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"malformed fixture document: {err!r}") from err
     design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
-    channels = ChannelSet(
-        h=decode_array(obj["channels"]["ris_bs"]),
-        g=np.stack([decode_array(gi) for gi in obj["channels"]["ut_ris"]]),
-    )
-    symbols = SymbolBlock(
-        x=decode_array(obj["symbols"]["x"]),
-        alphabet=psk_alphabet(cfg.modulation_order),
-    )
-    recorded = decode_array(obj["received_noiseless"])
+    channels = ChannelSet(h=h, g=g)
+    symbols = SymbolBlock(x=x, alphabet=psk_alphabet(cfg.modulation_order))
     received = synthesize_received(channels, design, symbols)
     return cfg, design, channels, symbols, received, recorded
 

@@ -7,9 +7,22 @@ number of blocks.  A sufficient uniqueness condition for the two-stage
 receiver's trilinear stage is also evaluated in its parameterized form.
 """
 
+import math
 from dataclasses import asdict, dataclass, field
 
 from .config import SystemConfig
+from .errors import IdentifiabilityError
+
+# Per receiver, the (lhs, rhs) products of system dimensions whose
+# ``lhs >= rhs`` makes each alternating update's mixing matrix full rank.
+# Every left-hand side holds ``blocks`` once, which gives the kmin bounds.
+INEQUALITIES = {
+    "pakron": (("frames*blocks", "tx_antennas*ris_elements"),
+               ("blocks*slots*rx_antennas", "tx_antennas*ris_elements")),
+    "tucker": (("frames*blocks*slots", "ris_elements"),
+               ("frames*blocks*rx_antennas", "tx_antennas"),
+               ("blocks*slots*rx_antennas", "tx_antennas*ris_elements")),
+}
 
 
 @dataclass
@@ -28,31 +41,38 @@ class IdentReport:
         return asdict(self)
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def _product(expr: str, dims: dict) -> int:
+    return math.prod(dims[name] for name in expr.split("*"))
+
+
+def dims_of(cfg: SystemConfig) -> dict:
+    """The system dimensions the inequalities name, read from ``cfg``."""
+    return {name: getattr(cfg, name) for name in ("tx_antennas", "rx_antennas",
+            "ris_elements", "blocks", "slots", "frames")}
+
+
+def require_feasible(receiver: str, dims: dict) -> None:
+    """Raise IdentifiabilityError for the first of the receiver's inequalities
+    that ``dims`` violates; receivers without any pass."""
+    for lhs, rhs in INEQUALITIES.get(receiver, ()):
+        left, right = _product(lhs, dims), _product(rhs, dims)
+        if left < right:
+            raise IdentifiabilityError(f"{lhs} >= {rhs}", left, right)
 
 
 def kmin_bounds(cfg: SystemConfig, report: IdentReport | None = None) -> IdentReport:
     """Minimum number of blocks for LS-unique updates, per receiver."""
     report = report or IdentReport()
-    mt, mr, n = cfg.tx_antennas, cfg.rx_antennas, cfg.ris_elements
-    t, ni, k = cfg.slots, cfg.frames, cfg.blocks
-    d = mt * n
-    report.kmin_pakron = max(_ceil_div(d, ni), _ceil_div(d, t * mr))
-    report.kmin_tucker = max(_ceil_div(n, ni * t), _ceil_div(mt, ni * mr),
-                             _ceil_div(d, t * mr))
-    report.inequalities.update({
-        "pakron: frames*blocks >= tx_antennas*ris_elements": {
-            "lhs": ni * k, "rhs": d, "ok": ni * k >= d},
-        "pakron: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
-            "lhs": k * t * mr, "rhs": d, "ok": k * t * mr >= d},
-        "tucker: frames*blocks*slots >= ris_elements": {
-            "lhs": ni * k * t, "rhs": n, "ok": ni * k * t >= n},
-        "tucker: frames*blocks*rx_antennas >= tx_antennas": {
-            "lhs": ni * k * mr, "rhs": mt, "ok": ni * k * mr >= mt},
-        "tucker: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
-            "lhs": k * t * mr, "rhs": d, "ok": k * t * mr >= d},
-    })
+    dims = dims_of(cfg)
+    for receiver, table in INEQUALITIES.items():
+        kmin = 0
+        for lhs, rhs in table:
+            left, right = _product(lhs, dims), _product(rhs, dims)
+            # left is blocks times the rest: blocks >= ceil(right / rest)
+            kmin = max(kmin, -(-right * dims["blocks"] // left))
+            report.inequalities[f"{receiver}: {lhs} >= {rhs}"] = {
+                "lhs": left, "rhs": right, "ok": left >= right}
+        setattr(report, f"kmin_{receiver}", kmin)
     return report
 
 
@@ -106,13 +126,4 @@ def full_report(cfg: SystemConfig, rank_h: int | None = None) -> IdentReport:
 
 def check_feasible(cfg: SystemConfig, receiver: str) -> None:
     """Raise IdentifiabilityError when the receiver's LS bounds fail."""
-    from .errors import IdentifiabilityError
-
-    report = kmin_bounds(cfg)
-    prefix = {"pakron": "pakron", "tucker": "tucker"}.get(receiver)
-    if prefix is None:
-        return  # oracle receivers have no semi-blind precondition
-    for name, entry in report.inequalities.items():
-        if name.startswith(prefix) and not entry["ok"]:
-            raise IdentifiabilityError(
-                name.split(": ", 1)[1], entry["lhs"], entry["rhs"])
+    require_feasible(receiver, dims_of(cfg))

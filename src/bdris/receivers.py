@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverOptions
-from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
+from .errors import NumericalError, ScalingResolutionError
+from .identifiability import require_feasible
 from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
                      complex_normal, reshape_views)
 from .tensor_ops import (
@@ -48,7 +49,6 @@ from .tensor_ops import (
 )
 
 RECEIVER_NAMES = ("pakron", "tucker", "zf-oracle")
-RESERVED_RECEIVER_NAMES = ("hybrid",)  # pakron-initialized tucker; not implemented
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,6 @@ class StageOneResult:
     iterations: int
     converged: bool
     fit: float
-
-
-def _require(name, lhs, rhs):
-    if lhs < rhs:
-        raise IdentifiabilityError(name, lhs, rhs)
 
 
 def _require_finite(data):
@@ -140,10 +135,11 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     _require_finite(z)
     tm_r, k, frames = z.shape
     d = psi.shape[1]
-    _require("frames*blocks >= tx_antennas*ris_elements", frames * k, d)
-    _require("blocks*slots*rx_antennas >= tx_antennas*ris_elements", k * tm_r, d)
-    if left_shape[0] * right_shape[0] != tm_r or left_shape[1] * right_shape[1] != d:
+    (slots, mt), (mr, n) = left_shape, right_shape
+    if slots * mr != tm_r or mt * n != d:
         raise ValueError("factor shapes inconsistent with the data view")
+    require_feasible("pakron", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
+                                    blocks=k, slots=slots, frames=frames))
 
     z1 = unfold(z, 0)
     z3 = unfold(z, 2)
@@ -264,10 +260,8 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     mr, slots, k, frames = q4.shape
     n, mt = core.shape[0], core.shape[1]
     d = n * mt
-    _require("frames*blocks*slots >= ris_elements", frames * k * slots, n)
-    _require("frames*blocks*rx_antennas >= tx_antennas", frames * k * mr, mt)
-    _require("blocks*slots*rx_antennas >= tx_antennas*ris_elements",
-             k * slots * mr, d)
+    require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
+                                    blocks=k, slots=slots, frames=frames))
     if not np.array_equal(core, build_core(n, mt)):
         raise ValueError("core must be the canonical selection-structured core")
 
@@ -352,16 +346,15 @@ def hard_decisions(x, alphabet) -> np.ndarray:
     return np.argmin(dist, axis=-1)
 
 
-def resolve_and_detect(out: ReceiverOutput, alphabet,
-                       reference_value=None) -> ReceiverOutput:
+def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
     """Fix the per-stream scale from the known reference row, then detect.
 
-    Column m of the soft estimate is scaled by
-    ``reference_value / x_hat[0, m]``, cancelling the per-stream diagonal
-    indeterminacy; the remaining rows are hard-decided to the nearest
+    Column m of the soft estimate is scaled by ``alphabet[0] / x_hat[0, m]``,
+    the known reference symbol over its estimate, cancelling the per-stream
+    diagonal indeterminacy; the remaining rows are hard-decided to the nearest
     constellation point.  The channel estimates are left untouched.
     """
-    ref = complex(alphabet[0]) if reference_value is None else complex(reference_value)
+    ref = complex(alphabet[0])
     x = out.x_hat
     pivot = x[0, :]
     # zero relative to its column: a tiny column whose scale is intact is fine

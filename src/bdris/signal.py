@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import SystemConfig, derive_seed
 from .tensor_ops import khatri_rao
 
 
@@ -67,15 +67,10 @@ class SymbolBlock:
     alphabet: np.ndarray
     reference_row: int = 0
 
-    @property
-    def reference_value(self) -> complex:
-        return complex(self.alphabet[0])
-
 
 @dataclass(frozen=True)
 class ReceivedTensor:
     y: np.ndarray                  # rx_antennas x slots x blocks x frames
-    noiseless: np.ndarray | None = None
     achieved_snr_db: float = math.inf
 
 
@@ -200,7 +195,16 @@ def synthesize_received(channels: ChannelSet, design: ScatteringDesign,
     mixed = np.einsum("krn,inm->kirm", rotated, channels.g)
     coded = np.einsum("kirm,km->kirm", mixed, design.w)
     y = np.einsum("kirm,tm->rtki", coded, symbols.x)
-    return ReceivedTensor(y=y, noiseless=y, achieved_snr_db=math.inf)
+    return ReceivedTensor(y=y, achieved_snr_db=math.inf)
+
+
+def draw_scenario(cfg: SystemConfig, scenario_seed: int):
+    """One noiseless scenario: ``(design, channels, symbols, received)``, each
+    component drawn from its own stream derived from ``scenario_seed``."""
+    design = design_scattering(cfg, derive_seed(scenario_seed, "design"))
+    channels = gen_channels(cfg, derive_seed(scenario_seed, "channels"))
+    symbols = gen_symbols(cfg, derive_seed(scenario_seed, "symbols"))
+    return design, channels, symbols, synthesize_received(channels, design, symbols)
 
 
 def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTensor:
@@ -217,11 +221,7 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     rng = np.random.default_rng(seed)
     noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)
     achieved = 10.0 * math.log10(signal_power / float(np.linalg.norm(noise) ** 2))
-    return ReceivedTensor(
-        y=y0 + noise,
-        noiseless=received.noiseless,
-        achieved_snr_db=achieved,
-    )
+    return ReceivedTensor(y=y0 + noise, achieved_snr_db=achieved)
 
 
 def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:
@@ -229,7 +229,8 @@ def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:
 
     Shape (ris_elements, tx_antennas, d, d) with d = tx_antennas*ris_elements;
     entry (n, m, r, r) is 1 for r = n + m*ris_elements, all else zero.  Its
-    [0,1]x[2,3] generalized unfolding is selection_matrix(d).T.
+    unfolding with rows over modes (0, 1) and columns over modes (2, 3) is
+    ``khatri_rao(eye(d), eye(d)).T``.
     """
     d = ris_elements * tx_antennas
     core = np.zeros((ris_elements, tx_antennas, d, d), dtype=complex)
@@ -241,9 +242,8 @@ def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:
 def reshape_views(received: ReceivedTensor, design: ScatteringDesign) -> TensorViews:
     """Build the two model views a receiver consumes.
 
-    The identity ``unfold_multi(q4, [0,1], [2,3]) == unfold(z, 0)`` (same
-    flat data) ties the views together; both equal the stacked per-frame
-    block matrices.
+    ``z`` is ``q4`` with its first two modes merged, so both hold the same
+    flat data (first mode fastest): the stacked per-frame block matrices.
     """
     y = received.y
     mr, t, k, ni = y.shape
@@ -251,24 +251,3 @@ def reshape_views(received: ReceivedTensor, design: ScatteringDesign) -> TensorV
     n = design.s.shape[0]
     mt = design.psi.shape[1] // n
     return TensorViews(z=z, q4=y, core=build_core(n, mt))
-
-
-def ambiguity_equivalent(channels: ChannelSet, design: ScatteringDesign,
-                         symbols: SymbolBlock,
-                         element_scale: np.ndarray,
-                         stream_scale: np.ndarray):
-    """Rescaled (channels, symbols) that synthesize the *same* received tensor.
-
-    ``element_scale`` (len ris_elements) multiplies the effective channel
-    ``H @ S`` column-wise and is compensated inside every ``g`` slice;
-    ``stream_scale`` (len tx_antennas) multiplies the symbol columns and is
-    compensated the same way.  This is the model's inherent indeterminacy;
-    accuracy metrics are therefore only meaningful after column alignment.
-    """
-    d = np.asarray(element_scale, dtype=complex)
-    e = np.asarray(stream_scale, dtype=complex)
-    s = design.s
-    h = channels.h @ s @ np.diag(d) @ s.conj().T
-    g = np.einsum("n,inm,m->inm", 1.0 / d, channels.g, 1.0 / e)
-    x = symbols.x * e[None, :]
-    return ChannelSet(h=h, g=g), SymbolBlock(x=x, alphabet=symbols.alphabet)

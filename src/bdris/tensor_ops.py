@@ -1,5 +1,5 @@
-"""Dense complex matrix/tensor kernel on numpy: unfoldings, multilinear and
-structured products, least squares (normal equations, SVD) and rank-1 fits.
+"""Dense complex matrix/tensor kernel on numpy: unfoldings, Kronecker and
+Khatri-Rao products, least squares (normal equations, SVD) and rank-1 fits.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -37,62 +37,12 @@ def unfold(t, mode):
     """Mode-``mode`` unfolding: ``dims[mode] x prod(other dims)`` matrix.
 
     Columns enumerate the complement modes with lower-numbered modes varying
-    fastest.  ``fold`` is the exact inverse.
+    fastest.
     """
     t = np.asarray(t)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode index {mode} out of range for order-{t.ndim} tensor")
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
-
-
-def fold(mat, mode, dims):
-    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    dims = tuple(dims)
-    if not 0 <= mode < len(dims):
-        raise ValueError(f"mode index {mode} out of range for order-{len(dims)} tensor")
-    rest = [d for i, d in enumerate(dims) if i != mode]
-    t = np.reshape(np.asarray(mat), [dims[mode]] + rest, order="F")
-    return np.moveaxis(t, 0, mode)
-
-
-def unfold_multi(t, row_modes, col_modes):
-    """Generalized unfolding combining several modes per axis.
-
-    The row index runs over ``row_modes`` with the first listed mode varying
-    fastest; same for columns.  ``unfold_multi(t, [0], [1, .., d-1])`` is the
-    plain mode-0 unfolding.
-    """
-    t = np.asarray(t)
-    if sorted(list(row_modes) + list(col_modes)) != list(range(t.ndim)):
-        raise ValueError("row and column modes must partition the tensor modes")
-    rows = int(np.prod([t.shape[m] for m in row_modes]))
-    perm = list(row_modes) + list(col_modes)
-    return np.reshape(np.transpose(t, perm), (rows, -1), order="F")
-
-
-def nmode_product(t, m, mode):
-    """Multiply matrix ``m`` onto tensor ``t`` along ``mode``.
-
-    The result has ``dims[mode]`` replaced by ``m.shape[0]`` and satisfies
-    ``unfold(result, mode) == m @ unfold(t, mode)``.
-    """
-    t = np.asarray(t)
-    m = np.asarray(m)
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode index {mode} out of range for order-{t.ndim} tensor")
-    if m.shape[1] != t.shape[mode]:
-        raise ValueError(
-            f"matrix with {m.shape[1]} columns cannot act on mode of size {t.shape[mode]}"
-        )
-    return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
-
-
-def identity_tensor(order, size):
-    """Superdiagonal tensor of the given order with ones on its diagonal."""
-    t = np.zeros((size,) * order, dtype=complex)
-    idx = np.arange(size)
-    t[(idx,) * order] = 1.0
-    return t
 
 
 def kron(a, b):
@@ -113,16 +63,6 @@ def khatri_rao(a, b):
             f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
     return (a[:, None, :] * b[None, :, :]).reshape(-1, a.shape[1])
-
-
-def selection_matrix(l):
-    """The ``l**2 x l`` 0/1 matrix that extracts the column-wise Kronecker
-    product: ``kron(A, B) @ selection_matrix(l) == khatri_rao(A, B)`` for
-    square ``A, B`` with ``l`` columns."""
-    if l < 1:
-        raise ValueError("extent must be positive")
-    eye = np.eye(l, dtype=complex)
-    return khatri_rao(eye, eye)
 
 
 def pinv(a, tol=DEFAULT_PINV_TOL):

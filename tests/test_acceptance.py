@@ -17,8 +17,9 @@ from bdris.experiments import nmse_aligned, run_sweep, ser
 from bdris.identifiability import full_report, kruskal_check
 from bdris.receivers import pakron, tucker
 from bdris.signal import add_noise, reshape_views
-from bdris.tensor_ops import khatri_rao, kron, unfold, unfold_multi
-from util import desk_config, draw_instance, loop_oracle, rel_err, tight_solver
+from bdris.tensor_ops import khatri_rao, kron, unfold
+from util import (desk_config, draw_instance, loop_oracle, rel_err, tight_solver,
+                  unfold_multi)
 
 NOISELESS_CFG = dict(tx_antennas=2, rx_antennas=4, ris_elements=4, groups=2,
                      blocks=8, slots=4, frames=4)

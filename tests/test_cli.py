@@ -201,6 +201,23 @@ class TestFixture:
         assert out == ""
         assert json.loads(err)["error"] == "invalid"
 
+    @pytest.mark.parametrize("mangle", [
+        lambda doc: [doc],
+        lambda doc: {k: v for k, v in doc.items() if k != "symbols"},
+        lambda doc: {**doc, "version": 99},
+        lambda doc: {**doc, "config": []},
+    ], ids=["array", "no-symbols", "version-99", "config-array"])
+    def test_malformed_fixture_is_invalid(self, capsys, tmp_path, mangle):
+        fx = tmp_path / "fx.json"
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
+        fx.write_text(json.dumps(mangle(json.loads(fx.read_text()))))
+        code, out, err = run_cli(capsys, *args, "simulate", "--receiver", "tucker",
+                                 "--from-fixture", str(fx))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid"
+
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))

@@ -1,18 +1,25 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from bdris.config import SolverOptions
 from bdris.errors import IdentifiabilityError
 from bdris.identifiability import (
+    INEQUALITIES,
     check_feasible,
     complexity_dominant,
     full_report,
     kmin_bounds,
     kruskal_check,
 )
+from bdris.receivers import pakron_stage1, tucker_tals
 from bdris.signal import build_core
 from bdris.tensor_ops import khatri_rao, kron, unfold
 from util import desk_config, draw_instance
 
+SEMI_BLIND = ("pakron", "tucker")
 REFERENCE_DIMS = dict(tx_antennas=2, rx_antennas=4, ris_elements=16, groups=2,
                   blocks=32, slots=4, frames=2, snr_db=(0.0,))
 
@@ -138,3 +145,55 @@ class TestFeasibilityGate:
         assert {"kmin_pakron", "kmin_tucker", "kruskal_lhs", "kruskal_rhs",
                 "kruskal_ok", "inequalities"} <= set(report)
         assert len(report["inequalities"]) == 6
+
+
+def small_configs(blocks_grid=(1,)):
+    """Valid configs over a grid of small dimensions."""
+    for mt, mr, n, extra_slots, frames, blocks in itertools.product(
+            (1, 2, 3), (1, 2, 4), (2, 4, 8), (0, 2), (1, 2, 5), blocks_grid):
+        yield desk_config(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
+                          groups=1, slots=mt + extra_slots, frames=frames,
+                          blocks=blocks)
+
+
+def violation(check):
+    try:
+        check()
+    except IdentifiabilityError as err:
+        return err.inequality, err.lhs, err.rhs
+    return None
+
+
+class TestInequalityTable:
+    @pytest.mark.parametrize("receiver", SEMI_BLIND)
+    def test_kmin_is_smallest_feasible_blocks(self, receiver):
+        for cfg in small_configs():
+            kmin = getattr(kmin_bounds(cfg), f"kmin_{receiver}")
+            blocks = 1
+            while violation(lambda: check_feasible(
+                    dataclasses.replace(cfg, blocks=blocks), receiver)):
+                blocks += 1
+            assert blocks == kmin, cfg
+
+    @pytest.mark.parametrize("receiver", SEMI_BLIND)
+    def test_receiver_gate_matches_check_feasible(self, receiver):
+        solver = SolverOptions(max_iters=1)
+        seen = set()
+        for cfg in small_configs(blocks_grid=(1, 2, 3)):
+            expected = violation(lambda: check_feasible(cfg, receiver))
+            if expected is None:
+                continue
+            mt, mr, n = cfg.tx_antennas, cfg.rx_antennas, cfg.ris_elements
+            y = np.zeros((mr, cfg.slots, cfg.blocks, cfg.frames), dtype=complex)
+            psi = np.ones((cfg.blocks, mt * n), dtype=complex)
+            if receiver == "pakron":
+                z = y.reshape(mr * cfg.slots, cfg.blocks, cfg.frames, order="F")
+                got = violation(lambda: pakron_stage1(
+                    z, psi, (cfg.slots, mt), (mr, n), solver, 0))
+            else:
+                got = violation(lambda: tucker_tals(
+                    y, build_core(n, mt), psi, solver, 0))
+            assert got == expected, cfg
+            seen.add(got[0])
+        assert seen == {f"{lhs} >= {rhs}" for lhs, rhs in INEQUALITIES[receiver]}
+

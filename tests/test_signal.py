@@ -8,7 +8,6 @@ from bdris.errors import ConfigError
 from bdris.signal import (
     ReceivedTensor,
     add_noise,
-    ambiguity_equivalent,
     build_core,
     design_scattering,
     gen_channels,
@@ -17,15 +16,17 @@ from bdris.signal import (
     reshape_views,
     synthesize_received,
 )
-from bdris.tensor_ops import (
-    khatri_rao,
-    kron,
+from bdris.tensor_ops import khatri_rao, kron, unfold
+from util import (
+    ambiguity_equivalent,
+    desk_config,
+    draw_instance,
+    loop_oracle,
     nmode_product,
+    rel_err,
     selection_matrix,
-    unfold,
     unfold_multi,
 )
-from util import desk_config, draw_instance, loop_oracle, rel_err
 
 
 class TestScatteringDesign:
@@ -187,7 +188,7 @@ class TestNoise:
         rng = np.random.default_rng(20)
         y = rng.standard_normal((10, 10, 100, 100)) + \
             1j * rng.standard_normal((10, 10, 100, 100))
-        received = ReceivedTensor(y=y, noiseless=y)
+        received = ReceivedTensor(y=y)
         noisy = add_noise(received, 10.0, 21)
         measured = 10 * math.log10(
             np.linalg.norm(y) ** 2 / np.linalg.norm(noisy.y - y) ** 2)

@@ -8,23 +8,27 @@ from hypothesis import given, settings, strategies as st
 from bdris.signal import design_scattering
 from bdris.tensor_ops import (
     best_rank1,
-    fold,
-    identity_tensor,
     khatri_rao,
     kron,
     kron_rearrange,
     nearest_kronecker,
-    nmode_product,
     pinv,
-    selection_matrix,
     solve_gram,
     solve_rows,
     unfold,
-    unfold_multi,
     unvec,
     vec,
 )
-from util import desk_config, rel_err, trilinear_oracle
+from util import (
+    desk_config,
+    fold,
+    identity_tensor,
+    nmode_product,
+    rel_err,
+    selection_matrix,
+    trilinear_oracle,
+    unfold_multi,
+)
 
 
 def random_complex(rng, *shape):

@@ -1,15 +1,14 @@
-"""Shared helpers for the test suite: instance drawing and loop oracles."""
+"""Shared helpers for the test suite: instance drawing, loop oracles and the
+tensor, signal and CSV helpers that only tests use."""
+
+import csv
 
 import numpy as np
 
-from bdris.config import SolverOptions, SystemConfig, derive_seed
-from bdris.signal import (
-    design_scattering,
-    gen_channels,
-    gen_symbols,
-    synthesize_received,
-)
-from bdris.tensor_ops import solve_rows, unfold
+from bdris.config import SolverOptions, SystemConfig
+from bdris.experiments import TrialResult
+from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
+from bdris.tensor_ops import khatri_rao, solve_rows, unfold
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -28,11 +27,7 @@ def tight_solver(max_iters=500, structure_projection=True) -> SolverOptions:
 
 def draw_instance(cfg: SystemConfig, seed: int):
     """Deterministic (design, channels, symbols, received) tuple."""
-    design = design_scattering(cfg, derive_seed(seed, "design"))
-    channels = gen_channels(cfg, derive_seed(seed, "channels"))
-    symbols = gen_symbols(cfg, derive_seed(seed, "symbols"))
-    received = synthesize_received(channels, design, symbols)
-    return design, channels, symbols, received
+    return draw_scenario(cfg, seed)
 
 
 def loop_oracle(cfg: SystemConfig, design, channels, symbols) -> np.ndarray:
@@ -124,3 +119,97 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
             break
         prev = err
     return f, x, gbar, tuple(trajectory), converged
+
+
+def fold(mat, mode, dims):
+    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
+    dims = tuple(dims)
+    if not 0 <= mode < len(dims):
+        raise ValueError(f"mode index {mode} out of range for order-{len(dims)} tensor")
+    rest = [d for i, d in enumerate(dims) if i != mode]
+    t = np.reshape(np.asarray(mat), [dims[mode]] + rest, order="F")
+    return np.moveaxis(t, 0, mode)
+
+
+def unfold_multi(t, row_modes, col_modes):
+    """Generalized unfolding combining several modes per axis.
+
+    The row index runs over ``row_modes`` with the first listed mode varying
+    fastest; same for columns.  ``unfold_multi(t, [0], [1, .., d-1])`` is the
+    plain mode-0 unfolding.
+    """
+    t = np.asarray(t)
+    if sorted(list(row_modes) + list(col_modes)) != list(range(t.ndim)):
+        raise ValueError("row and column modes must partition the tensor modes")
+    rows = int(np.prod([t.shape[m] for m in row_modes]))
+    perm = list(row_modes) + list(col_modes)
+    return np.reshape(np.transpose(t, perm), (rows, -1), order="F")
+
+
+def nmode_product(t, m, mode):
+    """Multiply matrix ``m`` onto tensor ``t`` along ``mode``.
+
+    The result has ``dims[mode]`` replaced by ``m.shape[0]`` and satisfies
+    ``unfold(result, mode) == m @ unfold(t, mode)``.
+    """
+    t = np.asarray(t)
+    m = np.asarray(m)
+    if not 0 <= mode < t.ndim:
+        raise ValueError(f"mode index {mode} out of range for order-{t.ndim} tensor")
+    if m.shape[1] != t.shape[mode]:
+        raise ValueError(
+            f"matrix with {m.shape[1]} columns cannot act on mode of size {t.shape[mode]}"
+        )
+    return np.moveaxis(np.tensordot(m, t, axes=(1, mode)), 0, mode)
+
+
+def identity_tensor(order, size):
+    """Superdiagonal tensor of the given order with ones on its diagonal."""
+    t = np.zeros((size,) * order, dtype=complex)
+    idx = np.arange(size)
+    t[(idx,) * order] = 1.0
+    return t
+
+
+def selection_matrix(l):
+    """The ``l**2 x l`` 0/1 matrix that extracts the column-wise Kronecker
+    product: ``kron(A, B) @ selection_matrix(l) == khatri_rao(A, B)`` for
+    square ``A, B`` with ``l`` columns."""
+    if l < 1:
+        raise ValueError("extent must be positive")
+    eye = np.eye(l, dtype=complex)
+    return khatri_rao(eye, eye)
+
+
+def ambiguity_equivalent(channels: ChannelSet, design: ScatteringDesign,
+                         symbols: SymbolBlock,
+                         element_scale: np.ndarray,
+                         stream_scale: np.ndarray):
+    """Rescaled (channels, symbols) that synthesize the *same* received tensor.
+
+    ``element_scale`` (len ris_elements) multiplies the effective channel
+    ``H @ S`` column-wise and is compensated inside every ``g`` slice;
+    ``stream_scale`` (len tx_antennas) multiplies the symbol columns and is
+    compensated the same way.  This is the model's inherent indeterminacy;
+    accuracy metrics are therefore only meaningful after column alignment.
+    """
+    d = np.asarray(element_scale, dtype=complex)
+    e = np.asarray(stream_scale, dtype=complex)
+    s = design.s
+    h = channels.h @ s @ np.diag(d) @ s.conj().T
+    g = np.einsum("n,inm,m->inm", 1.0 / d, channels.g, 1.0 / e)
+    x = symbols.x * e[None, :]
+    return ChannelSet(h=h, g=g), SymbolBlock(x=x, alphabet=symbols.alphabet)
+
+
+def read_trials_csv(path):
+    """Load per-trial rows back as TrialResult objects."""
+    out = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            out.append(TrialResult(
+                seed=int(row["seed"]), snr_db=float(row["snr_db"]),
+                receiver=row["receiver"], nmse_h=float(row["nmse_h"]),
+                nmse_g=float(row["nmse_g"]), ser=float(row["ser"]),
+                iterations=int(row["iters"]), wall_ms=float(row["wall_ms"])))
+    return out
