@@ -13,8 +13,14 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
   fourth-order view with its known structured core, jointly updating
   ``H @ S``, ``X`` and the stacked per-frame channel.  Its ``H @ S`` and
   ``X`` updates split stage I's ``omega`` system over the two Kronecker
-  factors of ``omega``; its channel update and fit are stage I's.  Both
-  receivers fall back to ``pinv`` of the explicit matrix on an untrusted Gram.
+  factors of ``omega``; its channel update and fit are stage I's.
+
+Every Gram either receiver solves is a Hadamard product of a factor Gram with
+``psi``'s Gram, or (``tucker``'s ``H @ S`` and ``X`` updates) a contraction of
+one, so Schur's bound on its condition number comes from ``cond(psi^T
+conj(psi))`` and a diagonal.  ``solve_gram`` solves a Gram that this bound
+certifies by LU, any other by Cholesky with an rcond test, and an untrusted
+one falls back to ``pinv`` of the explicit matrix.
 
 Both inherit the model's indeterminacies: a per-stream scale on the symbol
 columns (pinned by the known reference row, see ``resolve_and_detect``) and a
@@ -33,15 +39,17 @@ import numpy as np
 from .config import SolverOptions
 from .errors import NumericalError, ScalingResolutionError
 from .identifiability import require_feasible
-from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
+from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign,
                      complex_normal, reshape_views)
 from .tensor_ops import (
     best_rank1,
+    hermitian_cond,
     khatri_rao,
     kron,
     kron_rearrange,
     nearest_kronecker,
     pinv,
+    schur_cond_bound,
     solve_gram,
     solve_rows,
     unfold,
@@ -82,11 +90,28 @@ def _require_finite(data):
 
 # Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
 # unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
-# with Khatri-Rao Grams as Hadamard products of factor Grams.
+# with Khatri-Rao Grams as Hadamard products B ∘ psi_gram of factor Grams.
+# Each solve is passed Schur's bound on its Gram's condition number, from
+# cond(psi_gram) (once per call) and the diagonal of B.
 
 def _contract(z, psi):
-    return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi.T @ psi.conj(),
-            float(np.linalg.norm(z) ** 2))
+    psi_gram = psi.T @ psi.conj()
+    return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram,
+            float(np.linalg.norm(z) ** 2), hermitian_cond(psi_gram))
+
+
+def _cond_bound(gram, psi_gram, psi_cond):
+    """:func:`schur_cond_bound` of ``gram = B ∘ psi_gram``, reading B's
+    diagonal off the Gram's."""
+    return schur_cond_bound(psi_cond, gram.diagonal().real / psi_gram.diagonal().real)
+
+
+def _contracted_bound(bound, x):
+    """Bound for ``sum_t (x_t ⊗ I)^T G conj(x_t ⊗ I)`` over the rows ``x_t`` of
+    ``x``: its eigenvalues lie in ``||x||^2 [lambda_min(G), lambda_max(G)]``, so
+    it keeps ``G``'s condition bound while ``x`` is finite and nonzero."""
+    scale = np.vdot(x, x).real
+    return bound if 0 < scale < np.inf else np.inf
 
 
 def _omega_system(zp, psi_gram, gbar):
@@ -103,10 +128,11 @@ def _gram_fit(gbar, rhs, gram, znorm2):
     return max(float(err) / znorm2, 0.0)
 
 
-def _solve(rhs, gram, tol, unfolded, mixing):
-    """``rhs @ inv(gram)`` by :func:`solve_gram`; on an untrusted Gram,
-    ``unfolded @ pinv(mixing(), tol)``, building the mixing matrix only then."""
-    x = solve_gram(rhs, gram, tol)
+def _solve(rhs, gram, tol, unfolded, mixing, cond_bound):
+    """``rhs @ inv(gram)`` by :func:`solve_gram` with the Gram's condition
+    bound; on an untrusted Gram, ``unfolded @ pinv(mixing(), tol)``, building
+    the mixing matrix only then."""
+    x = solve_gram(rhs, gram, tol, cond_bound)
     return unfolded @ pinv(mixing(), tol) if x is None else x
 
 
@@ -146,16 +172,18 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
-    zp, psi_gram, znorm2 = _contract(z, psi)
+    zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
     trajectory = []
     prev = np.inf
     converged = False
     omega = None
     for sweep in range(1, solver.max_iters + 1):
-        omega_new = _solve(*_omega_system(zp, psi_gram, gbar), tol, z1,
-                           lambda: khatri_rao(gbar, psi).T)
+        rhs, gram = _omega_system(zp, psi_gram, gbar)
+        omega_new = _solve(rhs, gram, tol, z1, lambda: khatri_rao(gbar, psi).T,
+                           _cond_bound(gram, psi_gram, psi_cond))
         rhs, gram = _gbar_system(zp, psi_gram, omega_new)
-        gbar_new = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega_new).T)
+        gbar_new = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega_new).T,
+                          _cond_bound(gram, psi_gram, psi_cond))
         err = _gram_fit(gbar_new, rhs, gram, znorm2)
         if sweep >= 3:
             step = np.sqrt(sweep)
@@ -175,9 +203,12 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     if solver.structure_projection:
         xa, hb = nearest_kronecker(omega, left_shape, right_shape)
         omega_p = kron(xa, hb)
-        gbar = solve_rows(z3, khatri_rao(psi, omega_p).T, tol)
+        # Grams psi_gram ∘ B of the factors' column norms B_jj
+        gbar = solve_rows(z3, khatri_rao(psi, omega_p).T, tol, schur_cond_bound(
+            psi_cond, np.linalg.norm(omega_p, axis=0) ** 2))
         kr_gp = khatri_rao(gbar, psi)
-        omega = solve_rows(z1, kr_gp.T, tol)
+        omega = solve_rows(z1, kr_gp.T, tol, schur_cond_bound(
+            psi_cond, np.linalg.norm(gbar, axis=0) ** 2))
         fit = float(np.linalg.norm(z1 - omega @ kr_gp.T) ** 2) / znorm2
 
     return StageOneResult(omega=omega, gbar=gbar, trajectory=tuple(trajectory),
@@ -262,7 +293,9 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     d = n * mt
     require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
-    if not np.array_equal(core, build_core(n, mt)):
+    r = np.arange(d)  # the ones of build_core(n, mt) sit at (r % n, r // n, r, r)
+    if (core.shape != (n, mt, d, d) or np.count_nonzero(core) != d
+            or not np.all(core[r % n, r // n, r, r] == 1)):
         raise ValueError("core must be the canonical selection-structured core")
 
     rng = np.random.default_rng(init_seed)
@@ -273,7 +306,7 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
 
     tol = solver.pinv_tol
     z = np.reshape(q4, (mr * slots, k, frames), order="F")
-    zp, psi_gram, znorm2 = _contract(z, psi)
+    zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
     q1, q2, z3 = unfold(q4, 0), unfold(q4, 1), unfold(z, 2)
     trajectory = []
     prev = np.inf
@@ -282,17 +315,21 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     for _ in range(solver.max_iters):
         # the omega system, indexed (r, t, n, m) as omega = kron(X, F)
         rhs, gram = _omega_system(zp, psi_gram, gbar)
+        bound = _cond_bound(gram, psi_gram, psi_cond)
         r4 = np.reshape(rhs, (mr, slots, n, mt), order="F")
         g4 = np.reshape(gram, (n, mt, n, mt), order="F")
         f = _solve(np.einsum("tm,rtnm->rn", x.conj(), r4),
                    np.einsum("mp,nmqp->nq", x.T @ x.conj(), g4), tol, q1,
-                   lambda: _mixing("tm,knm,inm->ntki", x, psi, gbar, n))
+                   lambda: _mixing("tm,knm,inm->ntki", x, psi, gbar, n),
+                   _contracted_bound(bound, x))
         x = _solve(np.einsum("rn,rtnm->tm", f.conj(), r4),
                    np.einsum("nq,nmqp->mp", f.T @ f.conj(), g4), tol, q2,
-                   lambda: _mixing("rn,knm,inm->mrki", f, psi, gbar, n))
+                   lambda: _mixing("rn,knm,inm->mrki", f, psi, gbar, n),
+                   _contracted_bound(bound, f))
         omega = kron(x, f)
         rhs, gram = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T)
+        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T,
+                      _cond_bound(gram, psi_gram, psi_cond))
         err = _gram_fit(gbar, rhs, gram, znorm2)
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:

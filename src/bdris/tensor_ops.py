@@ -1,5 +1,6 @@
 """Dense complex matrix/tensor kernel on numpy: unfoldings, Kronecker and
-Khatri-Rao products, least squares (normal equations, SVD) and rank-1 fits.
+Khatri-Rao products, least squares (normal equations, SVD), condition bounds
+for Hadamard-product Grams and rank-1 fits.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import NumericalError
 
 DEFAULT_PINV_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 def vec(a):
@@ -76,11 +78,45 @@ def pinv(a, tol=DEFAULT_PINV_TOL):
         raise NumericalError(f"SVD did not converge in pinv: {err}") from err
 
 
-def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL):
-    """``rhs @ inv(gram)`` for a Hermitian positive definite Gram, by Cholesky
-    (Kolda & Bader 2009, §3.4), or ``None`` when the Gram is not trusted:
-    Cholesky fails or its 1-norm reciprocal condition number is below ``tol``.
+def hermitian_cond(a):
+    """2-norm condition number of a Hermitian matrix from its extreme
+    eigenvalues; ``inf`` unless it is positive definite (NaN input too)."""
+    w = np.linalg.eigvalsh(a)
+    return w[-1] / w[0] if w[0] > 0 else np.inf
+
+
+def schur_cond_bound(p_cond, b_diag):
+    """Upper bound on the 2-norm condition number of ``B ∘ P`` for Hermitian
+    positive semidefinite ``B`` (diagonal ``b_diag``) and ``P`` (condition
+    number ``p_cond``): ``p_cond * max(b_diag) / min(b_diag)``, ``inf`` unless
+    ``min(b_diag) > 0``.  By the Schur product theorem (Horn & Johnson, *Topics
+    in Matrix Analysis*, Thm 5.3.4) every eigenvalue of ``B ∘ P`` lies in
+    ``[lambda_min(P) min(b_diag), lambda_max(P) max(b_diag)]``.
     """
+    lo = b_diag.min()
+    return p_cond * b_diag.max() / lo if lo > 0 else np.inf
+
+
+def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
+    """``rhs @ inv(gram)`` for a Hermitian positive definite Gram, or ``None``
+    when the Gram is not trusted.
+
+    A Gram is trusted when its 1-norm reciprocal condition number is at least
+    ``tol``.  Given ``cond_bound``, an upper bound on its 2-norm condition
+    number (see :func:`schur_cond_bound`), a ``d x d`` Gram with
+    ``d * cond_bound <= 1 / tol`` is trusted without a test, because
+    ``cond_1 <= d * cond_2``; the bound must also stay below ``1 / (d**2 *
+    eps)``, where rounding of order ``d * eps`` in the computed Gram and in the
+    bound could reach its smallest eigenvalue.  Such a Gram is solved by LU.
+    Any other Gram is factored by Cholesky (Kolda & Bader 2009, §3.4), and its
+    exact rcond is computed from the inverse of the factor; ``None`` when
+    Cholesky fails or that rcond is below ``tol``.  A NaN bound certifies
+    nothing.
+    """
+    d = gram.shape[0]
+    if (cond_bound is not None and d * cond_bound * tol <= 1
+            and d * d * _EPS * cond_bound <= 1):
+        return np.linalg.solve(gram.T, rhs.T).T
     try:
         l_inv = np.linalg.inv(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
@@ -92,12 +128,13 @@ def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL):
     return rhs @ gram_inv
 
 
-def solve_rows(z, m, tol=DEFAULT_PINV_TOL):
+def solve_rows(z, m, tol=DEFAULT_PINV_TOL, cond_bound=None):
     """``z @ pinv(m, tol)`` for a wide ``m``: :func:`solve_gram` on the normal
-    equations ``x @ (m @ m^H) = z @ m^H``, else ``z @ pinv(m, tol)``."""
+    equations ``x @ (m @ m^H) = z @ m^H`` (``cond_bound`` bounds the 2-norm
+    condition number of ``m @ m^H``), else ``z @ pinv(m, tol)``."""
     m = np.asarray(m)
     mh = m.conj().T
-    x = solve_gram(z @ mh, m @ mh, tol)
+    x = solve_gram(z @ mh, m @ mh, tol, cond_bound)
     return z @ pinv(m, tol) if x is None else x
 
 

@@ -175,6 +175,18 @@ class TestSweep:
         assert not out_dir.exists()
 
 
+    def test_unknown_receiver_writes_nothing(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, "--set", "ris_elements=4", "--set", "blocks=8",
+                                 "--set", "frames=4", "sweep", "--receiver", "tucker",
+                                 "--receiver", "bogus", "--runs", "2",
+                                 "--out", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "invalid"
+        assert not out_dir.exists()
+
+
 class TestFixture:
     def test_roundtrip(self, capsys, tmp_path):
         fx = tmp_path / "fx.json"

@@ -1,4 +1,6 @@
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bdris.experiments import (
     run_sweep,
     run_trial,
     ser,
+    trial_to_dict,
     write_trials_csv,
 )
 from util import desk_config, draw_instance, read_trials_csv
@@ -170,6 +173,20 @@ class TestRunSweep:
         assert np.isclose(cell["nmse_h_median"],
                           np.median([t.nmse_h for t in loaded]))
 
+    @pytest.mark.parametrize("force", [False, True])
+    def test_unknown_receiver_rejected_before_any_trial(self, monkeypatch, force):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_trial", counting)
+        with pytest.raises(ValueError, match="bogus"):
+            run_sweep(desk_config(snr_db=(10.0,)), ["tucker", "bogus"], runs=3,
+                      force=force)
+        assert calls == []
+
     @pytest.mark.parametrize("runs, jobs", [(0, 1), (-3, 1), (2, 0), (2, -4)])
     def test_rejects_runs_or_jobs_below_one(self, runs, jobs):
         with pytest.raises(ValueError, match="at least 1"):
@@ -189,6 +206,23 @@ def _strip_timing(obj):
     if isinstance(obj, list):
         return [_strip_timing(v) for v in obj]
     return obj
+
+
+def test_trial_result_keeps_exact_values():
+    # the numbers are packed into one bytes object; they read back unchanged
+    values = dict(seed=2**64 - 1, snr_db=math.inf, receiver="tucker",
+                  nmse_h=0.1 + 2**-56, nmse_g=5e-324, ser=-0.0, iterations=500,
+                  wall_ms=1.25)
+    trial = TrialResult(**values)
+    assert trial.astuple() == tuple(values.values())
+    assert math.copysign(1.0, trial.ser) == -1.0
+    again = pickle.loads(pickle.dumps(trial))
+    assert again == trial and hash(again) == hash(trial)
+    assert again != TrialResult(**{**values, "iterations": 499})
+    assert trial_to_dict(trial) == {**values, "snr_db": "inf"}
+    assert repr(trial).startswith("TrialResult(seed=18446744073709551615, snr_db=inf, ")
+    with pytest.raises(AttributeError):
+        trial.error  # a TrialFailure field
 
 
 def test_parallel_matches_serial():

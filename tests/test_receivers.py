@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bdris import receivers, tensor_ops
-from bdris.config import SolverOptions
+from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
-from bdris.experiments import nmse_aligned, ser
+from bdris.experiments import nmse_aligned, run_trial, ser
 from bdris.receivers import (
     kron_factorize,
     pakron,
@@ -21,6 +22,7 @@ from bdris.receivers import (
 from bdris.signal import ReceivedTensor, add_noise, reshape_views
 from bdris.tensor_ops import khatri_rao, kron, pinv, unfold, vec
 from util import (
+    count_calls,
     desk_config,
     draw_instance,
     rel_err,
@@ -285,6 +287,38 @@ class TestTucker:
             tucker_tals(views.q4, views.core + 1.0, design.psi,
                         cfg.solver, 0)
 
+    @pytest.mark.parametrize("entry, value", [
+        ((1, 0, 1, 1), np.nan),      # NaN in place of a one
+        ((0, 1, 2, 3), np.nan),      # NaN in place of a zero
+        ((0, 1, 2, 3), 1e-300),      # one extra nonzero
+        ((2, 1, 6, 6), 0.0),         # a missing one
+        ((2, 1, 6, 6), 1 + 1e-16j),  # a one off by an imaginary part
+    ])
+    def test_core_check_rejects_any_change(self, entry, value):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        views = reshape_views(received, design)
+        core = views.core.copy()
+        core[entry] = value
+        with pytest.raises(ValueError, match="canonical"):
+            tucker_tals(views.q4, core, design.psi, cfg.solver, 0)
+
+    def test_core_check_rejects_wrong_shape(self):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        views = reshape_views(received, design)
+        with pytest.raises(ValueError, match="canonical"):
+            tucker_tals(views.q4, views.core[:, :, :-1], design.psi, cfg.solver, 0)
+
+    def test_real_canonical_core_accepted(self):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        views = reshape_views(received, design)
+        solver = SolverOptions(max_iters=2)
+        expected = tucker_tals(views.q4, views.core, design.psi, solver, 0)
+        real = tucker_tals(views.q4, views.core.real, design.psi, solver, 0)
+        assert all(np.array_equal(a, b) for a, b in zip(real, expected))
+
     def test_identifiability_gate_names_inequality(self):
         # blocks*slots*rx too small relative to tx*ris
         cfg = desk_config(tx_antennas=2, rx_antennas=1, ris_elements=8,
@@ -325,6 +359,20 @@ class TestTucker:
                                        x_init=symbols.x, gbar_init=gbar_init)
         v1 = tucker_mixing(0, None, symbols.x, design.psi, gbar_init)
         assert np.array_equal(f, unfold(q4, 0) @ pinv(v1, solver.pinv_tol))
+
+    def test_zero_x_init_takes_pinv_fallback(self):
+        # the F Gram contracts the omega Gram with X^T conj(X) = 0: it is zero
+        # however well conditioned the omega Gram is
+        cfg = desk_config()
+        design, channels, symbols, received = draw_instance(cfg, 48)
+        x_init = np.zeros_like(symbols.x)
+        solver = SolverOptions(max_iters=1)
+        q4, (f, x, gbar, traj, _) = run_tals(design, received, solver,
+                                             x_init=x_init, gbar_init=channels.gbar)
+        v1 = tucker_mixing(0, None, x_init, design.psi, channels.gbar)
+        assert np.array_equal(f, unfold(q4, 0) @ pinv(v1, solver.pinv_tol))
+        assert not f.any() and not x.any() and not gbar.any()
+        assert traj == (1.0,)
 
     def test_sweeps_form_no_mixing_matrix(self, monkeypatch):
         calls = []
@@ -381,6 +429,107 @@ class TestTucker:
         b = tucker(noisy, design, symbols.alphabet, cfg.solver, 30)
         assert np.array_equal(a.hs_hat, b.hs_hat)
         assert a.residual_trajectory == b.residual_trajectory
+
+
+def record_solves(mp):
+    """Record ``(rhs, gram, tol, cond_bound, x, certified)`` for every
+    ``solve_gram`` call in the receivers, ``certified`` when it ran no
+    Cholesky factorization."""
+    records = []
+    solve_gram = tensor_ops.solve_gram
+    factored = count_calls(mp, np.linalg, "cholesky")
+
+    def recording(rhs, gram, tol, cond_bound=None):
+        before = len(factored)
+        x = solve_gram(rhs, gram, tol, cond_bound)
+        records.append((rhs, gram, tol, cond_bound, x, len(factored) == before))
+        return x
+
+    mp.setattr(receivers, "solve_gram", recording)
+    mp.setattr(tensor_ops, "solve_gram", recording)  # solve_rows, in the projection
+    return records
+
+
+def output_digest(design, received, alphabet, solver):
+    digest = hashlib.sha256()
+    for run in (pakron, tucker):
+        out = run(received, design, alphabet, solver, 51)
+        for value in (out.hs_hat, out.gbar_hat, out.x_hat, out.x_detected,
+                      np.array(out.residual_trajectory), out.final_fit, out.iterations):
+            digest.update(np.asarray(value).tobytes())
+    return digest.hexdigest()
+
+
+class TestCertifiedGrams:
+    """Every receiver Gram is a Hadamard product B ∘ psi_gram; Schur's bound
+    on its condition number lets a well-conditioned one skip the Cholesky,
+    inverse and rcond path."""
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    def test_default_config_runs_no_cholesky(self, monkeypatch, receiver):
+        factored = count_calls(monkeypatch, np.linalg, "cholesky")
+        solved = count_calls(monkeypatch, np.linalg, "solve")
+        trial = run_trial(SystemConfig(), receiver, 0.0)
+        assert trial.iterations > 3
+        assert factored == []
+        # pakron: two updates per sweep and the projection's two re-solves
+        per_sweep, extra = (2, 2) if receiver == "pakron" else (3, 0)
+        assert len(solved) == per_sweep * trial.iterations + extra
+
+    def test_rank_deficient_psi_never_certifies(self, monkeypatch):
+        # blocks < d: psi^T conj(psi) is singular, so no bound is finite and
+        # the receivers' bits are those of the path without a bound
+        cfg = SystemConfig(blocks=16)
+        design, _, symbols, received = draw_instance(cfg, 50)
+        received = add_noise(received, 0.0, 52)
+        solved = count_calls(monkeypatch, np.linalg, "solve")
+        digest = output_digest(design, received, symbols.alphabet, cfg.solver)
+        assert solved == []
+        solve_gram = tensor_ops.solve_gram
+
+        def unbounded(rhs, gram, tol, cond_bound=None):
+            return solve_gram(rhs, gram, tol)
+
+        monkeypatch.setattr(receivers, "solve_gram", unbounded)
+        monkeypatch.setattr(tensor_ops, "solve_gram", unbounded)
+        assert output_digest(design, received, symbols.alphabet, cfg.solver) == digest
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    @settings(max_examples=30, deadline=None)
+    @given(tx=st.integers(1, 2), rx=st.integers(1, 3), ris=st.sampled_from([2, 4]),
+           extra_slots=st.integers(0, 2), frames=st.integers(1, 3),
+           extra_blocks=st.integers(0, 3),
+           snr=st.one_of(st.floats(0.0, 40.0), st.just(math.inf)),
+           tol=st.sampled_from([1e-12, 1e-8, 1e-4, 1e-2]),
+           seed=st.integers(0, 2**16))
+    def test_property_certified_grams_pass_rcond(self, receiver, tx, rx, ris,
+                                                 extra_slots, frames, extra_blocks,
+                                                 snr, tol, seed):
+        slots = tx + extra_slots
+        d = tx * ris
+        blocks = max(-(-d // frames), -(-d // (slots * rx)), -(-ris // (frames * slots)),
+                     -(-tx // (frames * rx))) + extra_blocks
+        cfg = desk_config(tx_antennas=tx, rx_antennas=rx, ris_elements=ris,
+                          groups=2, slots=slots, frames=frames, blocks=blocks)
+        design, _, _, received = draw_instance(cfg, seed)
+        if math.isfinite(snr):
+            received = add_noise(received, snr, seed + 1)
+        solver = SolverOptions(delta=1e-10, max_iters=30, pinv_tol=tol)
+        solve_gram = tensor_ops.solve_gram
+        with pytest.MonkeyPatch.context() as mp:
+            records = record_solves(mp)
+            if receiver == "pakron":
+                stage1(cfg, design, received, solver, init_seed=seed + 2)
+            else:
+                run_tals(design, received, solver, init_seed=seed + 2)
+        eps = np.finfo(float).eps
+        for rhs, gram, tol, bound, x, certified in records:
+            if not certified:
+                continue
+            assert 1 / np.linalg.cond(gram, 1) >= tol
+            exact = solve_gram(rhs, gram, tol)
+            assert exact is not None
+            assert rel_err(x, exact) <= 100 * eps * np.linalg.cond(gram)
 
 
 @pytest.mark.parametrize("receiver", [pakron, tucker])

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from bdris.signal import design_scattering
 from bdris.tensor_ops import (
     best_rank1,
+    hermitian_cond,
     khatri_rao,
     kron,
     kron_rearrange,
     nearest_kronecker,
     pinv,
+    schur_cond_bound,
     solve_gram,
     solve_rows,
     unfold,
@@ -20,6 +22,7 @@ from bdris.tensor_ops import (
     vec,
 )
 from util import (
+    count_calls,
     desk_config,
     fold,
     identity_tensor,
@@ -238,6 +241,97 @@ class TestSolveRows:
         # the normal equations square the condition number of m
         bound = 100 * np.finfo(float).eps * np.linalg.cond(m) ** 2
         assert rel_err(solve_rows(z, m, self.TOL), z @ pinv(m, self.TOL)) <= bound
+
+
+class TestCertifiedSolve:
+    """``solve_gram`` with a condition bound: LU when the bound certifies the
+    Gram, today's Cholesky/rcond path otherwise."""
+    EPS = np.finfo(float).eps
+
+    def gram_with_spectrum(self, rng, eigenvalues):
+        q, _ = np.linalg.qr(random_complex(rng, len(eigenvalues), len(eigenvalues)))
+        return (q * eigenvalues) @ q.conj().T
+
+    def test_certified_gram_skips_cholesky(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 1e3, 8))
+        rhs = random_complex(rng, 5, 8)
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        x = solve_gram(rhs, gram, 1e-12, np.linalg.cond(gram))
+        assert calls == []
+        assert np.array_equal(x, np.linalg.solve(gram.T, rhs.T).T)
+        assert rel_err(x, solve_gram(rhs, gram, 1e-12)) < 100 * self.EPS * 1e3
+
+    @pytest.mark.parametrize("bound", [None, math.nan, math.inf])
+    def test_no_certificate_runs_cholesky_path(self, monkeypatch, bound):
+        rng = np.random.default_rng(24)
+        gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 10.0, 6))
+        rhs = random_complex(rng, 3, 6)
+        expected = solve_gram(rhs, gram, 1e-12)
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        assert np.array_equal(solve_gram(rhs, gram, 1e-12, bound), expected)
+        assert calls == ["cholesky"]
+
+    def test_rule_keeps_the_factor_d(self):
+        # cond_1 <= d cond_2: a Gram with cond_2 * tol == 1 can still fail
+        # rcond_1 >= tol, so cond_2 alone must not certify it
+        rng = np.random.default_rng(25)
+        gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 1e4, 16))
+        cond2, cond1 = np.linalg.cond(gram), np.linalg.cond(gram, 1)
+        assert cond1 > 1.5 * cond2
+        rhs = random_complex(rng, 2, 16)
+        assert solve_gram(rhs, gram, 1 / cond2) is None
+        assert solve_gram(rhs, gram, 1 / cond2, cond2) is None
+        assert solve_gram(rhs, gram, 1 / (16 * cond2), cond2) is not None
+
+    def test_rounding_floor(self, monkeypatch):
+        # with tol = 0 only the floor d^2 * eps * bound <= 1 limits the LU path
+        rng = np.random.default_rng(26)
+        d = 32
+        gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 1e3, d))
+        rhs = random_complex(rng, 2, d)
+        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        solve_gram(rhs, gram, 0.0, 1.0 / (d * d * self.EPS))
+        assert calls == []
+        solve_gram(rhs, gram, 0.0, 1.01 / (d * d * self.EPS))
+        assert calls == ["cholesky"]
+
+    def test_hermitian_cond(self):
+        assert hermitian_cond(np.diag([2.0, 8.0])) == 4.0
+        for a in (np.diag([1.0, 0.0]), np.diag([1.0, -1e-17]),
+                  np.full((2, 2), np.nan)):
+            assert hermitian_cond(a) == np.inf
+
+    def test_schur_bound_needs_positive_diagonal(self):
+        assert schur_cond_bound(3.0, np.array([2.0, 4.0])) == 6.0
+        for diag in ([1.0, 0.0], [1.0, np.nan], [np.nan, np.nan]):
+            assert schur_cond_bound(3.0, np.array(diag)) == np.inf
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), mt=st.integers(1, 3), rows=st.integers(1, 5),
+           extra=st.integers(0, 4), spread=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_schur_bound(self, n, mt, rows, extra, spread, seed):
+        # cond_2(B ∘ P) <= kappa for B = F^T conj(F), P = psi^T conj(psi); so are
+        # tucker's F and X Grams, sum_t (x_t ⊗ I)^T G conj(x_t ⊗ I) and
+        # sum_r (I ⊗ f_r)^T G conj(I ⊗ f_r)
+        rng = np.random.default_rng(seed)
+        d = n * mt
+        scales = 10.0 ** rng.uniform(-spread, spread, (1, d))
+        psi = random_complex(rng, d + extra, d) * scales
+        factor = random_complex(rng, rows, d) * 10.0 ** rng.uniform(-spread, spread, (1, d))
+        p = psi.T @ psi.conj()
+        gram = (factor.T @ factor.conj()) * p
+        kappa = schur_cond_bound(hermitian_cond(p), np.diag(factor.T @ factor.conj()).real)
+        x = random_complex(rng, mt + 1, mt)
+        f = random_complex(rng, 3, n)
+        lift_x = [kron(row[:, None], np.eye(n)) for row in x]
+        lift_f = [kron(np.eye(mt), row[:, None]) for row in f]
+        f_gram = sum(a.T @ gram @ a.conj() for a in lift_x)
+        x_gram = sum(a.T @ gram @ a.conj() for a in lift_f)
+        slack = 1 + 1e-6
+        for g in (gram, f_gram, x_gram):
+            assert np.linalg.cond(g) <= kappa * slack
 
 
 def test_psi_contracted_right_hand_sides():

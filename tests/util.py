@@ -60,6 +60,20 @@ def trilinear_oracle(a, b, c) -> np.ndarray:
     return out
 
 
+def count_calls(mp, module, name):
+    """Patch ``module.name`` (with the monkeypatch ``mp``) to log each call
+    into the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    mp.setattr(module, name, counting)
+    return calls
+
+
 def rel_err(actual, expected) -> float:
     denom = np.linalg.norm(expected)
     if denom == 0:
