@@ -203,7 +203,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     if solver.structure_projection:
         xa, hb = nearest_kronecker(omega, left_shape, right_shape)
         omega_p = kron(xa, hb)
-        # Grams psi_gram ∘ B of the factors' column norms B_jj
+        # Grams psi_gram ∘ (F^T conj(F)) for F = omega_p, then gbar: the bound
+        # reads their diagonals, the squared column norms of F
         gbar = solve_rows(z3, khatri_rao(psi, omega_p).T, tol, schur_cond_bound(
             psi_cond, np.linalg.norm(omega_p, axis=0) ** 2))
         kr_gp = khatri_rao(gbar, psi)
