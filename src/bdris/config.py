@@ -95,6 +95,8 @@ class SystemConfig:
             raise ConfigError(f"phase_design must be one of {PHASE_DESIGNS}")
         if self.paths < 1:
             raise ConfigError("paths must be a positive integer")
+        if not all(math.isfinite(v) or v == math.inf for v in self.snr_db):
+            raise ConfigError("snr_db values must be finite or inf (noiseless)")
         self.solver.validate()
 
     @property

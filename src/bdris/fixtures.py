@@ -41,6 +41,8 @@ def decode_array(obj) -> np.ndarray:
     data = np.asarray(obj["data"], dtype=float)
     if data.size != 2 * int(np.prod(dims)):
         raise ValueError("interleaved data length does not match dims")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("fixture array has non-finite entries")
     flat = data[0::2] + 1j * data[1::2]
     return flat.reshape(dims, order="F")
 

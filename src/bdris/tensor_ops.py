@@ -1,6 +1,7 @@
 """Dense complex matrix/tensor kernel on numpy: unfoldings, Kronecker and
-Khatri-Rao products, least squares (normal equations, SVD), condition bounds
-for Hadamard-product Grams and rank-1 fits.
+Khatri-Rao products, least squares (normal equations by LU, with a trust rule
+on the Gram's condition number; SVD pseudo-inverse), condition bounds for
+Hadamard-product Grams, rank-1 fits and the nearest Kronecker product.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -81,7 +82,10 @@ def pinv(a, tol=DEFAULT_PINV_TOL):
 def hermitian_cond(a):
     """2-norm condition number of a Hermitian matrix from its extreme
     eigenvalues; ``inf`` unless it is positive definite (NaN input too)."""
-    w = np.linalg.eigvalsh(a)
+    try:
+        w = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError:  # no convergence, as on NaN input
+        return np.inf
     return w[-1] / w[0] if w[0] > 0 else np.inf
 
 
@@ -98,44 +102,27 @@ def schur_cond_bound(p_cond, b_diag):
 
 
 def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
-    """``rhs @ inv(gram)`` for a Hermitian positive definite Gram, or ``None``
-    when the Gram is not trusted.
+    """``rhs @ inv(gram)`` for a Hermitian positive definite ``d x d`` Gram,
+    solved by LU, or ``None`` when the Gram is not trusted.
 
-    A Gram is trusted when its 1-norm reciprocal condition number is at least
-    ``tol``.  Given ``cond_bound``, an upper bound on its 2-norm condition
-    number (see :func:`schur_cond_bound`), a ``d x d`` Gram with
-    ``d * cond_bound <= 1 / tol`` is trusted without a test, because
-    ``cond_1 <= d * cond_2``; the bound must also stay below ``1 / (d**2 *
-    eps)``, where rounding of order ``d * eps`` in the computed Gram and in the
-    bound could reach its smallest eigenvalue.  Such a Gram is solved by LU.
-    Any other Gram is factored by Cholesky (Kolda & Bader 2009, §3.4), and its
-    exact rcond is computed from the inverse of the factor; ``None`` when
-    Cholesky fails or that rcond is below ``tol``.  A NaN bound certifies
-    nothing.
+    A Gram is trusted when ``d * kappa * tol <= 1`` and ``d**2 * eps * kappa
+    <= 1`` for its 2-norm condition number ``kappa``.  The first makes its
+    1-norm reciprocal condition number at least ``tol``, because ``cond_1 <= d
+    * cond_2``; the second keeps rounding of order ``d * eps`` in the computed
+    Gram from reaching its smallest eigenvalue.  ``kappa`` is ``cond_bound``,
+    an upper bound such as :func:`schur_cond_bound`, when that bound passes
+    the rule, and :func:`hermitian_cond` of the Gram otherwise (a NaN bound
+    passes nothing; a NaN or indefinite Gram is not trusted).
     """
     d = gram.shape[0]
-    if (cond_bound is not None and d * cond_bound * tol <= 1
-            and d * d * _EPS * cond_bound <= 1):
-        return np.linalg.solve(gram.T, rhs.T).T
-    try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError:
-        return None
-    gram_inv = l_inv.conj().T @ l_inv
-    rcond = 1.0 / (np.linalg.norm(gram, 1) * np.linalg.norm(gram_inv, 1))
-    if not rcond >= tol:  # also true for NaN
-        return None
-    return rhs @ gram_inv
 
+    def trusted(kappa):
+        return d * kappa * tol <= 1 and d * d * _EPS * kappa <= 1
 
-def solve_rows(z, m, tol=DEFAULT_PINV_TOL, cond_bound=None):
-    """``z @ pinv(m, tol)`` for a wide ``m``: :func:`solve_gram` on the normal
-    equations ``x @ (m @ m^H) = z @ m^H`` (``cond_bound`` bounds the 2-norm
-    condition number of ``m @ m^H``), else ``z @ pinv(m, tol)``."""
-    m = np.asarray(m)
-    mh = m.conj().T
-    x = solve_gram(z @ mh, m @ mh, tol, cond_bound)
-    return z @ pinv(m, tol) if x is None else x
+    if cond_bound is None or not trusted(cond_bound):
+        if not trusted(hermitian_cond(gram)):
+            return None
+    return np.linalg.solve(gram.T, rhs.T).T
 
 
 def best_rank1(a):

@@ -87,10 +87,15 @@ class TestConfigParsing:
         dict(solver=SolverOptions(pinv_tol=float("nan"))),
         dict(solver=SolverOptions(pinv_tol=-1e-12)),
         dict(solver=SolverOptions(pinv_tol=1.0)),
+        dict(snr_db=(0.0, float("nan"))),
+        dict(snr_db=(float("-inf"),)),
     ])
     def test_validation_failures(self, kwargs):
         with pytest.raises(ConfigError):
             SystemConfig(**kwargs)
+
+    def test_infinite_snr_means_noiseless(self):
+        assert SystemConfig(snr_db=(10, float("inf"))).snr_db == (10, float("inf"))
 
 
 class TestCheck:
@@ -130,6 +135,14 @@ class TestSimulate:
         result = json.loads(out)
         assert result["nmse_g"] <= 1e-8
         assert result["snr_db"] == "inf"
+
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0, nan"])
+    def test_non_numeric_snr_is_config_error(self, capsys, snr):
+        code, out, err = run_cli(capsys, "--set", f"snr_db={snr}", "simulate")
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "config"
 
 
 class TestSweep:
@@ -229,6 +242,21 @@ class TestFixture:
         assert code == EXIT_CONFIG
         assert out == ""
         assert json.loads(err)["error"] == "invalid"
+
+    def test_non_finite_fixture_entry_is_invalid(self, capsys, tmp_path):
+        # json reads NaN; the fixture must not reach the receivers with it
+        fx = tmp_path / "fx.json"
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
+        doc = json.loads(fx.read_text())
+        doc["channels"]["ris_bs"]["data"][3] = float("nan")
+        fx.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *args, "simulate", "--receiver", "tucker",
+                                 "--from-fixture", str(fx))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "invalid" and "non-finite" in failure["message"]
 
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)

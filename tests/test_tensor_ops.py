@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from bdris import tensor_ops
 from bdris.signal import design_scattering
 from bdris.tensor_ops import (
     best_rank1,
@@ -16,7 +17,6 @@ from bdris.tensor_ops import (
     pinv,
     schur_cond_bound,
     solve_gram,
-    solve_rows,
     unfold,
     unvec,
     vec,
@@ -29,6 +29,7 @@ from util import (
     nmode_product,
     rel_err,
     selection_matrix,
+    solve_rows,
     trilinear_oracle,
     unfold_multi,
 )
@@ -218,9 +219,9 @@ class TestSolveRows:
         m = random_complex(rng, 4, 12)
         rhs = random_complex(rng, 2, 4)
         singular = m @ m.conj().T
-        singular[:, 2] = singular[2, :] = 0.0  # Cholesky fails
+        singular[:, 2] = singular[2, :] = 0.0
         assert solve_gram(rhs, singular, self.TOL) is None
-        scaled = np.diag([1.0, 1.0, 1.0, 1e-7]) @ m  # Cholesky works, rcond ~3e-15
+        scaled = np.diag([1.0, 1.0, 1.0, 1e-7]) @ m  # positive definite, rcond ~3e-15
         assert solve_gram(rhs, scaled @ scaled.conj().T, self.TOL) is None
         assert solve_gram(rhs, m @ m.conj().T, self.TOL) is not None
 
@@ -244,8 +245,9 @@ class TestSolveRows:
 
 
 class TestCertifiedSolve:
-    """``solve_gram`` with a condition bound: LU when the bound certifies the
-    Gram, today's Cholesky/rcond path otherwise."""
+    """``solve_gram``'s trust rule: the condition bound when it passes the
+    rule, the Gram's exact 2-norm condition number otherwise; LU when
+    trusted, ``None`` when not."""
     EPS = np.finfo(float).eps
 
     def gram_with_spectrum(self, rng, eigenvalues):
@@ -253,24 +255,43 @@ class TestCertifiedSolve:
         return (q * eigenvalues) @ q.conj().T
 
     def test_certified_gram_skips_cholesky(self, monkeypatch):
+        # a bound that passes the rule needs no eigenvalues and no factor
         rng = np.random.default_rng(23)
         gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 1e3, 8))
         rhs = random_complex(rng, 5, 8)
         calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        exact = count_calls(monkeypatch, tensor_ops, "hermitian_cond")
         x = solve_gram(rhs, gram, 1e-12, np.linalg.cond(gram))
-        assert calls == []
+        assert calls == [] and exact == []
         assert np.array_equal(x, np.linalg.solve(gram.T, rhs.T).T)
         assert rel_err(x, solve_gram(rhs, gram, 1e-12)) < 100 * self.EPS * 1e3
 
     @pytest.mark.parametrize("bound", [None, math.nan, math.inf])
-    def test_no_certificate_runs_cholesky_path(self, monkeypatch, bound):
+    def test_no_certificate_takes_exact_cond_path(self, monkeypatch, bound):
+        # no bound, or one that passes nothing: the exact condition number
+        # decides, and the trusted Gram is solved by the same LU
         rng = np.random.default_rng(24)
         gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 10.0, 6))
         rhs = random_complex(rng, 3, 6)
-        expected = solve_gram(rhs, gram, 1e-12)
-        calls = count_calls(monkeypatch, np.linalg, "cholesky")
-        assert np.array_equal(solve_gram(rhs, gram, 1e-12, bound), expected)
-        assert calls == ["cholesky"]
+        exact = count_calls(monkeypatch, tensor_ops, "hermitian_cond")
+        assert np.array_equal(solve_gram(rhs, gram, 1e-12, bound),
+                              np.linalg.solve(gram.T, rhs.T).T)
+        assert exact == ["hermitian_cond"]
+
+    def test_untrusted_grams_without_a_bound(self):
+        rng = np.random.default_rng(27)
+        d, tol = 6, 1e-8
+        rhs = random_complex(rng, 2, d)
+        nan = self.gram_with_spectrum(rng, np.geomspace(1.0, 10.0, d))
+        nan[2, 3] = nan[3, 2] = np.nan
+        assert solve_gram(rhs, nan, tol) is None
+        indefinite = self.gram_with_spectrum(rng, [-1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        assert solve_gram(rhs, indefinite, tol) is None
+        # just inside and just past d * cond_2 * tol = 1
+        for factor, trusted in ((0.99, True), (1.01, False)):
+            kappa = factor / (d * tol)
+            gram = self.gram_with_spectrum(rng, np.geomspace(1.0, kappa, d))
+            assert (solve_gram(rhs, gram, tol) is not None) == trusted
 
     def test_rule_keeps_the_factor_d(self):
         # cond_1 <= d cond_2: a Gram with cond_2 * tol == 1 can still fail
@@ -285,21 +306,24 @@ class TestCertifiedSolve:
         assert solve_gram(rhs, gram, 1 / (16 * cond2), cond2) is not None
 
     def test_rounding_floor(self, monkeypatch):
-        # with tol = 0 only the floor d^2 * eps * bound <= 1 limits the LU path
+        # with tol = 0 only the floor d^2 * eps * kappa <= 1 limits the rule:
+        # a bound past it sends the Gram to the exact condition number
         rng = np.random.default_rng(26)
         d = 32
         gram = self.gram_with_spectrum(rng, np.geomspace(1.0, 1e3, d))
         rhs = random_complex(rng, 2, d)
-        calls = count_calls(monkeypatch, np.linalg, "cholesky")
+        exact = count_calls(monkeypatch, tensor_ops, "hermitian_cond")
         solve_gram(rhs, gram, 0.0, 1.0 / (d * d * self.EPS))
-        assert calls == []
-        solve_gram(rhs, gram, 0.0, 1.01 / (d * d * self.EPS))
-        assert calls == ["cholesky"]
+        assert exact == []
+        assert solve_gram(rhs, gram, 0.0, 1.01 / (d * d * self.EPS)) is not None
+        assert exact == ["hermitian_cond"]
+        ill = self.gram_with_spectrum(rng, np.geomspace(1.0, 1.01 / (d * d * self.EPS), d))
+        assert solve_gram(rhs, ill, 0.0) is None
 
     def test_hermitian_cond(self):
         assert hermitian_cond(np.diag([2.0, 8.0])) == 4.0
         for a in (np.diag([1.0, 0.0]), np.diag([1.0, -1e-17]),
-                  np.full((2, 2), np.nan)):
+                  np.full((2, 2), np.nan), np.full((3, 3), np.nan)):
             assert hermitian_cond(a) == np.inf
 
     def test_schur_bound_needs_positive_diagonal(self):

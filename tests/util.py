@@ -8,7 +8,8 @@ import numpy as np
 from bdris.config import SolverOptions, SystemConfig
 from bdris.experiments import TrialResult
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
-from bdris.tensor_ops import khatri_rao, solve_rows, unfold
+from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
+                              solve_gram, unfold, unvec)
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -79,6 +80,28 @@ def rel_err(actual, expected) -> float:
     if denom == 0:
         return float(np.linalg.norm(actual))
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)) / denom)
+
+
+def solve_rows(z, m, tol):
+    """``z @ pinv(m, tol)`` for a wide ``m``, from the explicit normal
+    equations ``x @ (m @ m^H) = z @ m^H`` by ``solve_gram``, else by
+    ``pinv``."""
+    m = np.asarray(m)
+    mh = m.conj().T
+    x = solve_gram(z @ mh, m @ mh, tol)
+    return z @ pinv(m, tol) if x is None else x
+
+
+def kron_split_explicit(omega, s, slots, rx_antennas):
+    """Split ``kron(X, H @ S)`` into ``(X, H)`` by the rank-1 fit of the
+    Kronecker rearrangement of ``omega @ kron(I, S^H)``, with the unitary
+    factor removed by an explicit product."""
+    n = s.shape[0]
+    mt = omega.shape[1] // n
+    delta = omega @ kron(np.eye(mt), s.conj().T)
+    u, v, sigma = best_rank1(kron_rearrange(delta, (slots, mt), (rx_antennas, n)))
+    root = np.sqrt(sigma)
+    return unvec(root * u, slots, mt), unvec(root * v.conj(), rx_antennas, n)
 
 
 def tucker_mixing(mode, f, x, psi, gbar):
