@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="print identifiability report as JSON")
     p_check.add_argument("--rank-h", type=int, default=None,
-                         help="assume a deficient static-channel rank")
+                         help="assume a deficient static-channel rank, "
+                              "1 to min(rx_antennas, ris_elements)")
 
     p_sim = sub.add_parser("simulate", help="run one seeded trial at the "
                            "first snr_db entry")

@@ -3,8 +3,12 @@
 These gate experiment configurations before any data is generated: each
 receiver's alternating updates are unique in the LS sense only when its
 mixing matrices have full rank, which translates into ceiling bounds on the
-number of blocks.  A sufficient uniqueness condition for the two-stage
-receiver's trilinear stage is also evaluated in its parameterized form.
+number of blocks.  These LS inequalities are necessary, not sufficient: at
+the default dimensions with ``blocks = 16`` (``frames*blocks`` equal to
+``tx_antennas*ris_elements``) ``pakron`` passes them, but its stage I is
+exactly determined and fits the noise, so its estimates are poor.  A
+sufficient uniqueness condition for the two-stage receiver's trilinear stage
+is also evaluated in its parameterized form.
 """
 
 import math
@@ -86,7 +90,8 @@ def kruskal_check(cfg: SystemConfig, rank_h: int | None = None,
     pure line of sight) replaces that term.  In the deficient case with
     ``frames >= d`` the stacked per-frame factor has full column rank, which
     restores uniqueness regardless of the additive bound; this is reported
-    via ``rank_deficient_override``.
+    via ``rank_deficient_override``.  A ``rank_h`` outside ``1 ..
+    min(rx_antennas, ris_elements)`` raises ``ValueError``.
     """
     report = report or IdentReport()
     mt, mr, n = cfg.tx_antennas, cfg.rx_antennas, cfg.ris_elements
@@ -94,6 +99,9 @@ def kruskal_check(cfg: SystemConfig, rank_h: int | None = None,
     d = mt * n
     full = min(mr, n)
     rank = full if rank_h is None else int(rank_h)
+    if not 1 <= rank <= full:
+        raise ValueError(f"rank_h must be in 1..{full} = min(rx_antennas, "
+                         f"ris_elements), got {rank}")
     report.kruskal_lhs = k + t * rank + min(ni, d)
     report.kruskal_rhs = 2 * d + 2
     report.kruskal_ok = report.kruskal_lhs >= report.kruskal_rhs

@@ -6,7 +6,7 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
   on the third-order view to estimate the mixed factor
   ``omega = kron(X, H @ S)`` together with the stacked per-frame channel; its
   updates and fit work on the data contracted with the known coding and
-  rotation matrix ``psi``, and each sweep tries an extrapolated step.
+  rotation matrix ``psi``.
   With the structure projection on, stage I ends by re-solving the stacked
   channel at the nearest Kronecker product to ``omega`` and then ``omega``,
   on the same systems.  Stage II splits ``omega`` into ``X`` and ``H`` by the
@@ -16,6 +16,9 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
   ``H @ S``, ``X`` and the stacked per-frame channel.  Its ``H @ S`` and
   ``X`` updates split stage I's ``omega`` system over the two Kronecker
   factors of ``omega``; its channel update and fit are stage I's.
+
+Both run their sweeps through one loop, ``_extrapolated_als``, which also
+tries an extrapolated step per sweep and keeps it when it lowers the fit.
 
 Every Gram either receiver solves is a Hadamard product of a factor Gram with
 ``psi``'s Gram, or (``tucker``'s ``H @ S`` and ``X`` updates) a contraction of
@@ -135,6 +138,36 @@ def _solve(rhs, gram, tol, unfolded, mixing, cond_bound):
     return unfolded @ pinv(mixing(), tol) if x is None else x
 
 
+def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions):
+    """Alternating least squares from ``factors`` with an extrapolated step.
+
+    ``sweep(factors)`` returns the updated factors and their fit.  From sweep
+    3 on, every factor is also tried at ``old + sqrt(sweep) * (new - old)``
+    (Bro 1998, §4.6), and that point is kept when ``fit_at`` of it is strictly
+    lower, so a sweep never ends above the plain update's fit.  The loop stops
+    when the fit changes by no more than ``solver.delta`` (converged) or after
+    ``solver.max_iters`` sweeps.
+
+    Returns ``(factors, trajectory, converged)`` with the fit of every sweep.
+    """
+    trajectory = []
+    prev = np.inf
+    for k in range(1, solver.max_iters + 1):
+        new, fit = sweep(factors)
+        if k >= 3:
+            step = np.sqrt(k)
+            jump = tuple(old + step * (upd - old) for old, upd in zip(factors, new))
+            jump_fit = fit_at(jump)
+            if jump_fit < fit:
+                new, fit = jump, jump_fit
+        factors = new
+        trajectory.append(fit)
+        if abs(fit - prev) <= solver.delta:
+            return factors, tuple(trajectory), True
+        prev = fit
+    return factors, tuple(trajectory), False
+
+
 def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                   init_seed: int, gbar_init=None) -> StageOneResult:
     """Bilinear ALS on the third-order view ``z``.
@@ -144,10 +177,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     either Khatri-Rao matrix: both are solved from the normal equations on
     the ``psi``-contracted data (``_omega_system``, ``_gbar_system``), with a
     ``pinv`` fallback on an untrusted Gram.  The fit is the ``gbar`` system's
-    Gram fit, clamped at 0.  From sweep 3 on, both factors move on to
-    ``old + sqrt(sweep) * (new - old)`` (Bro 1998, §4.6) when that lowers the
-    fit, so the fits never rise; the loop stops when the fit improves by no
-    more than ``solver.delta``.
+    Gram fit, clamped at 0.  The sweeps run in :func:`_extrapolated_als` on
+    the factors ``(omega, gbar)``.
 
     ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
@@ -174,31 +205,23 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
     zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
-    trajectory = []
-    prev = np.inf
-    converged = False
-    omega = None
-    for sweep in range(1, solver.max_iters + 1):
+
+    def sweep(factors):
+        gbar = factors[1]
         rhs, gram = _omega_system(zp, psi_gram, gbar)
-        omega_new = _solve(rhs, gram, tol, z1, lambda: khatri_rao(gbar, psi).T,
-                           _cond_bound(gram, psi_gram, psi_cond))
-        rhs, gram = _gbar_system(zp, psi_gram, omega_new)
-        gbar_new = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega_new).T,
-                          _cond_bound(gram, psi_gram, psi_cond))
-        err = _gram_fit(gbar_new, rhs, gram, znorm2)
-        if sweep >= 3:
-            step = np.sqrt(sweep)
-            omega_x = omega + step * (omega_new - omega)
-            gbar_x = gbar + step * (gbar_new - gbar)
-            err_x = _gram_fit(gbar_x, *_gbar_system(zp, psi_gram, omega_x), znorm2)
-            if err_x < err:
-                omega_new, gbar_new, err = omega_x, gbar_x, err_x
-        omega, gbar = omega_new, gbar_new
-        trajectory.append(err)
-        if abs(err - prev) <= solver.delta:
-            converged = True
-            break
-        prev = err
+        omega = _solve(rhs, gram, tol, z1, lambda: khatri_rao(gbar, psi).T,
+                       _cond_bound(gram, psi_gram, psi_cond))
+        rhs, gram = _gbar_system(zp, psi_gram, omega)
+        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T,
+                      _cond_bound(gram, psi_gram, psi_cond))
+        return (omega, gbar), _gram_fit(gbar, rhs, gram, znorm2)
+
+    def fit_at(factors):
+        omega, gbar = factors
+        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, omega), znorm2)
+
+    (omega, gbar), trajectory, converged = _extrapolated_als(
+        sweep, fit_at, (None, gbar), solver)
     fit = trajectory[-1]
 
     if solver.structure_projection:
@@ -212,7 +235,7 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                        _cond_bound(gram, psi_gram, psi_cond))
         fit = float(np.linalg.norm(z1 - omega @ kr_gp.T) ** 2) / znorm2
 
-    return StageOneResult(omega=omega, gbar=gbar, trajectory=tuple(trajectory),
+    return StageOneResult(omega=omega, gbar=gbar, trajectory=trajectory,
                           iterations=len(trajectory), converged=converged, fit=fit)
 
 
@@ -274,9 +297,11 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     ``X`` and the stacked per-frame channel ``gbar`` on ``pakron_stage1``'s
     ``psi``-contracted systems with ``omega = kron(X, F)``.  The F and X
     updates split its ``omega`` system (formed once per sweep from ``gbar``)
-    over the two Kronecker factors; the ``gbar`` update and the clamped Gram
-    fit are its ``gbar`` system.  A mode whose Gram is not trusted falls back
-    to ``pinv`` of its explicit mixing matrix.
+    over the two Kronecker factors, as products with a block view of its
+    right-hand side and Gram; the ``gbar`` update and the clamped Gram fit
+    are its ``gbar`` system.  A mode whose Gram is not trusted falls back to
+    ``pinv`` of its explicit mixing matrix.  The sweeps run in
+    :func:`_extrapolated_als` on the factors ``(F, X, gbar)``.
 
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
     normalized reconstruction errors.
@@ -303,36 +328,36 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     z = np.reshape(q4, (mr * slots, k, frames), order="F")
     zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
     q1, q2, z3 = unfold(q4, 0), unfold(q4, 1), unfold(z, 2)
-    trajectory = []
-    prev = np.inf
-    converged = False
-    f = None
-    for _ in range(solver.max_iters):
-        # the omega system, indexed (r, t, n, m) as omega = kron(X, F)
+
+    def sweep(factors):
+        _, x, gbar = factors
         rhs, gram = _omega_system(zp, psi_gram, gbar)
         bound = _cond_bound(gram, psi_gram, psi_cond)
-        r4 = np.reshape(rhs, (mr, slots, n, mt), order="F")
-        g4 = np.reshape(gram, (n, mt, n, mt), order="F")
-        f = _solve(np.einsum("tm,rtnm->rn", x.conj(), r4),
-                   np.einsum("mp,nmqp->nq", x.T @ x.conj(), g4), tol, q1,
+        # omega = kron(X, F): block (t, m) of rhs is rx x n, block (m, p) of
+        # gram is n x n; rows of these views run over the blocks
+        rb = rhs.reshape(slots, mr, mt, n).transpose(0, 2, 1, 3).reshape(slots * mt, -1)
+        gb = gram.reshape(mt, n, mt, n).transpose(0, 2, 1, 3).reshape(mt * mt, -1)
+        f = _solve((x.conj().ravel() @ rb).reshape(mr, n),
+                   ((x.T @ x.conj()).ravel() @ gb).reshape(n, n), tol, q1,
                    lambda: _mixing("tm,knm,inm->ntki", x, psi, gbar, n),
                    _contracted_bound(bound, x))
-        x = _solve(np.einsum("rn,rtnm->tm", f.conj(), r4),
-                   np.einsum("nq,nmqp->mp", f.T @ f.conj(), g4), tol, q2,
+        x = _solve((rb @ f.conj().ravel()).reshape(slots, mt),
+                   (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol, q2,
                    lambda: _mixing("rn,knm,inm->mrki", f, psi, gbar, n),
                    _contracted_bound(bound, f))
         omega = kron(x, f)
         rhs, gram = _gbar_system(zp, psi_gram, omega)
         gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T,
                       _cond_bound(gram, psi_gram, psi_cond))
-        err = _gram_fit(gbar, rhs, gram, znorm2)
-        trajectory.append(err)
-        if abs(err - prev) <= solver.delta:
-            converged = True
-            break
-        prev = err
+        return (f, x, gbar), _gram_fit(gbar, rhs, gram, znorm2)
 
-    return f, x, gbar, tuple(trajectory), converged
+    def fit_at(factors):
+        f, x, gbar = factors
+        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, kron(x, f)), znorm2)
+
+    (f, x, gbar), trajectory, converged = _extrapolated_als(
+        sweep, fit_at, (None, x, gbar), solver)
+    return f, x, gbar, trajectory, converged
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,

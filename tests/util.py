@@ -125,8 +125,11 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
                          init_seed: int, x_init=None, gbar_init=None):
     """Trilinear ALS oracle: each sweep builds the mode mixing matrices,
     solves ``solve_rows(unfold(q4, mode), v, tol)`` for ``F``, ``X`` and
-    ``gbar`` in turn and takes the residual explicitly.  Same initial draws,
-    stopping rule and return tuple as ``receivers.tucker_tals``."""
+    ``gbar`` in turn and takes the residual explicitly.  From sweep 3 on it
+    also scores ``old + sqrt(sweep) * (new - old)`` of all three factors by
+    its explicit residual and keeps that point when it is strictly lower.
+    Same initial draws, stopping rule and return tuple as
+    ``receivers.tucker_tals``."""
     q4 = np.asarray(q4)
     slots, frames = q4.shape[1], q4.shape[3]
     d, mt = psi.shape[1], tx_antennas
@@ -137,6 +140,10 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     def cn(shape):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
+    def residual(f, x, gbar):
+        v4 = tucker_mixing(3, f, x, psi, gbar)
+        return float(np.linalg.norm(q4m - gbar @ v4) ** 2) / qnorm2
+
     x = np.array(x_init, dtype=complex) if x_init is not None else cn((slots, mt))
     gbar = np.array(gbar_init, dtype=complex) if gbar_init is not None else cn((frames, d))
     tol = solver.pinv_tol
@@ -144,12 +151,19 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     prev = np.inf
     converged = False
     f = None
-    for _ in range(solver.max_iters):
-        f = solve_rows(q1, tucker_mixing(0, f, x, psi, gbar), tol)
-        x = solve_rows(q2, tucker_mixing(1, f, x, psi, gbar), tol)
-        v4 = tucker_mixing(3, f, x, psi, gbar)
-        gbar = solve_rows(q4m, v4, tol)
-        err = float(np.linalg.norm(q4m - gbar @ v4) ** 2) / qnorm2
+    for sweep in range(1, solver.max_iters + 1):
+        f_new = solve_rows(q1, tucker_mixing(0, f, x, psi, gbar), tol)
+        x_new = solve_rows(q2, tucker_mixing(1, f_new, x, psi, gbar), tol)
+        gbar_new = solve_rows(q4m, tucker_mixing(3, f_new, x_new, psi, gbar), tol)
+        err = residual(f_new, x_new, gbar_new)
+        if sweep >= 3:
+            step = np.sqrt(sweep)
+            jump = [old + step * (new - old)
+                    for old, new in ((f, f_new), (x, x_new), (gbar, gbar_new))]
+            err_jump = residual(*jump)
+            if err_jump < err:
+                (f_new, x_new, gbar_new), err = jump, err_jump
+        f, x, gbar = f_new, x_new, gbar_new
         trajectory.append(err)
         if abs(err - prev) <= solver.delta:
             converged = True
