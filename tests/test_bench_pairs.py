@@ -1,0 +1,80 @@
+"""The summary that tools/bench_pairs.py writes, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_pairs)
+
+END_TO_END = [{"name": "cost", "better": "lower", "bound": 0.25},
+              {"name": "completed_ratio", "better": "higher", "bound": 0.01}]
+
+
+def run(workload, pair, side, cost, completed=1.0):
+    metrics = {"cost": {"value": cost, "unit": "svd512x32"},
+               "completed_ratio": {"value": completed, "unit": "ratio"}}
+    return {"workload": workload, "pair": pair, "side": side,
+            "result": {"correct": True, "metrics": metrics}}
+
+
+def test_medians_quartiles_and_pairs_won():
+    parent = [3.0, 3.2, 2.9, 3.1, 3.4]
+    change = [2.7, 2.8, 3.0, 2.6, 2.9]
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        order = [("parent", p), ("change", c)]
+        for side, value in order if pair % 2 == 0 else order[::-1]:
+            runs.append(run("w", pair, side, value))
+    cost = bench_pairs.summarize(runs, END_TO_END)["w"]["metrics"]["cost"]
+    assert cost["parent"] == parent and cost["change"] == change
+    assert cost["parent_median"] == 3.1 and cost["change_median"] == 2.8
+    assert cost["parent_quartiles"] == pytest.approx([3.0, 3.1, 3.2])
+    assert cost["change_quartiles"] == pytest.approx([2.7, 2.8, 2.9])
+    assert cost["ratio"] == pytest.approx(2.8 / 3.1)
+    assert cost["change_better_pairs"] == 4  # pair 2 is 2.9 -> 3.0
+    assert cost["median_gap_over_parent_iqr"]  # 0.3 > 0.2
+
+
+def test_direction_comes_from_the_metric():
+    runs = [run("w", 0, "parent", 1.0, 0.98), run("w", 0, "change", 1.0, 0.99),
+            run("w", 1, "change", 1.0, 0.97), run("w", 1, "parent", 1.0, 0.98)]
+    metrics = bench_pairs.summarize(runs, END_TO_END)["w"]["metrics"]
+    assert metrics["completed_ratio"]["change_better_pairs"] == 1
+    assert metrics["cost"]["change_better_pairs"] == 0  # ties win nothing
+    assert not metrics["cost"]["median_gap_over_parent_iqr"]
+
+
+def test_incomplete_pairs_and_workloads_are_kept_apart():
+    runs = [run("a", 0, "parent", 2.0), run("a", 0, "change", 1.0),
+            run("a", 1, "parent", 2.0),                        # no change side
+            {**run("a", 2, "change", 1.0), "result": None},    # a failed run
+            run("a", 2, "parent", 2.0),
+            run("b", 0, "parent", 5.0), run("b", 0, "change", 6.0)]
+    summary = bench_pairs.summarize(runs, END_TO_END)
+    assert summary["a"]["pairs"] == 1 and summary["b"]["pairs"] == 1
+    assert summary["a"]["metrics"]["cost"]["parent_quartiles"] == [2.0, 2.0, 2.0]
+    assert summary["b"]["metrics"]["cost"]["change_better_pairs"] == 0
+
+
+def test_sides_alternate_which_runs_first():
+    assert bench_pairs.pair_order(0) == ("parent", "change")
+    assert bench_pairs.pair_order(1) == ("change", "parent")
+
+
+def test_in_process_summary():
+    def timing(side, ms):
+        return {"side": side, "overrides": ["blocks=16"],
+                "tucker": {"ms_per_trial": ms, "sweeps_mean": 30.0, "sweeps_max": 50}}
+
+    runs = [timing("parent", 12.0), timing("change", 6.0), timing("change", 7.0),
+            timing("parent", 10.0), timing("parent", 11.0), timing("change", 8.0)]
+    tucker = bench_pairs.in_process_summary(runs)["tucker"]
+    assert set(tucker) == {"parent", "change"}
+    assert tucker["parent"]["ms_per_trial"] == [12.0, 10.0, 11.0]
+    assert tucker["parent"]["ms_per_trial_median"] == 11.0
+    assert tucker["change"]["ms_per_trial_median"] == 7.0
+    assert tucker["change"]["sweeps_mean"] == 30.0

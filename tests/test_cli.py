@@ -112,6 +112,18 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["kruskal_lhs"] == 32 + 4 + 2
 
+    @pytest.mark.parametrize("args", [
+        ["check", "--rank-h", "99"],
+        ["check", "--rank-h", "5"],
+        ["check", "--rank-h", "-3"],
+        ["check", "--rank-h", "0"],
+        ["--set", "frames=40", "check", "--rank-h", "0"],
+    ])
+    def test_impossible_rank_h_is_invalid(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_CONFIG and out == ""
+        assert json.loads(err)["error"] == "invalid"
+
 
 class TestSimulate:
     def test_deterministic_json(self, capsys):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bdris.config import SolverOptions
+from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import IdentifiabilityError
 from bdris.identifiability import (
     INEQUALITIES,
@@ -81,6 +81,18 @@ class TestKruskal:
         # 4 + 2 + 2 = 8 < 34
         assert report.kruskal_lhs == 8
         assert not report.kruskal_ok
+
+
+    @pytest.mark.parametrize("rank_h", [0, -3, 5, 99])
+    def test_impossible_rank_rejected(self, rank_h):
+        # rank(H) <= min(rx_antennas, ris_elements) = 4 at the defaults
+        with pytest.raises(ValueError, match="rank_h"):
+            kruskal_check(SystemConfig(frames=40), rank_h)
+
+    def test_rank_range_ends_accepted(self):
+        cfg = SystemConfig()
+        assert kruskal_check(cfg, 1).kruskal_lhs == 32 + 4 + 2
+        assert kruskal_check(cfg, 4).kruskal_lhs == kruskal_check(cfg).kruskal_lhs
 
 
 class TestComplexity:

@@ -470,6 +470,82 @@ class TestTucker:
         assert a.residual_trajectory == b.residual_trajectory
 
 
+class TestExtrapolatedALS:
+    """The one sweep loop both receivers run, on scripted sweeps: each
+    factor is a number, a sweep halves it and its fit is its square."""
+
+    @staticmethod
+    def script(jump_fit=None, max_iters=20, delta=1e-9):
+        log = []
+
+        def sweep(factors):
+            log.append(("sweep", factors))
+            new = tuple(0.5 * f for f in factors)
+            return new, new[0] ** 2
+
+        def fit_at(factors):
+            log.append(("fit_at", factors))
+            return factors[0] ** 2 if jump_fit is None else jump_fit(factors)
+
+        solver = SolverOptions(delta=delta, max_iters=max_iters)
+        return log, receivers._extrapolated_als(sweep, fit_at, (1.0, 2.0), solver)
+
+    def test_first_candidate_at_sweep_three(self):
+        log, (_, trajectory, _) = self.script()
+        kinds = [kind for kind, _ in log]
+        assert kinds[:4] == ["sweep", "sweep", "sweep", "fit_at"]
+        assert kinds.count("fit_at") == len(trajectory) - 2
+
+    def test_candidate_is_the_sqrt_step(self):
+        log, _ = self.script(max_iters=3)
+        (_, old), (kind, jump) = log[2:]
+        new = (0.5 * old[0], 0.5 * old[1])
+        assert kind == "fit_at"
+        assert jump == tuple(o + np.sqrt(3) * (n - o) for o, n in zip(old, new))
+
+    def test_candidate_kept_only_when_strictly_lower(self):
+        # a tie with the plain update refuses the candidate
+        _, (factors, trajectory, _) = self.script(
+            jump_fit=lambda _: 0.5 ** 6, max_iters=3)
+        assert factors == (0.5 ** 3, 2 * 0.5 ** 3) and trajectory[-1] == 0.5 ** 6
+        _, (factors, trajectory, _) = self.script(
+            jump_fit=lambda f: f[0] ** 2 if f[0] < 0.5 ** 3 else np.inf, max_iters=3)
+        step = np.sqrt(3)
+        assert factors[0] == 0.25 + step * (0.125 - 0.25) < 0.5 ** 3
+        assert trajectory[-1] == factors[0] ** 2
+
+    def test_trajectory_never_rises(self):
+        _, (_, trajectory, _) = self.script(max_iters=60, delta=0.0)
+        assert len(trajectory) > 3
+        assert all(b <= a for a, b in zip(trajectory, trajectory[1:]))
+
+    def test_not_converged_at_max_iters(self):
+        _, (_, trajectory, converged) = self.script(
+            jump_fit=lambda _: np.inf, max_iters=4, delta=1e-12)
+        assert len(trajectory) == 4 and not converged
+        _, (_, trajectory, converged) = self.script(
+            jump_fit=lambda _: np.inf, max_iters=60, delta=1e-12)
+        assert len(trajectory) < 60 and converged
+
+    def test_tucker_takes_fewer_sweeps_than_plain_als(self, monkeypatch):
+        cfg = SystemConfig()
+        instances = []
+        for seed in range(20):
+            design, _, _, received = draw_instance(cfg, 900 + seed)
+            instances.append((design, add_noise(received, 0.0, 950 + seed)))
+
+        def total_sweeps():
+            return sum(len(run_tals(design, received, cfg.solver, seed)[1][3])
+                       for seed, (design, received) in enumerate(instances))
+
+        extrapolated = total_sweeps()
+        driver = receivers._extrapolated_als
+        monkeypatch.setattr(receivers, "_extrapolated_als",
+                            lambda sweep, fit_at, factors, solver:
+                            driver(sweep, lambda _: np.inf, factors, solver))
+        assert extrapolated < total_sweeps()
+
+
 def record_solves(mp):
     """Record ``(rhs, gram, tol, cond_bound, x)`` for every ``solve_gram``
     call in the receivers."""

@@ -3,17 +3,19 @@
 Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
-        --pairs trial-0db=10 --pairs sweep-accept=5 --seconds 40 --first-seed 821 \\
-        [--traced] [--in-process blocks=16 --in-process channel_model=geometric,paths=2]
+        --pairs trial-0db=10 --pairs sweep-accept=5 --first-seed 821 \\
+        [--in-process blocks=16 --in-process channel_model=geometric,paths=2]
 
 Each revision is exported with ``git archive`` into a temporary directory and
-the ``perfbench/run.py`` of that tree runs from its root, so each side is
-measured by its own committed benchmark.  A pair gives both sides the same
-seed, seeds count up from ``--first-seed`` over all pairs, and the side that
-runs first alternates from pair to pair.  ``--traced`` adds one traced run
-per side and workload (the workload's first seed).  Each ``--in-process``
-item times ``run_trial`` at 0 dB with that config override on both sides
-(``tools/trial_timing.py``, not gated by the benchmark).
+the ``perfbench/run.py`` of that tree runs from its root, for the
+``run_seconds`` of ``BENCHMARK.json``, so each side is measured by its own
+committed benchmark.  A pair gives both sides the same seed, seeds count up
+from ``--first-seed`` over all pairs, and the side that runs first alternates
+from pair to pair.  Then each side makes one traced run per workload, at the
+workload's first seed.  Each ``--in-process`` item times ``run_trial`` at
+0 dB with that config override on both sides (``tools/trial_timing.py``,
+``IN_PROCESS_PAIRS`` pairs of ``IN_PROCESS_TRIALS`` trials; not gated by the
+benchmark).
 
 The output holds every record and result line the runs printed and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the medians, the
@@ -36,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMING = Path(__file__).resolve().parent / "trial_timing.py"
 SIDES = ("parent", "change")
+IN_PROCESS_PAIRS = 4
+IN_PROCESS_TRIALS = 40
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -95,6 +99,23 @@ def summarize(runs, end_to_end) -> dict:
     return summary
 
 
+def in_process_summary(runs) -> dict:
+    """Per receiver and side, the median ms per trial over the runs and the
+    mean sweeps per trial (seeded, so equal in every run of a side)."""
+    summary = {}
+    for run in runs:
+        for receiver, timing in run.items():
+            if isinstance(timing, dict):
+                side = summary.setdefault(receiver, {}).setdefault(
+                    run["side"], {"ms_per_trial": [], "sweeps_mean": timing["sweeps_mean"],
+                                  "sweeps_max": timing["sweeps_max"]})
+                side["ms_per_trial"].append(timing["ms_per_trial"])
+    for sides in summary.values():
+        for side in sides.values():
+            side["ms_per_trial_median"] = statistics.median(side["ms_per_trial"])
+    return summary
+
+
 def export(rev: str, dest: Path) -> str:
     """Extract the tree of ``rev`` into ``dest``; return its full hash."""
     commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
@@ -130,9 +151,9 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
             "stderr": proc.stderr[-2000:]}
 
 
-def timing_run(tree: Path, overrides: str, trials: int) -> dict:
+def timing_run(tree: Path, overrides: str) -> dict:
     """``tools/trial_timing.py`` on ``tree``'s package, in a fresh process."""
-    cmd = [sys.executable, str(TIMING), "--trials", str(trials)]
+    cmd = [sys.executable, str(TIMING), "--trials", str(IN_PROCESS_TRIALS)]
     for item in overrides.split(","):
         cmd += ["--set", item]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=True,
@@ -151,15 +172,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--pairs", action="append", required=True,
                         metavar="WORKLOAD=N", help="N pairs of WORKLOAD (repeatable)")
-    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--traced", action="store_true",
-                        help="also one traced run per side and workload")
     parser.add_argument("--in-process", action="append", default=[],
                         metavar="KEY=VALUE[,KEY=VALUE]",
                         help="config override timed in process (repeatable)")
-    parser.add_argument("--in-process-pairs", type=int, default=4)
-    parser.add_argument("--in-process-trials", type=int, default=40)
     args = parser.parse_args(argv)
 
     plan = []
@@ -167,6 +183,7 @@ def main(argv=None) -> int:
         workload, _, count = item.partition("=")
         plan.append((workload, int(count)))
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     out = {"parent": None, "change": None,
            "how": "tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
            "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -183,24 +200,24 @@ def main(argv=None) -> int:
             first_seeds[workload] = seed
             for pair in range(count):
                 for side in pair_order(pair):
-                    run = bench_run(trees[side], workload, seed, args.seconds, 0)
+                    run = bench_run(trees[side], workload, seed, seconds, 0)
                     out["runs"].append({"pair": pair, "side": side, **run})
                     status = run["result"]["correct"] if run["result"] else run["returncode"]
                     print(f"{workload} pair {pair} {side} seed {seed}: {status}",
                           file=sys.stderr, flush=True)
                 seed += 1
-        if args.traced:
-            for workload, first in first_seeds.items():
-                for side in SIDES:
-                    run = bench_run(trees[side], workload, first, args.seconds, 1)
-                    out["trace_runs"].append({"side": side, **run})
+        for workload, first in first_seeds.items():
+            for side in SIDES:
+                run = bench_run(trees[side], workload, first, seconds, 1)
+                out["trace_runs"].append({"side": side, **run})
         for overrides in args.in_process:
             runs = []
-            for pair in range(args.in_process_pairs):
+            for pair in range(IN_PROCESS_PAIRS):
                 for side in pair_order(pair):
-                    runs.append({"pair": pair, "side": side, **timing_run(
-                        trees[side], overrides, args.in_process_trials)})
-            out["in_process"][overrides] = runs
+                    runs.append({"pair": pair, "side": side,
+                                 **timing_run(trees[side], overrides)})
+            out["in_process"][overrides] = {"summary": in_process_summary(runs),
+                                            "runs": runs}
     out["summary"] = summarize(out["runs"], benchmark["end_to_end"])
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0
