@@ -129,6 +129,8 @@ def export(rev: str, dest: Path) -> str:
 
 
 def pinned_env(pythonpath=None) -> dict:
+    """The caller's environment with one BLAS thread and only ``pythonpath``
+    on the path, so that no other ``bdris`` is imported."""
     env = dict(os.environ, **{name: "1" for name in BLAS_VARS})
     env.pop("PYTHONPATH", None)
     if pythonpath:
