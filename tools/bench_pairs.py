@@ -14,7 +14,7 @@ from ``--first-seed`` over all pairs, and the side that runs first alternates
 from pair to pair.  Then each side makes one traced run per workload, at the
 workload's first seed.  Each ``--in-process`` item times ``run_trial`` at
 0 dB with that config override on both sides (``tools/trial_timing.py``,
-``IN_PROCESS_PAIRS`` pairs of ``IN_PROCESS_TRIALS`` trials; not gated by the
+``IN_PROCESS_PAIRS`` pairs of its ``TRIALS`` trials; not gated by the
 benchmark).
 
 The output holds every record and result line the runs printed and, per
@@ -39,7 +39,6 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMING = Path(__file__).resolve().parent / "trial_timing.py"
 SIDES = ("parent", "change")
 IN_PROCESS_PAIRS = 4
-IN_PROCESS_TRIALS = 40
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -155,7 +154,7 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 def timing_run(tree: Path, overrides: str) -> dict:
     """``tools/trial_timing.py`` on ``tree``'s package, in a fresh process."""
-    cmd = [sys.executable, str(TIMING), "--trials", str(IN_PROCESS_TRIALS)]
+    cmd = [sys.executable, str(TIMING)]
     for item in overrides.split(","):
         cmd += ["--set", item]
     proc = subprocess.run(cmd, capture_output=True, text=True, check=True,

@@ -2,10 +2,10 @@
 
 Usage (the ``bdris`` on ``PYTHONPATH`` is the one timed)::
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/trial_timing.py --set blocks=16 --trials 40
+    OPENBLAS_NUM_THREADS=1 python3 tools/trial_timing.py --set blocks=16
 
-After one warm-up trial per receiver, runs trials ``0 .. trials-1`` at
-``--snr`` dB and prints one JSON line: per receiver the mean milliseconds per
+After one warm-up trial per receiver, runs trials ``0 .. TRIALS-1`` at
+``SNR_DB`` and prints one JSON line: per receiver the mean milliseconds per
 trial and the mean and largest sweep counts.
 """
 
@@ -18,24 +18,25 @@ from bdris.config import load_config
 from bdris.experiments import run_trial
 from bdris.receivers import RECEIVER_NAMES
 
+SNR_DB = 0.0
+TRIALS = 40
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="in-process trial timing")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="config override (repeatable)")
-    parser.add_argument("--snr", type=float, default=0.0)
-    parser.add_argument("--trials", type=int, default=40)
     args = parser.parse_args(argv)
     cfg = load_config(None, args.overrides)
-    out = {"overrides": args.overrides, "snr_db": args.snr, "trials": args.trials}
+    out = {"overrides": args.overrides, "snr_db": SNR_DB, "trials": TRIALS}
     for receiver in RECEIVER_NAMES:
-        run_trial(cfg, receiver, args.snr, 0, args.trials)  # warm-up, unscored
+        run_trial(cfg, receiver, SNR_DB, 0, TRIALS)  # warm-up, unscored
         sweeps = []
         start = time.perf_counter()
-        for t in range(args.trials):
-            sweeps.append(run_trial(cfg, receiver, args.snr, 0, t).iterations)
+        for t in range(TRIALS):
+            sweeps.append(run_trial(cfg, receiver, SNR_DB, 0, t).iterations)
         out[receiver] = {
-            "ms_per_trial": (time.perf_counter() - start) * 1e3 / args.trials,
+            "ms_per_trial": (time.perf_counter() - start) * 1e3 / TRIALS,
             "sweeps_mean": sum(sweeps) / len(sweeps), "sweeps_max": max(sweeps)}
     print(json.dumps(out))
     return 0
