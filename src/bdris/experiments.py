@@ -35,8 +35,9 @@ from .receivers import (
 )
 from .signal import SymbolBlock, add_noise, draw_scenario
 
+# the columns of TrialResult.astuple(), then the error text of a TrialFailure
 TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
-                    "iters", "wall_ms")  # the columns of TrialResult.astuple()
+                    "iters", "wall_ms", "error")
 
 
 def nmse_aligned(truth, estimate, mode="per-column") -> float:
@@ -72,10 +73,9 @@ def ser(symbols: SymbolBlock, detected) -> float:
     detected = np.asarray(detected)
     if detected.shape != symbols.x.shape:
         raise ValueError("detected matrix shape differs from transmitted block")
-    keep = [r for r in range(symbols.x.shape[0]) if r != symbols.reference_row]
-    tx_idx = hard_decisions(symbols.x[keep], symbols.alphabet)
-    rx_idx = hard_decisions(detected[keep], symbols.alphabet)
-    return float(np.mean(tx_idx != rx_idx))
+    wrong = (hard_decisions(symbols.x, symbols.alphabet)
+             != hard_decisions(detected, symbols.alphabet))
+    return float(np.mean(wrong[np.arange(len(wrong)) != symbols.reference_row]))
 
 
 TRIAL_FIELDS = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
@@ -293,13 +293,18 @@ def _aggregate_cell(snr_db, receiver, cell_trials) -> dict:
 
 
 def write_trials_csv(path, trials) -> None:
-    """Persist per-trial rows (failures are skipped; see the report JSON)."""
+    """Persist one row per trial.  A completed trial has an empty ``error``;
+    a failed one has its seed, SNR, receiver and error text, and empty
+    scores."""
+    blank = ("",) * (len(TRIAL_CSV_HEADER) - 4)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
         for t in trials:
             if isinstance(t, TrialResult):
-                writer.writerow(t.astuple())
+                writer.writerow(t.astuple() + ("",))
+            else:
+                writer.writerow((t.seed, t.snr_db, t.receiver, *blank, t.error))
 
 
 def trial_to_dict(trial: TrialResult) -> dict:

@@ -44,7 +44,7 @@ import numpy as np
 from .config import SolverOptions
 from .errors import NumericalError, ScalingResolutionError
 from .identifiability import require_feasible
-from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign,
+from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
                      complex_normal, reshape_views)
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
@@ -279,14 +279,20 @@ def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
     return resolve_and_detect(out, alphabet)
 
 
-def _mixing(spec, factor, psi, gbar, n):
-    """Mixing matrix ``V`` of mode 0 or 1 of the fourth-order view (``unfold(q4,
-    mode) == F @ V`` or ``X @ V``): the structured core reduces it to the einsum
-    ``spec`` of the other factor with the ``psi`` and ``gbar`` slices."""
+def _mixing(mode, factor, psi, gbar, n):
+    """Mixing matrix ``V`` of mode 0 or 1 of the fourth-order view
+    (``unfold(q4, 0) == F @ V``, ``unfold(q4, 1) == X @ V``), given the other
+    factor (``X`` or ``F``).  The structured core reduces mode 1's to a
+    product of ``F`` with ``khatri_rao(gbar, psi)``, whose rows
+    (frames·blocks) reshape to tx x ris matrices; columns run over (r, k, i)
+    with r fastest.  Mode 0's, which only ``tucker``'s F fallback builds,
+    keeps the three-operand einsum, so that fallback's bits are unchanged."""
     mt = psi.shape[1] // n
-    slices = [np.reshape(a, (a.shape[0], n, mt), order="F") for a in (psi, gbar)]
-    v = np.einsum(spec, factor, *slices)
-    return v.reshape(v.shape[0], -1, order="F")
+    if mode == 0:
+        slices = [np.reshape(a, (a.shape[0], n, mt), order="F") for a in (psi, gbar)]
+        return np.einsum("tm,knm,inm->ntki", factor, *slices).reshape(n, -1, order="F")
+    kr = khatri_rao(gbar, psi).reshape(-1, mt, n)
+    return (kr @ factor.T).transpose(1, 0, 2).reshape(mt, -1)
 
 
 def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
@@ -303,6 +309,11 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     ``pinv`` of its explicit mixing matrix.  The sweeps run in
     :func:`_extrapolated_als` on the factors ``(F, X, gbar)``.
 
+    ``core`` must be the canonical core of :func:`bdris.signal.build_core`.
+    The shared read-only array that function returns is accepted as it is;
+    any other array is checked for its shape, ``d`` nonzeros and ones at the
+    canonical positions.
+
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
     normalized reconstruction errors.
     """
@@ -314,8 +325,10 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
     r = np.arange(d)  # the ones of build_core(n, mt) sit at (r % n, r // n, r, r)
-    if (core.shape != (n, mt, d, d) or np.count_nonzero(core) != d
-            or not np.all(core[r % n, r // n, r, r] == 1)):
+    if core.shape != (n, mt, d, d) or (
+            core is not build_core(n, mt)  # immutable, so canonical for good
+            and (np.count_nonzero(core) != d
+                 or not np.all(core[r % n, r // n, r, r] == 1))):
         raise ValueError("core must be the canonical selection-structured core")
 
     rng = np.random.default_rng(init_seed)
@@ -339,11 +352,11 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
         gb = gram.reshape(mt, n, mt, n).transpose(0, 2, 1, 3).reshape(mt * mt, -1)
         f = _solve((x.conj().ravel() @ rb).reshape(mr, n),
                    ((x.T @ x.conj()).ravel() @ gb).reshape(n, n), tol, q1,
-                   lambda: _mixing("tm,knm,inm->ntki", x, psi, gbar, n),
+                   lambda: _mixing(0, x, psi, gbar, n),
                    _contracted_bound(bound, x))
         x = _solve((rb @ f.conj().ravel()).reshape(slots, mt),
                    (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol, q2,
-                   lambda: _mixing("rn,knm,inm->mrki", f, psi, gbar, n),
+                   lambda: _mixing(1, f, psi, gbar, n),
                    _contracted_bound(bound, f))
         omega = kron(x, f)
         rhs, gram = _gbar_system(zp, psi_gram, omega)
@@ -390,8 +403,8 @@ def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
     ``X = unfold(q4, 1) @ pinv(V)`` with ``V`` built from the true channels
     and the design.
     """
-    v2 = _mixing("rn,knm,inm->mrki", channels.h @ design.s, design.psi,
-                 channels.gbar, design.s.shape[0])
+    v2 = _mixing(1, channels.h @ design.s, design.psi, channels.gbar,
+                 design.s.shape[0])
     return unfold(received.y, 1) @ pinv(v2, pinv_tol)
 
 

@@ -18,6 +18,7 @@ gives a fourth-order tensor of shape
 All generators are pure functions of (config, seed).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SystemConfig, derive_seed
-from .tensor_ops import khatri_rao
+from .tensor_ops import khatri_rao, kron
 
 
 def psk_alphabet(order: int) -> np.ndarray:
@@ -58,7 +59,7 @@ class ChannelSet:
     @cached_property
     def gbar(self) -> np.ndarray:
         """frames x (tx_antennas * ris_elements); row i is vec(g[i])."""
-        return np.stack([gi.ravel(order="F") for gi in self.g])
+        return self.g.transpose(0, 2, 1).reshape(self.g.shape[0], -1)
 
 
 @dataclass(frozen=True)
@@ -89,20 +90,38 @@ class TensorViews:
     core: np.ndarray
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` over an immutable ``bytes`` buffer: read-only for good,
+    since ``setflags(write=True)`` raises on it."""
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
+
+
+@functools.cache
+def _block_dft(ris_elements: int, groups: int) -> np.ndarray:
+    """The block-diagonal scattering matrix with unitary DFT blocks, built and
+    checked for unitarity once per process for each dimension pair."""
+    nbar = ris_elements // groups
+    omegas = np.exp(-2j * np.pi * np.arange(nbar) / nbar)[:, None]
+    block = omegas ** np.arange(nbar) / math.sqrt(nbar)
+    s = np.zeros((ris_elements, ris_elements), dtype=complex)
+    for q in range(groups):
+        s[q * nbar:(q + 1) * nbar, q * nbar:(q + 1) * nbar] = block
+    if np.linalg.norm(s @ s.conj().T - np.eye(ris_elements)) > 1e-12 * ris_elements:
+        raise AssertionError("scattering matrix lost unitarity")
+    return _frozen(s)
+
+
 def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
     """Draw the known surface/coding design for one scenario.
 
     The scattering matrix is block-diagonal with unitary DFT blocks of size
-    ``group_size``; rotations and coding entries are unit-modulus with random
-    phases (or deterministic DFT-style phases when ``phase_design = dft``).
+    ``group_size``; it depends on the dimensions only, so every design with
+    the same ``(ris_elements, groups)`` shares one read-only array, checked
+    for unitarity when first built.  Rotations and coding entries are
+    unit-modulus with random phases (or deterministic DFT-style phases when
+    ``phase_design = dft``); their rank check runs on every draw.
     """
-    nbar = cfg.group_size
-    omegas = np.exp(-2j * np.pi * np.arange(nbar) / nbar)[:, None]
-    block = omegas ** np.arange(nbar) / math.sqrt(nbar)
-    s = np.zeros((cfg.ris_elements, cfg.ris_elements), dtype=complex)
-    for q in range(cfg.groups):
-        s[q * nbar:(q + 1) * nbar, q * nbar:(q + 1) * nbar] = block
-
+    s = _block_dft(cfg.ris_elements, cfg.groups)
     k = cfg.blocks
     n = cfg.ris_elements
     mt = cfg.tx_antennas
@@ -119,8 +138,6 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
 
     psi = khatri_rao(w.T, p.T).T
 
-    if np.linalg.norm(s @ s.conj().T - np.eye(n)) > 1e-12 * n:
-        raise AssertionError("scattering matrix lost unitarity")
     if np.linalg.matrix_rank(psi) != min(k, mt * n):
         raise AssertionError("combined rotation/coding matrix is rank deficient")
     return ScatteringDesign(s=s, p=p, w=w, psi=psi)
@@ -187,15 +204,20 @@ def gen_symbols(cfg: SystemConfig, seed: int) -> SymbolBlock:
 
 def synthesize_received(channels: ChannelSet, design: ScatteringDesign,
                         symbols: SymbolBlock) -> ReceivedTensor:
-    """Noiseless received tensor of shape (rx, slots, blocks, frames)."""
+    """Noiseless received tensor of shape (rx, slots, blocks, frames).
+
+    It is formed as one product, the PARAFAC view of the model:
+    ``unfold(z, 0) == kron(X, H @ S) @ khatri_rao(gbar, psi).T`` for the
+    third-order view ``z`` of :func:`reshape_views`, folded back in Fortran
+    order.
+    """
     hs = channels.h @ design.s
     if hs.shape[1] != channels.g.shape[1] or channels.g.shape[2] != symbols.x.shape[1]:
         raise ValueError("channel / design / symbol dimensions are inconsistent")
-    rotated = np.einsum("rn,kn->krn", hs, design.p)
-    mixed = np.einsum("krn,inm->kirm", rotated, channels.g)
-    coded = np.einsum("kirm,km->kirm", mixed, design.w)
-    y = np.einsum("kirm,tm->rtki", coded, symbols.x)
-    return ReceivedTensor(y=y, achieved_snr_db=math.inf)
+    shape = (hs.shape[0], symbols.x.shape[0], design.psi.shape[0], channels.g.shape[0])
+    # this is unfold(z, 0).T in C order, so the Fortran fold is a view of it
+    y = khatri_rao(channels.gbar, design.psi) @ kron(symbols.x, hs).T
+    return ReceivedTensor(y=y.reshape(shape[::-1]).transpose(), achieved_snr_db=math.inf)
 
 
 def draw_scenario(cfg: SystemConfig, scenario_seed: int):
@@ -230,13 +252,20 @@ def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:
     Shape (ris_elements, tx_antennas, d, d) with d = tx_antennas*ris_elements;
     entry (n, m, r, r) is 1 for r = n + m*ris_elements, all else zero.  Its
     unfolding with rows over modes (0, 1) and columns over modes (2, 3) is
-    ``khatri_rao(eye(d), eye(d)).T``.
+    ``khatri_rao(eye(d), eye(d)).T``.  It is built once per process for each
+    dimension pair and shared: every call with the same dimensions returns
+    the same read-only array, which ``tucker_tals`` accepts without a scan.
     """
-    d = ris_elements * tx_antennas
-    core = np.zeros((ris_elements, tx_antennas, d, d), dtype=complex)
-    n_idx, m_idx = np.unravel_index(np.arange(d), (ris_elements, tx_antennas), order="F")
+    return _canonical_core(int(ris_elements), int(tx_antennas))
+
+
+@functools.cache
+def _canonical_core(n: int, mt: int) -> np.ndarray:
+    d = n * mt
+    core = np.zeros((n, mt, d, d), dtype=complex)
+    n_idx, m_idx = np.unravel_index(np.arange(d), (n, mt), order="F")
     core[n_idx, m_idx, np.arange(d), np.arange(d)] = 1.0
-    return core
+    return _frozen(core)
 
 
 def reshape_views(received: ReceivedTensor, design: ScatteringDesign) -> TensorViews:

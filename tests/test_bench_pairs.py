@@ -1,6 +1,7 @@
 """The summary that tools/bench_pairs.py writes, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -66,15 +67,52 @@ def test_sides_alternate_which_runs_first():
 
 
 def test_in_process_summary():
-    def timing(side, ms):
+    def timing(side, ms, cost):
         return {"side": side, "overrides": ["blocks=16"],
-                "tucker": {"ms_per_trial": ms, "sweeps_mean": 30.0, "sweeps_max": 50}}
+                "reference": {"shape": [512, 32], "svd_ms": 2.0},
+                "tucker": {"ms_per_trial": ms, "cost": cost, "sweeps_mean": 30.0,
+                           "sweeps_max": 50}}
 
-    runs = [timing("parent", 12.0), timing("change", 6.0), timing("change", 7.0),
-            timing("parent", 10.0), timing("parent", 11.0), timing("change", 8.0)]
-    tucker = bench_pairs.in_process_summary(runs)["tucker"]
+    runs = [timing("parent", 12.0, 6.0), timing("change", 6.0, 3.5),
+            timing("change", 7.0, 3.0), timing("parent", 10.0, 5.5),
+            timing("parent", 11.0, 4.0), timing("change", 8.0, 4.5)]
+    summary = bench_pairs.in_process_summary(runs)
+    assert set(summary) == {"tucker"}  # the reference block is no receiver
+    tucker = summary["tucker"]
     assert set(tucker) == {"parent", "change"}
     assert tucker["parent"]["ms_per_trial"] == [12.0, 10.0, 11.0]
     assert tucker["parent"]["ms_per_trial_median"] == 11.0
     assert tucker["change"]["ms_per_trial_median"] == 7.0
+    assert tucker["parent"]["cost"] == [6.0, 5.5, 4.0]
+    assert tucker["parent"]["cost_median"] == 5.5
+    assert tucker["change"]["cost_median"] == 3.5
     assert tucker["change"]["sweeps_mean"] == 30.0
+
+
+def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "trial_timing", Path(__file__).resolve().parent.parent / "tools" / "trial_timing.py")
+    trial_timing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trial_timing)
+    seen = []
+
+    class Done:
+        iterations = 3
+
+    def fake_trial(cfg, receiver, snr_db, snr_index, trial_index):
+        seen.append(snr_db)
+        return Done()
+
+    blocks = iter([2.0, 1.0, 4.0, 3.0])  # median 2.5
+    monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
+    monkeypatch.setattr(trial_timing, "reference_ms", lambda matrix: next(blocks))
+    monkeypatch.setattr(trial_timing, "TRIALS", 2)
+    assert trial_timing.main(["--set", "snr_db=30,10"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(seen) == {30.0} and out["snr_db"] == 30.0
+    assert out["reference"]["svd_ms"] == 2.5
+    assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0]
+    for receiver in ("pakron", "tucker", "zf-oracle"):
+        timing = out[receiver]
+        assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
+        assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import pickle
@@ -163,7 +164,7 @@ class TestRunSweep:
         path = tmp_path / "trials.csv"
         write_trials_csv(path, trials)
         header = path.read_text().splitlines()[0]
-        assert header == "seed,snr_db,receiver,nmse_h,nmse_g,ser,iters,wall_ms"
+        assert header == "seed,snr_db,receiver,nmse_h,nmse_g,ser,iters,wall_ms,error"
         loaded = read_trials_csv(path)
         assert [t.seed for t in loaded] == [t.seed for t in trials]
         # aggregates recomputable from the persisted rows
@@ -172,6 +173,33 @@ class TestRunSweep:
                           np.mean([t.nmse_h for t in loaded]))
         assert np.isclose(cell["nmse_h_median"],
                           np.median([t.nmse_h for t in loaded]))
+
+    def test_csv_writes_failed_trials_as_rows(self, monkeypatch, tmp_path):
+        calls = []
+        tucker = experiments.tucker
+
+        def second_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NumericalError("synthetic failure")
+            return tucker(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "tucker", second_call_fails)
+        cfg = desk_config(snr_db=(10.0,), seed=14)
+        trials, report = run_sweep(cfg, ["tucker"], runs=3)
+        assert [type(t) for t in trials] == [TrialResult, TrialFailure, TrialResult]
+        assert report.cells[0]["failures"] == 1
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, trials)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["seed"]) for r in rows] == [t.seed for t in trials]
+        assert rows[1]["error"] == "NumericalError: synthetic failure"
+        assert rows[1]["receiver"] == "tucker" and float(rows[1]["snr_db"]) == 10.0
+        assert all(rows[1][f] == "" for f in
+                   ("nmse_h", "nmse_g", "ser", "iters", "wall_ms"))
+        assert rows[0]["error"] == rows[2]["error"] == ""
+        assert read_trials_csv(path) == trials
 
     @pytest.mark.parametrize("force", [False, True])
     def test_unknown_receiver_rejected_before_any_trial(self, monkeypatch, force):

@@ -342,6 +342,26 @@ class TestTucker:
         with pytest.raises(ValueError, match="canonical"):
             tucker_tals(views.q4, core, design.psi, cfg.solver, 0)
 
+    def test_canonical_copy_takes_full_check_with_same_output(self, monkeypatch):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        received = add_noise(received, 10.0, 27)
+        views = reshape_views(received, design)
+        scanned = []
+        count_nonzero = np.count_nonzero
+
+        def counting(a, *args, **kwargs):
+            scanned.append(a.shape)
+            return count_nonzero(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        shared = tucker_tals(views.q4, views.core, design.psi, cfg.solver, 0)
+        assert views.core.shape not in scanned
+        copied = tucker_tals(views.q4, views.core.copy(), design.psi, cfg.solver, 0)
+        assert scanned.count(views.core.shape) == 1
+        assert shared[3] == copied[3] and shared[4] == copied[4]
+        assert all(np.array_equal(a, b) for a, b in zip(shared[:3], copied[:3]))
+
     def test_core_check_rejects_wrong_shape(self):
         cfg = desk_config()
         design, _, _, received = draw_instance(cfg, 26)
@@ -386,6 +406,19 @@ class TestTucker:
         assert np.max(np.abs(np.subtract(traj, traj0))) <= 1e-12
         for new, old in ((f, f0), (x, x0), (gbar, gbar0)):
             assert rel_err(new, old) <= 1e-10
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"tx_antennas": 1}, {"tx_antennas": 3, "slots": 5, "ris_elements": 6,
+                                 "groups": 3, "blocks": 20, "frames": 3}])
+    def test_mixing_matches_explicit_contraction(self, overrides):
+        cfg = desk_config(**overrides)
+        design, channels, symbols, _ = draw_instance(cfg, 45)
+        f, x, n = channels.h @ design.s, symbols.x, cfg.ris_elements
+        for mode, other in ((0, x), (1, f)):
+            got = receivers._mixing(mode, other, design.psi, channels.gbar, n)
+            want = tucker_mixing(mode, f, x, design.psi, channels.gbar)
+            assert got.shape == want.shape
+            assert rel_err(got, want) <= 1e-13
 
     def test_singular_f_gram_takes_pinv_fallback(self):
         cfg = desk_config()

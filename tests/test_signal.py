@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bdris.config import SystemConfig, derive_seed
 from bdris.errors import ConfigError
@@ -176,6 +177,56 @@ class TestSynthesis:
         bad = gen_channels(desk_config(ris_elements=8, groups=2), 18)
         with pytest.raises(ValueError):
             synthesize_received(bad, design, symbols)
+
+
+class TestSynthesisProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(tx=st.integers(1, 3), rx=st.integers(1, 3),
+           ris_groups=st.sampled_from([(4, 1), (4, 2), (4, 4), (9, 1), (9, 3),
+                                       (6, 2), (6, 3)]),
+           extra_slots=st.integers(0, 2), blocks=st.integers(1, 8),
+           frames=st.integers(1, 3), geometric=st.booleans(),
+           dft=st.booleans(), seed=st.integers(0, 2**16))
+    def test_product_equals_loop_oracle(self, tx, rx, ris_groups, extra_slots,
+                                        blocks, frames, geometric, dft, seed):
+        ris, groups = ris_groups
+        assume(not geometric or ris in (4, 9))  # planar arrays are square
+        cfg = SystemConfig(
+            tx_antennas=tx, rx_antennas=rx, ris_elements=ris, groups=groups,
+            blocks=blocks, slots=tx + extra_slots, frames=frames,
+            channel_model="geometric" if geometric else "rayleigh", paths=2,
+            phase_design="dft" if dft else "random")
+        design, channels, symbols, received = draw_instance(cfg, seed)
+        assert received.y.shape == (rx, tx + extra_slots, blocks, frames)
+        oracle = loop_oracle(cfg, design, channels, symbols)
+        assert rel_err(received.y, oracle) <= 1e-12
+
+
+class TestSharedConstants:
+    def test_scattering_and_core_are_shared_and_read_only(self):
+        cfg = desk_config()
+        a, b = design_scattering(cfg, 1), design_scattering(cfg, 2)
+        _, _, _, received = draw_instance(cfg, 3)
+        core = reshape_views(received, a).core
+        assert a.s is b.s
+        assert core is build_core(cfg.ris_elements, cfg.tx_antennas)
+        for shared in (a.s, core, core.real, a.s.T):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError):
+                shared.setflags(write=True)
+            with pytest.raises(ValueError):
+                shared[(0,) * shared.ndim] = 2.0
+
+    def test_each_dimension_pair_has_its_own(self):
+        scattering = {(n, q): design_scattering(desk_config(ris_elements=n, groups=q), 0).s
+                      for n, q in ((4, 1), (4, 2), (8, 2))}
+        assert len({id(s) for s in scattering.values()}) == 3
+        assert scattering[(4, 1)].shape == scattering[(4, 2)].shape == (4, 4)
+        assert not np.array_equal(scattering[(4, 1)], scattering[(4, 2)])
+        cores = [build_core(4, 2), build_core(2, 4), build_core(4, 1)]
+        assert len({id(c) for c in cores}) == 3
+        assert build_core(ris_elements=4, tx_antennas=2) is cores[0]
+        assert build_core(np.int64(2), 4) is cores[1]
 
 
 class TestNoise:

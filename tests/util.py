@@ -6,7 +6,7 @@ import csv
 import numpy as np
 
 from bdris.config import SolverOptions, SystemConfig
-from bdris.experiments import TrialResult
+from bdris.experiments import TrialFailure, TrialResult
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
 from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
                               solve_gram, unfold, unvec)
@@ -254,10 +254,16 @@ def ambiguity_equivalent(channels: ChannelSet, design: ScatteringDesign,
 
 
 def read_trials_csv(path):
-    """Load per-trial rows back as TrialResult objects."""
+    """Load per-trial rows back: a TrialResult per completed row and a
+    TrialFailure per row with an error."""
     out = []
     with open(path, "r", newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
+            if row["error"]:
+                out.append(TrialFailure(
+                    seed=int(row["seed"]), snr_db=float(row["snr_db"]),
+                    receiver=row["receiver"], error=row["error"]))
+                continue
             out.append(TrialResult(
                 seed=int(row["seed"]), snr_db=float(row["snr_db"]),
                 receiver=row["receiver"], nmse_h=float(row["nmse_h"]),

@@ -4,7 +4,7 @@ Usage, from the root of a checkout::
 
     python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json \\
         --pairs trial-0db=10 --pairs sweep-accept=5 --first-seed 821 \\
-        [--in-process blocks=16 --in-process channel_model=geometric,paths=2]
+        [--in-process blocks=16 --in-process snr_db=30]
 
 Each revision is exported with ``git archive`` into a temporary directory and
 the ``perfbench/run.py`` of that tree runs from its root, for the
@@ -12,8 +12,9 @@ the ``perfbench/run.py`` of that tree runs from its root, for the
 committed benchmark.  A pair gives both sides the same seed, seeds count up
 from ``--first-seed`` over all pairs, and the side that runs first alternates
 from pair to pair.  Then each side makes one traced run per workload, at the
-workload's first seed.  Each ``--in-process`` item times ``run_trial`` at
-0 dB with that config override on both sides (``tools/trial_timing.py``,
+workload's first seed.  Each ``--in-process`` item times ``run_trial`` with
+that config override on both sides, at the config's first SNR and in
+``svd512x32`` units as well as raw ms (``tools/trial_timing.py``,
 ``IN_PROCESS_PAIRS`` pairs of its ``TRIALS`` trials; not gated by the
 benchmark).
 
@@ -99,19 +100,23 @@ def summarize(runs, end_to_end) -> dict:
 
 
 def in_process_summary(runs) -> dict:
-    """Per receiver and side, the median ms per trial over the runs and the
-    mean sweeps per trial (seeded, so equal in every run of a side)."""
+    """Per receiver and side, the raw ms and the ``svd512x32`` cost per trial
+    of every run with their medians, and the mean sweeps per trial (seeded,
+    so equal in every run of a side)."""
     summary = {}
     for run in runs:
         for receiver, timing in run.items():
-            if isinstance(timing, dict):
+            if isinstance(timing, dict) and "cost" in timing:
                 side = summary.setdefault(receiver, {}).setdefault(
-                    run["side"], {"ms_per_trial": [], "sweeps_mean": timing["sweeps_mean"],
+                    run["side"], {"ms_per_trial": [], "cost": [],
+                                  "sweeps_mean": timing["sweeps_mean"],
                                   "sweeps_max": timing["sweeps_max"]})
                 side["ms_per_trial"].append(timing["ms_per_trial"])
+                side["cost"].append(timing["cost"])
     for sides in summary.values():
         for side in sides.values():
             side["ms_per_trial_median"] = statistics.median(side["ms_per_trial"])
+            side["cost_median"] = statistics.median(side["cost"])
     return summary
 
 
