@@ -296,7 +296,7 @@ def write_trials_csv(path, trials) -> None:
     """Persist one row per trial.  A completed trial has an empty ``error``;
     a failed one has its seed, SNR, receiver and error text, and empty
     scores."""
-    blank = ("",) * (len(TRIAL_CSV_HEADER) - 4)
+    no_scores = ("",) * (len(TRIAL_CSV_HEADER) - 4)  # all but seed, snr, receiver, error
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_CSV_HEADER)
@@ -304,7 +304,7 @@ def write_trials_csv(path, trials) -> None:
             if isinstance(t, TrialResult):
                 writer.writerow(t.astuple() + ("",))
             else:
-                writer.writerow((t.seed, t.snr_db, t.receiver, *blank, t.error))
+                writer.writerow((t.seed, t.snr_db, t.receiver, *no_scores, t.error))
 
 
 def trial_to_dict(trial: TrialResult) -> dict:

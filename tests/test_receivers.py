@@ -362,6 +362,17 @@ class TestTucker:
         assert shared[3] == copied[3] and shared[4] == copied[4]
         assert all(np.array_equal(a, b) for a, b in zip(shared[:3], copied[:3]))
 
+    def test_read_only_altered_core_rejected(self):
+        # only the shared core skips the scan, not any read-only array
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        views = reshape_views(received, design)
+        core = views.core.copy()
+        core[2, 1, 6, 6] = 0.0
+        core.setflags(write=False)
+        with pytest.raises(ValueError, match="canonical"):
+            tucker_tals(views.q4, core, design.psi, cfg.solver, 0)
+
     def test_core_check_rejects_wrong_shape(self):
         cfg = desk_config()
         design, _, _, received = draw_instance(cfg, 26)
