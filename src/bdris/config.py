@@ -16,6 +16,7 @@ Dimension vocabulary (uplink, surface-assisted MIMO):
 import dataclasses
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -74,10 +75,23 @@ class SystemConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        # stored normalised (int dimensions, a tuple of float SNRs), so that a
+        # config is hashable and equal to its to_mapping/from_mapping round trip
         for name in ("tx_antennas", "rx_antennas", "ris_elements", "groups",
                      "blocks", "slots", "frames"):
-            if int(getattr(self, name)) < 1:
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, "
+                                  f"got {getattr(self, name)!r}") from None
+            if value < 1:
                 raise ConfigError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, value)
+        try:
+            object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        except (TypeError, ValueError):
+            raise ConfigError(f"snr_db must be a sequence of numbers, "
+                              f"got {self.snr_db!r}") from None
         if self.ris_elements % self.groups != 0:
             raise ConfigError(
                 f"groups ({self.groups}) must divide ris_elements ({self.ris_elements})"

@@ -10,10 +10,16 @@ Frobenius geometry, and the indeterminacy is a column scale exactly there).
 Scenario randomness (channels, symbols, design, noise) is derived from
 (master seed, snr index, trial index) only, so competing receivers see the
 same data; receiver-specific randomness (iterate initialization) also mixes
-in the receiver name.
+in the receiver name.  Since a noised scenario is a pure function of that
+key, it is drawn once and shared: :func:`run_trial` keeps the last one in a
+one-entry cache, so consecutive calls for different receivers on the same
+(config, SNR, trial) reuse it, and :func:`run_sweep` runs the receivers of a
+trial one after another to make that the common case.  Its arrays are
+read-only, so no receiver can change what the next one sees.
 """
 
 import csv
+import functools
 import math
 import struct
 import time
@@ -197,32 +203,48 @@ def evaluate(receiver: str, received, design, channels, symbols,
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _noised_scenario(cfg: SystemConfig, snr_db: float, snr_index: int,
+                     trial_index: int, master: int, noiseless: bool):
+    """``(scenario_seed, design, channels, symbols, received)`` of one trial,
+    a pure function of its arguments; the last one is kept for the next
+    receiver on the same trial."""
+    scenario_seed = derive_seed(master, "scenario", snr_index, trial_index)
+    design, channels, symbols, received = draw_scenario(cfg, scenario_seed)
+    if not noiseless:
+        received = add_noise(received, snr_db, derive_seed(scenario_seed, "noise"))
+    return scenario_seed, design, channels, symbols, received
+
+
 def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
               snr_index: int = 0, trial_index: int = 0,
               master_seed: int | None = None, noiseless: bool = False):
     """One seeded end-to-end trial; returns a TrialResult."""
     master = cfg.seed if master_seed is None else master_seed
-    scenario_seed = derive_seed(master, "scenario", snr_index, trial_index)
-    design, channels, symbols, received = draw_scenario(cfg, scenario_seed)
-    if not noiseless:
-        received = add_noise(received, snr_db, derive_seed(scenario_seed, "noise"))
+    scenario_seed, design, channels, symbols, received = _noised_scenario(
+        cfg, snr_db, snr_index, trial_index, master, noiseless)
     init_seed = derive_seed(master, "init", receiver, snr_index, trial_index,
                             cfg.solver.init_seed)
     return TrialResult(scenario_seed, snr_db, receiver, **evaluate(
         receiver, received, design, channels, symbols, cfg.solver, init_seed))
 
 
-def _trial_task(args):
-    cfg, receiver, snr_db, snr_index, trial_index, master_seed, noiseless = args
-    try:
-        return run_trial(cfg, receiver, snr_db, snr_index, trial_index,
-                         master_seed, noiseless)
-    except (ScalingResolutionError, NumericalError, IdentifiabilityError,
-            np.linalg.LinAlgError) as err:
-        seed = derive_seed(cfg.seed if master_seed is None else master_seed,
-                           "scenario", snr_index, trial_index)
-        return TrialFailure(seed=seed, snr_db=snr_db, receiver=receiver,
-                            error=f"{type(err).__name__}: {err}")
+def _scenario_task(args):
+    """Every requested receiver on one (SNR, trial) scenario, in order; a
+    receiver's tolerated error becomes its own TrialFailure."""
+    cfg, receivers, snr_db, snr_index, trial_index, master_seed, noiseless = args
+    out = []
+    for receiver in receivers:
+        try:
+            out.append(run_trial(cfg, receiver, snr_db, snr_index, trial_index,
+                                 master_seed, noiseless))
+        except (ScalingResolutionError, NumericalError, IdentifiabilityError,
+                np.linalg.LinAlgError) as err:
+            seed = derive_seed(cfg.seed if master_seed is None else master_seed,
+                               "scenario", snr_index, trial_index)
+            out.append(TrialFailure(seed=seed, snr_db=snr_db, receiver=receiver,
+                                    error=f"{type(err).__name__}: {err}"))
+    return out
 
 
 def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
@@ -230,10 +252,16 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
               master_seed: int | None = None):
     """Run the full (snr x receiver x trial) grid.
 
-    Returns ``(trials, report)`` where ``trials`` preserves the task order
-    (snr index, receiver, trial index) and includes failures.  Receiver names
-    are checked before any trial runs; identifiability is checked up front
-    for every requested receiver unless ``force``.
+    Returns ``(trials, report)`` where ``trials`` is in (snr index, receiver,
+    trial index) order and includes failures.  Receiver names are checked
+    before any trial runs; identifiability is checked up front for every
+    requested receiver unless ``force``.
+
+    The grid runs with receivers innermost: one task per (snr, trial), serial
+    or in ``jobs`` processes (``chunksize`` 8), runs every receiver on that
+    trial's scenario, so the scenario is drawn and noised once per task (see
+    :func:`run_trial`); the results are then put back in output order.  The
+    result does not depend on ``jobs``.
     """
     if runs < 1 or jobs < 1:
         raise ValueError(f"runs and jobs must be at least 1, got {runs} and {jobs}")
@@ -249,16 +277,19 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
             check_feasible(cfg, rx)
     snrs = [math.inf] if noiseless else list(cfg.snr_db)
     tasks = [
-        (cfg, rx, snr, si, r, master_seed, noiseless)
+        (cfg, receivers, snr, si, r, master_seed, noiseless)
         for si, snr in enumerate(snrs)
-        for rx in receivers
         for r in range(runs)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(_trial_task, tasks, chunksize=8))
+            done = list(pool.map(_scenario_task, tasks, chunksize=8))
     else:
-        trials = [_trial_task(t) for t in tasks]
+        done = [_scenario_task(t) for t in tasks]
+    trials = [done[si * runs + r][ri]
+              for si in range(len(snrs))
+              for ri in range(len(receivers))
+              for r in range(runs)]
 
     report = SweepReport(
         config=cfg.to_mapping(),

@@ -90,6 +90,13 @@ class TensorViews:
     core: np.ndarray
 
 
+def _read_only(*arrays) -> None:
+    """Clear the write flag of each array in place: a write then raises
+    ``ValueError``, so one scenario can be handed to several receivers."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A copy of ``a`` over an immutable ``bytes`` buffer: read-only for good,
     since ``setflags(write=True)`` raises on it."""
@@ -222,18 +229,23 @@ def synthesize_received(channels: ChannelSet, design: ScatteringDesign,
 
 def draw_scenario(cfg: SystemConfig, scenario_seed: int):
     """One noiseless scenario: ``(design, channels, symbols, received)``, each
-    component drawn from its own stream derived from ``scenario_seed``."""
+    component drawn from its own stream derived from ``scenario_seed``.  Its
+    arrays are read-only, so that several receivers can share one draw."""
     design = design_scattering(cfg, derive_seed(scenario_seed, "design"))
     channels = gen_channels(cfg, derive_seed(scenario_seed, "channels"))
     symbols = gen_symbols(cfg, derive_seed(scenario_seed, "symbols"))
-    return design, channels, symbols, synthesize_received(channels, design, symbols)
+    received = synthesize_received(channels, design, symbols)
+    _read_only(design.p, design.w, design.psi, channels.h, channels.g,
+               channels.gbar, symbols.x, symbols.alphabet, received.y)
+    return design, channels, symbols, received
 
 
 def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTensor:
     """Add white circular Gaussian noise at the requested per-entry SNR.
 
     The noise variance is set from the Frobenius power of the noiseless
-    tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``.
+    tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``.  The noisy
+    tensor is read-only, like the scenario it is added to.
     """
     if math.isinf(snr_db):
         return received
@@ -243,7 +255,9 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     rng = np.random.default_rng(seed)
     noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)
     achieved = 10.0 * math.log10(signal_power / float(np.linalg.norm(noise) ** 2))
-    return ReceivedTensor(y=y0 + noise, achieved_snr_db=achieved)
+    y = y0 + noise
+    _read_only(y)
+    return ReceivedTensor(y=y, achieved_snr_db=achieved)
 
 
 def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:

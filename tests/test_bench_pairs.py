@@ -116,3 +116,24 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
         timing = out[receiver]
         assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
         assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
+
+
+def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):
+    calls = []
+
+    class Finished:
+        returncode = 0
+        stdout = "....\n307 passed in 14.02s\n"
+
+    def fake_run(cmd, cwd, capture_output, text, env):
+        calls.append((cmd, cwd, env))
+        return Finished()
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    got = bench_pairs.suite_run(tmp_path)
+    (cmd, cwd, env), = calls
+    assert cmd[1:] == list(bench_pairs.SUITE) and cwd == tmp_path
+    assert env["PYTHONPATH"] == str(tmp_path / "src")
+    assert env["OPENBLAS_NUM_THREADS"] == "1"
+    assert got["returncode"] == 0 and got["summary"] == "307 passed in 14.02s"
+    assert got["wall_s"] >= 0.0

@@ -97,6 +97,30 @@ class TestConfigParsing:
     def test_infinite_snr_means_noiseless(self):
         assert SystemConfig(snr_db=(10, float("inf"))).snr_db == (10, float("inf"))
 
+    def test_snr_list_is_stored_as_a_float_tuple(self):
+        cfg = SystemConfig(snr_db=[0, 10.0])
+        assert cfg.snr_db == (0.0, 10.0)
+        assert type(cfg.snr_db) is tuple
+        assert all(type(v) is float for v in cfg.snr_db)
+        assert hash(cfg) == hash(SystemConfig(snr_db=(0.0, 10.0)))
+        assert SystemConfig.from_mapping(cfg.to_mapping()) == cfg
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tx_antennas=2.0),
+        dict(blocks=16.5),
+        dict(frames="2"),
+        dict(snr_db=10.0),
+        dict(snr_db=("ten",)),
+    ])
+    def test_non_integral_dimensions_and_bad_snrs_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            SystemConfig(**kwargs)
+
+    def test_integer_dimensions_are_stored_as_int(self):
+        cfg = SystemConfig(tx_antennas=np.int64(2), blocks=np.int32(16))
+        assert type(cfg.tx_antennas) is int and type(cfg.blocks) is int
+        assert cfg == SystemConfig(blocks=16)
+
 
 class TestCheck:
     def test_reference_configuration(self, capsys):

@@ -5,9 +5,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bdris.config import SolverOptions
-from bdris.errors import IdentifiabilityError, NumericalError
+from bdris.config import SolverOptions, SystemConfig
+from bdris.errors import (IdentifiabilityError, NumericalError,
+                          ScalingResolutionError)
 from bdris import experiments
 from bdris.experiments import (
     TrialFailure,
@@ -19,7 +21,30 @@ from bdris.experiments import (
     trial_to_dict,
     write_trials_csv,
 )
+from bdris.receivers import RECEIVER_NAMES
 from util import desk_config, draw_instance, read_trials_csv
+
+TOLERATED = (ScalingResolutionError, NumericalError, IdentifiabilityError,
+             np.linalg.LinAlgError)
+SWEEP_CFG = SystemConfig(tx_antennas=2, rx_antennas=4, ris_elements=8, groups=2,
+                         blocks=16, slots=4, frames=2, modulation_order=4,
+                         seed=20240)
+
+
+def scores(trial):
+    """A trial's outcome without its timing."""
+    if isinstance(trial, TrialResult):
+        return trial.astuple()[:-1]
+    return (trial.seed, trial.snr_db, trial.receiver, trial.error)
+
+
+@pytest.fixture
+def fresh_scenarios():
+    """An empty scenario cache before and after the test, so that a patched
+    draw is neither bypassed by a scenario cached earlier nor leaves one."""
+    experiments._noised_scenario.cache_clear()
+    yield
+    experiments._noised_scenario.cache_clear()
 
 
 class TestNmseAligned:
@@ -106,6 +131,21 @@ class TestRunTrial:
         a = run_trial(cfg, "pakron", 10.0, 0, 3)
         b = run_trial(cfg, "tucker", 10.0, 0, 3)
         assert a.seed == b.seed  # same scenario, different receiver
+
+    @pytest.mark.parametrize("cfg", [SystemConfig(), SWEEP_CFG,
+                                     SystemConfig(blocks=16),
+                                     SystemConfig(channel_model="geometric")],
+                             ids=["default", "sweep", "blocks16", "geometric"])
+    def test_receivers_run_on_one_read_only_scenario(self, cfg, fresh_scenarios):
+        trials = [run_trial(cfg, rx, 10.0, 0, 1) for rx in RECEIVER_NAMES]
+        assert experiments._noised_scenario.cache_info().hits == 2
+        _, design, channels, symbols, received = experiments._noised_scenario(
+            cfg, 10.0, 0, 1, cfg.seed, False)
+        for array in (design.p, design.w, design.psi, channels.h, channels.g,
+                      symbols.x, received.y):
+            assert not array.flags.writeable
+        assert len({t.seed for t in trials}) == 1
+        assert all(np.isfinite(t.nmse_h) and 0.0 <= t.ser <= 1.0 for t in trials)
 
     def test_geometric_channel_model_end_to_end(self):
         cfg = desk_config(channel_model="geometric", paths=2, seed=14)
@@ -220,6 +260,43 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="at least 1"):
             run_sweep(desk_config(snr_db=(10.0,)), ["zf-oracle"], runs=runs, jobs=jobs)
 
+    def test_each_scenario_is_drawn_once(self, monkeypatch, fresh_scenarios):
+        draws = []
+        draw = experiments.draw_scenario
+
+        def counting(cfg, seed):
+            draws.append(seed)
+            return draw(cfg, seed)
+
+        monkeypatch.setattr(experiments, "draw_scenario", counting)
+        cfg = desk_config(snr_db=(5.0, 15.0), seed=21)
+        trials, _ = run_sweep(cfg, ["pakron", "tucker"], runs=3)
+        assert len(draws) == 2 * 3  # once per (SNR, trial), not per receiver
+        assert sorted(draws) == sorted({t.seed for t in trials})
+        assert [(t.snr_db, t.receiver) for t in trials] == [
+            (snr, rx) for snr in (5.0, 15.0) for rx in ("pakron", "tucker")
+            for _ in range(3)]
+
+    def test_one_receivers_failure_spares_the_other(self, monkeypatch,
+                                                    fresh_scenarios):
+        calls = []
+        pakron = experiments.pakron
+
+        def first_call_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NumericalError("synthetic failure")
+            return pakron(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "pakron", first_call_fails)
+        cfg = desk_config(snr_db=(10.0,), seed=22)
+        trials, report = run_sweep(cfg, ["pakron", "tucker"], runs=2)
+        assert [type(t) for t in trials] == [TrialFailure, TrialResult,
+                                             TrialResult, TrialResult]
+        assert trials[0].seed == trials[2].seed  # tucker's trial on that scenario
+        assert scores(trials[2]) == scores(run_trial(cfg, "tucker", 10.0, 0, 0))
+        assert [c["failures"] for c in report.cells] == [1, 0]
+
     def test_report_json_serializable(self):
         cfg = desk_config(snr_db=(10.0,), seed=12)
         _, report = run_sweep(cfg, ["zf-oracle"], runs=1)
@@ -260,3 +337,38 @@ def test_parallel_matches_serial():
     for a, b in zip(t1, t2):
         assert isinstance(a, TrialResult) and isinstance(b, TrialResult)
         assert (a.seed, a.nmse_h, a.nmse_g, a.ser) == (b.seed, b.nmse_h, b.nmse_g, b.ser)
+
+
+@settings(max_examples=6, deadline=None)
+@given(tx=st.integers(1, 2), rx=st.integers(1, 3), ris=st.sampled_from([2, 4]),
+       extra_slots=st.integers(0, 1), frames=st.integers(1, 3),
+       extra_blocks=st.integers(0, 2),
+       receivers=st.lists(st.sampled_from(RECEIVER_NAMES), min_size=1,
+                          max_size=3, unique=True),
+       snrs=st.lists(st.sampled_from([0.0, 10.0, 30.0]), min_size=1, max_size=2),
+       runs=st.integers(1, 3), noiseless=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
+                                               extra_blocks, receivers, snrs,
+                                               runs, noiseless, seed):
+    slots = max(tx + extra_slots, 2)  # one slot holds only the reference row
+    d = tx * ris
+    blocks = max(-(-d // frames), -(-d // (slots * rx)), -(-ris // (frames * slots)),
+                 -(-tx // (frames * rx))) + extra_blocks
+    cfg = desk_config(tx_antennas=tx, rx_antennas=rx, ris_elements=ris, groups=2,
+                      slots=slots, frames=frames, blocks=blocks,
+                      snr_db=tuple(snrs), seed=seed,
+                      solver=SolverOptions(max_iters=60))
+    expected = []
+    for si, snr in enumerate([math.inf] if noiseless else snrs):
+        for receiver in receivers:
+            for r in range(runs):
+                try:
+                    expected.append(scores(run_trial(cfg, receiver, snr, si, r,
+                                                     noiseless=noiseless)))
+                except TOLERATED as err:
+                    expected.append((experiments.derive_seed(seed, "scenario", si, r),
+                                     snr, receiver, f"{type(err).__name__}: {err}"))
+    for jobs in (1, 2):
+        trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs, noiseless=noiseless)
+        assert [scores(t) for t in trials] == expected

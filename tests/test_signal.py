@@ -229,6 +229,24 @@ class TestSharedConstants:
         assert build_core(np.int64(2), 4) is cores[1]
 
 
+class TestReadOnlyScenario:
+    @pytest.mark.parametrize("fields", [{}, dict(channel_model="geometric"),
+                                        dict(phase_design="dft")])
+    def test_scenario_and_noised_tensor_reject_writes(self, fields):
+        design, channels, symbols, received = draw_instance(desk_config(**fields), 24)
+        noisy = add_noise(received, 10.0, 25)
+        for array in (design.p, design.w, design.psi, channels.h, channels.g,
+                      channels.gbar, symbols.x, symbols.alphabet, received.y,
+                      noisy.y):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
+
+    def test_noise_leaves_a_writable_input_writable(self):
+        y = np.ones((2, 2, 3, 1), dtype=complex)
+        noisy = add_noise(ReceivedTensor(y=y), 10.0, 26)
+        assert y.flags.writeable and not noisy.y.flags.writeable
+
+
 class TestNoise:
     def test_noiseless_passthrough(self):
         _, _, _, received = draw_instance(desk_config(), 19)

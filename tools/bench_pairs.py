@@ -16,7 +16,11 @@ workload's first seed.  Each ``--in-process`` item times ``run_trial`` with
 that config override on both sides, at the config's first SNR and in
 ``svd512x32`` units as well as raw ms (``tools/trial_timing.py``,
 ``IN_PROCESS_PAIRS`` pairs of its ``TRIALS`` trials; not gated by the
-benchmark).
+benchmark).  ``trial_timing.py`` times each receiver on its own trial
+indices, so no two consecutive calls share a scenario: its numbers measure
+the path on which ``run_trial`` draws and noises every scenario itself.
+Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
+recorded.
 
 The output holds every record and result line the runs printed and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the medians, the
@@ -34,12 +38,15 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMING = Path(__file__).resolve().parent / "trial_timing.py"
 SIDES = ("parent", "change")
 IN_PROCESS_PAIRS = 4
+SUITE = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -167,6 +174,19 @@ def timing_run(tree: Path, overrides: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def suite_run(tree: Path) -> dict:
+    """The tier-1 suite of ``tree`` on its own package, once: wall seconds,
+    return code and pytest's last output line."""
+    cmd = [sys.executable, *SUITE]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          env=pinned_env(tree / "src"))
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"command": " ".join(cmd), "returncode": proc.returncode,
+            "wall_s": wall, "summary": lines[-1] if lines else ""}
+
+
 def pair_order(pair: int):
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
@@ -194,7 +214,8 @@ def main(argv=None) -> int:
            "how": "tools/bench_pairs.py " + " ".join(argv or sys.argv[1:]),
            "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "blas_threads": 1},
-           "summary": {}, "runs": [], "trace_runs": [], "in_process": {}}
+           "summary": {}, "runs": [], "trace_runs": [], "in_process": {},
+           "tier1": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -224,6 +245,8 @@ def main(argv=None) -> int:
                                  **timing_run(trees[side], overrides)})
             out["in_process"][overrides] = {"summary": in_process_summary(runs),
                                             "runs": runs}
+        for side in SIDES:
+            out["tier1"][side] = suite_run(trees[side])
     out["summary"] = summarize(out["runs"], benchmark["end_to_end"])
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
     return 0

@@ -12,6 +12,10 @@ counts.  The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed in blocks of ``REF_SVDS``
 before the first receiver and after each one; its median time over the
 blocks divides every receiver's time, so host drift between runs cancels.
+
+Each receiver runs on its own trial indices, one after another, so no call
+reuses the scenario of the one before (``run_trial``'s one-entry cache):
+these times include drawing and noising every scenario.
 """
 
 import argparse
