@@ -351,7 +351,7 @@ def test_parallel_matches_serial():
 def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
                                                extra_blocks, receivers, snrs,
                                                runs, noiseless, seed):
-    slots = max(tx + extra_slots, 2)  # one slot holds only the reference row
+    slots = tx + extra_slots
     d = tx * ris
     blocks = max(-(-d // frames), -(-d // (slots * rx)), -(-ris // (frames * slots)),
                  -(-tx // (frames * rx))) + extra_blocks
@@ -369,6 +369,8 @@ def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
                 except TOLERATED as err:
                     expected.append((experiments.derive_seed(seed, "scenario", si, r),
                                      snr, receiver, f"{type(err).__name__}: {err}"))
+    # compared by repr, which is exact for floats and equal for the NaN SER
+    # of a one-slot frame (it holds only the reference row)
     for jobs in (1, 2):
         trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs, noiseless=noiseless)
-        assert [scores(t) for t in trials] == expected
+        assert [repr(scores(t)) for t in trials] == [repr(e) for e in expected]
