@@ -75,13 +75,15 @@ def nmse_aligned(truth, estimate, mode="per-column") -> float:
 
 
 def ser(symbols: SymbolBlock, detected) -> float:
-    """Fraction of wrongly decided data symbols (reference row excluded)."""
+    """Fraction of wrongly decided data symbols (reference row excluded);
+    NaN when the block holds no data symbol (``slots == 1``)."""
     detected = np.asarray(detected)
     if detected.shape != symbols.x.shape:
         raise ValueError("detected matrix shape differs from transmitted block")
     wrong = (hard_decisions(symbols.x, symbols.alphabet)
              != hard_decisions(detected, symbols.alphabet))
-    return float(np.mean(wrong[np.arange(len(wrong)) != symbols.reference_row]))
+    data = wrong[np.arange(len(wrong)) != symbols.reference_row]
+    return float(np.mean(data)) if data.size else math.nan
 
 
 TRIAL_FIELDS = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
@@ -158,14 +160,17 @@ class SweepReport:
 
 
 def json_safe(obj):
+    """``obj`` with numpy scalars as Python numbers and non-finite floats as
+    the strings ``"inf"``, ``"-inf"`` and ``"nan"``, which strict JSON can
+    hold."""
     if isinstance(obj, dict):
         return {k: json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [json_safe(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
     return obj
 
 

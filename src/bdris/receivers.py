@@ -26,7 +26,15 @@ one, so Schur's bound on its condition number comes from ``cond(psi^T
 conj(psi))`` and a diagonal.  ``solve_gram`` solves a trusted Gram by LU,
 reading its condition number off this bound or, when the bound is too loose,
 off the Gram's eigenvalues; an untrusted one falls back to ``pinv`` of the
-explicit matrix.
+explicit matrix, which is built only then.
+
+Both receivers start from the same preparation of one received tensor
+(``_contract``): the data contracted with ``conj(psi)``, ``psi``'s Gram, its
+diagonal and condition number, and ``||z||^2``.  It is cached for the last
+``(z, psi)`` by content, and ``psi``'s Gram and condition number come from the
+decomposition the scenario draw made for its rank check
+(:func:`bdris.tensor_ops.gram_spectrum`), so on one trial ``psi`` is
+decomposed once and the data contracted once, whichever receivers run.
 
 Both inherit the model's indeterminacies: a per-stream scale on the symbol
 columns (pinned by the known reference row, see ``resolve_and_detect``) and a
@@ -37,6 +45,7 @@ A zero-forcing oracle with perfect channel knowledge is included as a symbol
 detection baseline.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,9 +58,10 @@ from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
     best_rank1,
-    hermitian_cond,
+    gram_spectrum,
     khatri_rao,
     kron,
+    last_result_cache,
     nearest_kronecker,
     pinv,
     schur_cond_bound,
@@ -94,18 +104,31 @@ def _require_finite(data):
 # unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
 # with Khatri-Rao Grams as Hadamard products B ∘ psi_gram of factor Grams.
 # Each solve is passed Schur's bound on its Gram's condition number, from
-# cond(psi_gram) (once per call) and the diagonal of B.
+# cond(psi_gram) and the diagonal of B.
 
+@last_result_cache
 def _contract(z, psi):
-    psi_gram = psi.T @ psi.conj()
+    """``(zp, psi_gram, psi_diag, znorm2, psi_cond)`` of the third-order view
+    ``z`` and ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s
+    Gram ``psi^T conj(psi)``, its real diagonal, ``||z||^2`` and the Gram's
+    condition number.
+
+    The Gram and its condition number are :func:`gram_spectrum`'s, so they
+    come from the decomposition the draw made for its rank check.  The
+    result is kept for the last ``(z, psi)``, keyed by their shape, dtype
+    and bytes (:func:`last_result_cache`), and its arrays are read-only: a
+    second receiver on the same received tensor reuses it bit for bit,
+    while arrays of equal shape and other content recompute it.
+    """
+    psi_gram, psi_cond, _ = gram_spectrum(psi)
     return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram,
-            float(np.linalg.norm(z) ** 2), hermitian_cond(psi_gram))
+            psi_gram.diagonal().real, float(np.linalg.norm(z) ** 2), psi_cond)
 
 
-def _cond_bound(gram, psi_gram, psi_cond):
+def _cond_bound(gram, psi_diag, psi_cond):
     """:func:`schur_cond_bound` of ``gram = B ∘ psi_gram``, reading B's
-    diagonal off the Gram's."""
-    return schur_cond_bound(psi_cond, gram.diagonal().real / psi_gram.diagonal().real)
+    diagonal off the Gram's and ``psi_gram``'s (``psi_diag``)."""
+    return schur_cond_bound(psi_cond, gram.diagonal().real / psi_diag)
 
 
 def _contracted_bound(bound, x):
@@ -130,12 +153,26 @@ def _gram_fit(gbar, rhs, gram, znorm2):
     return max(float(err) / znorm2, 0.0)
 
 
-def _solve(rhs, gram, tol, unfolded, mixing, cond_bound):
+def _solve(rhs, gram, tol, cond_bound, fallback, *args):
     """``rhs @ inv(gram)`` by :func:`solve_gram` with the Gram's condition
-    bound; on an untrusted Gram, ``unfolded @ pinv(mixing(), tol)``, building
-    the mixing matrix only then."""
+    bound; on an untrusted Gram, ``fallback(*args, tol)``, which builds the
+    unfolding and the explicit mixing matrix only then."""
     x = solve_gram(rhs, gram, tol, cond_bound)
-    return unfolded @ pinv(mixing(), tol) if x is None else x
+    return fallback(*args, tol) if x is None else x
+
+
+# the fallbacks of _solve: least squares by pinv of an explicit mixing matrix
+
+def _omega_pinv(z, psi, gbar, tol):
+    return unfold(z, 0) @ pinv(khatri_rao(gbar, psi).T, tol)
+
+
+def _gbar_pinv(z, psi, omega, tol):
+    return unfold(z, 2) @ pinv(khatri_rao(psi, omega).T, tol)
+
+
+def _mode_pinv(q4, mode, factor, psi, gbar, n, tol):
+    return unfold(q4, mode) @ pinv(_mixing(mode, factor, psi, gbar, n), tol)
 
 
 def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions):
@@ -155,7 +192,7 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions):
     for k in range(1, solver.max_iters + 1):
         new, fit = sweep(factors)
         if k >= 3:
-            step = np.sqrt(k)
+            step = math.sqrt(k)
             jump = tuple(old + step * (upd - old) for old, upd in zip(factors, new))
             jump_fit = fit_at(jump)
             if jump_fit < fit:
@@ -199,21 +236,19 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     require_feasible("pakron", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
 
-    z1 = unfold(z, 0)
-    z3 = unfold(z, 2)
     gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
-    zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
+    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi)
 
     def sweep(factors):
         gbar = factors[1]
         rhs, gram = _omega_system(zp, psi_gram, gbar)
-        omega = _solve(rhs, gram, tol, z1, lambda: khatri_rao(gbar, psi).T,
-                       _cond_bound(gram, psi_gram, psi_cond))
+        omega = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
+                       _omega_pinv, z, psi, gbar)
         rhs, gram = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T,
-                      _cond_bound(gram, psi_gram, psi_cond))
+        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
+                      _gbar_pinv, z, psi, omega)
         return (omega, gbar), _gram_fit(gbar, rhs, gram, znorm2)
 
     def fit_at(factors):
@@ -227,13 +262,13 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     if solver.structure_projection:
         omega_p = kron(*nearest_kronecker(omega, left_shape, right_shape))
         rhs, gram = _gbar_system(zp, psi_gram, omega_p)
-        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega_p).T,
-                      _cond_bound(gram, psi_gram, psi_cond))
-        kr_gp = khatri_rao(gbar, psi)
+        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
+                      _gbar_pinv, z, psi, omega_p)
         rhs, gram = _omega_system(zp, psi_gram, gbar)
-        omega = _solve(rhs, gram, tol, z1, lambda: kr_gp.T,
-                       _cond_bound(gram, psi_gram, psi_cond))
-        fit = float(np.linalg.norm(z1 - omega @ kr_gp.T) ** 2) / znorm2
+        omega = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
+                       _omega_pinv, z, psi, gbar)
+        residual = unfold(z, 0) - omega @ khatri_rao(gbar, psi).T
+        fit = float(np.linalg.norm(residual) ** 2) / znorm2
 
     return StageOneResult(omega=omega, gbar=gbar, trajectory=trajectory,
                           iterations=len(trajectory), converged=converged, fit=fit)
@@ -339,29 +374,26 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
 
     tol = solver.pinv_tol
     z = np.reshape(q4, (mr * slots, k, frames), order="F")
-    zp, psi_gram, znorm2, psi_cond = _contract(z, psi)
-    q1, q2, z3 = unfold(q4, 0), unfold(q4, 1), unfold(z, 2)
+    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi)
 
     def sweep(factors):
         _, x, gbar = factors
         rhs, gram = _omega_system(zp, psi_gram, gbar)
-        bound = _cond_bound(gram, psi_gram, psi_cond)
+        bound = _cond_bound(gram, psi_diag, psi_cond)
         # omega = kron(X, F): block (t, m) of rhs is rx x n, block (m, p) of
         # gram is n x n; rows of these views run over the blocks
         rb = rhs.reshape(slots, mr, mt, n).transpose(0, 2, 1, 3).reshape(slots * mt, -1)
         gb = gram.reshape(mt, n, mt, n).transpose(0, 2, 1, 3).reshape(mt * mt, -1)
         f = _solve((x.conj().ravel() @ rb).reshape(mr, n),
-                   ((x.T @ x.conj()).ravel() @ gb).reshape(n, n), tol, q1,
-                   lambda: _mixing(0, x, psi, gbar, n),
-                   _contracted_bound(bound, x))
+                   ((x.T @ x.conj()).ravel() @ gb).reshape(n, n), tol,
+                   _contracted_bound(bound, x), _mode_pinv, q4, 0, x, psi, gbar, n)
         x = _solve((rb @ f.conj().ravel()).reshape(slots, mt),
-                   (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol, q2,
-                   lambda: _mixing(1, f, psi, gbar, n),
-                   _contracted_bound(bound, f))
+                   (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol,
+                   _contracted_bound(bound, f), _mode_pinv, q4, 1, f, psi, gbar, n)
         omega = kron(x, f)
         rhs, gram = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve(rhs, gram, tol, z3, lambda: khatri_rao(psi, omega).T,
-                      _cond_bound(gram, psi_gram, psi_cond))
+        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
+                      _gbar_pinv, z, psi, omega)
         return (f, x, gbar), _gram_fit(gbar, rhs, gram, znorm2)
 
     def fit_at(factors):

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SystemConfig, derive_seed
-from .tensor_ops import khatri_rao, kron
+from .tensor_ops import gram_spectrum, khatri_rao, kron
 
 
 def psk_alphabet(order: int) -> np.ndarray:
@@ -126,7 +126,13 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
     the same ``(ris_elements, groups)`` shares one read-only array, checked
     for unitarity when first built.  Rotations and coding entries are
     unit-modulus with random phases (or deterministic DFT-style phases when
-    ``phase_design = dft``); their rank check runs on every draw.
+    ``phase_design = dft``).  Every draw checks that ``psi`` has full rank
+    ``min(blocks, tx_antennas * ris_elements)``, counted from the eigenvalues
+    of its Gram ``psi^T conj(psi)`` above ``max(blocks, d) * eps *
+    lambda_max`` (:func:`bdris.tensor_ops.gram_spectrum`, which states why
+    that is the Gram's resolution).  The decomposition is cached, so the
+    receivers on this scenario take the Gram and its condition number from
+    it instead of decomposing ``psi`` again.
     """
     s = _block_dft(cfg.ris_elements, cfg.groups)
     k = cfg.blocks
@@ -145,7 +151,7 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
 
     psi = khatri_rao(w.T, p.T).T
 
-    if np.linalg.matrix_rank(psi) != min(k, mt * n):
+    if gram_spectrum(psi)[2] != min(k, mt * n):
         raise AssertionError("combined rotation/coding matrix is rank deficient")
     return ScatteringDesign(s=s, p=p, w=w, psi=psi)
 

@@ -89,6 +89,30 @@ def test_in_process_summary():
     assert tucker["change"]["sweeps_mean"] == 30.0
 
 
+def test_in_process_summary_of_the_shared_block():
+    def timing(side, ms, cost, shared_ms, shared_cost):
+        block = {"ms_per_trial": ms, "cost": cost, "sweeps_mean": 30.0, "sweeps_max": 50}
+        return {"side": side, "overrides": ["snr_db=0"],
+                "reference": {"shape": [512, 32], "svd_ms": 2.0},
+                "tucker": block,
+                "shared": {"tucker": {**block, "ms_per_trial": shared_ms,
+                                      "cost": shared_cost}}}
+
+    runs = [timing("parent", 12.0, 6.0, 11.0, 5.5), timing("change", 7.0, 3.5, 5.0, 2.5),
+            timing("change", 8.0, 4.0, 6.0, 3.0), timing("parent", 10.0, 5.0, 9.0, 4.5),
+            timing("parent", 11.0, 5.5, 10.0, 5.0), timing("change", 9.0, 4.5, 7.0, 3.5)]
+    summary = bench_pairs.in_process_summary(runs)
+    assert set(summary) == {"tucker", "shared"}
+    assert summary["tucker"]["parent"]["ms_per_trial"] == [12.0, 10.0, 11.0]
+    shared = summary["shared"]
+    assert set(shared) == {"tucker"} and set(shared["tucker"]) == {"parent", "change"}
+    assert shared["tucker"]["parent"]["ms_per_trial"] == [11.0, 9.0, 10.0]
+    assert shared["tucker"]["parent"]["ms_per_trial_median"] == 10.0
+    assert shared["tucker"]["change"]["cost"] == [2.5, 3.0, 3.5]
+    assert shared["tucker"]["change"]["cost_median"] == 3.0
+    assert shared["tucker"]["change"]["sweeps_max"] == 50
+
+
 def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location(
         "trial_timing", Path(__file__).resolve().parent.parent / "tools" / "trial_timing.py")
@@ -100,22 +124,28 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
         iterations = 3
 
     def fake_trial(cfg, receiver, snr_db, snr_index, trial_index):
-        seen.append(snr_db)
+        seen.append((snr_db, receiver, trial_index))
         return Done()
 
-    blocks = iter([2.0, 1.0, 4.0, 3.0])  # median 2.5
+    blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])  # median 2.5
     monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
     monkeypatch.setattr(trial_timing, "reference_ms", lambda matrix: next(blocks))
     monkeypatch.setattr(trial_timing, "TRIALS", 2)
     assert trial_timing.main(["--set", "snr_db=30,10"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(seen) == {30.0} and out["snr_db"] == 30.0
+    assert {snr for snr, _, _ in seen} == {30.0} and out["snr_db"] == 30.0
     assert out["reference"]["svd_ms"] == 2.5
-    assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0]
-    for receiver in ("pakron", "tucker", "zf-oracle"):
-        timing = out[receiver]
-        assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
-        assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
+    assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0, 2.5]
+    receivers = ("pakron", "tucker", "zf-oracle")
+    # each receiver alone (warm-up on trial 2, then 0 and 1), then the shared
+    # block: every receiver on trial 0, then on trial 1, in trial-0db order
+    alone = [(rx, t) for rx in receivers for t in (2, 0, 1)]
+    shared = [(rx, t) for t in (0, 1) for rx in receivers]
+    assert [(rx, t) for _, rx, t in seen] == alone + shared
+    for receiver in receivers:
+        for timing in (out[receiver], out["shared"][receiver]):
+            assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
+            assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
 
 
 def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):

@@ -224,6 +224,23 @@ class TestSweep:
         assert not out_dir.exists()
 
 
+    def test_one_slot_report_is_strict_json(self, capsys, tmp_path):
+        # slots = 1 leaves no data symbol, so the SER is NaN; report.json
+        # must still parse without bare NaN/Infinity constants
+        def bare(constant):
+            raise ValueError(f"bare {constant} in report.json")
+
+        code, _, _ = run_cli(capsys, "--set", "tx_antennas=1", "--set", "rx_antennas=2",
+                             "--set", "ris_elements=2", "--set", "groups=2",
+                             "--set", "blocks=4", "--set", "slots=1", "--set", "frames=2",
+                             "--set", "snr_db=10", "sweep", "--receiver", "zf-oracle",
+                             "--runs", "1", "--out", str(tmp_path / "o"))
+        assert code == 0
+        text = (tmp_path / "o" / "report.json").read_text()
+        report = json.loads(text, parse_constant=bare)
+        cell, = report["cells"]
+        assert cell["ser_mean"] == cell["ser_median"] == "nan"
+
     def test_unknown_receiver_writes_nothing(self, capsys, tmp_path):
         out_dir = tmp_path / "d"
         code, out, err = run_cli(capsys, "--set", "ris_elements=4", "--set", "blocks=8",

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bdris import experiments
 from bdris.experiments import (
     TrialFailure,
     TrialResult,
+    json_safe,
     nmse_aligned,
     run_sweep,
     run_trial,
@@ -110,6 +112,23 @@ class TestSer:
         detected = sym.x.copy()
         detected[0, :] = sym.alphabet[1]  # corrupt only the reference row
         assert ser(sym, detected) == 0.0
+
+    def test_no_data_symbol_is_nan_without_a_warning(self):
+        # slots = 1: the block holds only the reference row
+        cfg = desk_config(tx_antennas=1, rx_antennas=2, ris_elements=2, blocks=4,
+                          slots=1, frames=2)
+        sym = draw_instance(cfg, 8)[2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(ser(sym, sym.x))
+
+
+def test_json_safe_writes_non_finite_floats_as_strings():
+    obj = {"a": math.nan, "b": [math.inf, -math.inf, np.float64(math.nan),
+                                np.float32(math.inf), (1.5, np.int64(3))]}
+    safe = json_safe(obj)
+    assert safe == {"a": "nan", "b": ["inf", "-inf", "nan", "inf", [1.5, 3]]}
+    assert json.loads(json.dumps(safe, allow_nan=False)) == safe
 
 
 class TestRunTrial:

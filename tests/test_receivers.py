@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdris import receivers, tensor_ops
+from bdris import experiments, receivers, tensor_ops
 from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from bdris.experiments import nmse_aligned, run_trial, ser
@@ -685,6 +685,87 @@ class TestCertifiedGrams:
             assert 1 / np.linalg.cond(gram, 1) >= tol
             lstsq = np.linalg.lstsq(gram.T, rhs.T, rcond=None)[0].T
             assert rel_err(x, lstsq) <= 100 * eps * np.linalg.cond(gram)
+
+
+def clear_preparations():
+    """Forget the cached scenario, psi decomposition and contraction."""
+    experiments._noised_scenario.cache_clear()
+    tensor_ops.gram_spectrum.cache_clear()
+    receivers._contract.cache_clear()
+
+
+def same_output(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+ACCEPTANCE_CFG = SystemConfig(tx_antennas=2, rx_antennas=4, ris_elements=8, groups=2,
+                              blocks=16, slots=4, frames=2, seed=20240)
+
+
+class TestSharedPreparation:
+    """The draw's psi decomposition and one contraction per received tensor
+    are shared by every receiver on a trial, and change no result."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        clear_preparations()
+        yield
+        clear_preparations()
+
+    @pytest.mark.parametrize("cfg", [SystemConfig(), ACCEPTANCE_CFG],
+                             ids=["default", "acceptance"])
+    def test_cold_and_warm_caches_agree(self, cfg):
+        for trial in range(3):
+            for receiver, other in (("pakron", "tucker"), ("tucker", "pakron")):
+                clear_preparations()
+                cold = run_trial(cfg, receiver, 0.0, 0, trial)
+                clear_preparations()
+                run_trial(cfg, other, 0.0, 0, trial)
+                warm = run_trial(cfg, receiver, 0.0, 0, trial)
+                assert cold.astuple()[:-1] == warm.astuple()[:-1]
+
+            design, _, symbols, received = draw_instance(cfg, 60 + trial)
+            received = add_noise(received, 0.0, 61 + trial)
+            for run, other in ((pakron, tucker), (tucker, pakron)):
+                clear_preparations()
+                cold = run(received, design, symbols.alphabet, cfg.solver, 7)
+                other(received, design, symbols.alphabet, cfg.solver, 7)
+                warm = run(received, design, symbols.alphabet, cfg.solver, 7)
+                assert same_output(cold, warm)
+
+    def test_pair_decomposes_psi_once(self, monkeypatch):
+        cfg = SystemConfig()
+        eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        svd = count_calls(monkeypatch, np.linalg, "svd")
+        rank = count_calls(monkeypatch, np.linalg, "matrix_rank")
+        rank1 = count_calls(monkeypatch, tensor_ops, "best_rank1")
+        pinvs = count_calls(monkeypatch, receivers, "pinv")
+        for trial in range(2):
+            del eig[:], svd[:], rank1[:]
+            run_trial(cfg, "pakron", 0.0, 0, trial)
+            run_trial(cfg, "tucker", 0.0, 0, trial)
+            # the draw's rank check is the one decomposition of psi; the two
+            # SVDs are pakron's rank-1 fits (structure projection, Kronecker split)
+            assert len(eig) == 1 and rank == [] and pinvs == []
+            assert len(svd) == len(rank1) == 2
+
+    def test_contraction_is_read_only_and_keyed_by_content(self):
+        design, _, _, received = draw_instance(desk_config(), 62)
+        z, psi = reshape_views(received, design).z, design.psi
+        first = receivers._contract(z, psi)
+        assert all(not a.flags.writeable for a in first if isinstance(a, np.ndarray))
+        with pytest.raises(ValueError):
+            first[0][0, 0, 0] = 0.0
+        assert receivers._contract(np.array(z), psi.copy()) is first
+        other = np.array(z)
+        other[1, 2, 0] *= -1.0  # equal shape, other content
+        again = receivers._contract(other, psi)
+        assert again is not first
+        assert np.array_equal(again[0], np.transpose(other, (2, 0, 1)) @ psi.conj())
+        assert again[3] == float(np.linalg.norm(other) ** 2)
+        other[1, 2, 0] *= -1.0  # written back in place: z's contents again
+        assert np.array_equal(receivers._contract(other, psi)[0], first[0])
 
 
 @pytest.mark.parametrize("receiver", [pakron, tucker])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from bdris import signal
 from bdris.config import SystemConfig, derive_seed
 from bdris.errors import ConfigError
 from bdris.signal import (
@@ -17,7 +18,7 @@ from bdris.signal import (
     reshape_views,
     synthesize_received,
 )
-from bdris.tensor_ops import khatri_rao, kron, unfold
+from bdris.tensor_ops import gram_spectrum, khatri_rao, kron, unfold
 from util import (
     ambiguity_equivalent,
     desk_config,
@@ -79,6 +80,53 @@ class TestScatteringDesign:
         assert np.linalg.matrix_rank(design.psi) == min(cfg.blocks, cfg.tx_ris_dim)
         # deterministic regardless of seed
         assert np.array_equal(design.p, design_scattering(cfg, 99).p)
+
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig(),
+        SystemConfig(ris_elements=8, blocks=16, seed=20240),  # acceptance dims
+        SystemConfig(blocks=16),                               # blocks < d
+        SystemConfig(ris_elements=8, groups=4, blocks=40, tx_antennas=3, slots=4),
+    ], ids=["default", "acceptance", "blocks-lt-d", "tall"])
+    def test_gram_rank_check_decides_as_matrix_rank(self, cfg):
+        # 500 seeded designs per config: every draw passes the Gram check
+        # and its rank equals np.linalg.matrix_rank's
+        full = min(cfg.blocks, cfg.tx_ris_dim)
+        for seed in range(500):
+            psi = design_scattering(cfg, seed).psi
+            assert gram_spectrum(psi)[2] == np.linalg.matrix_rank(psi) == full
+
+    def test_gram_rank_check_on_dft_designs(self):
+        # the dft design depends on the dimensions only, so vary them: with
+        # blocks < d its columns repeat and the rank is blocks
+        count = 0
+        for n, groups, mt in ((16, 2, 2), (8, 2, 2), (4, 1, 1), (8, 4, 3)):
+            for blocks in range(1, 129):
+                cfg = SystemConfig(ris_elements=n, groups=groups, tx_antennas=mt,
+                                   slots=mt, blocks=blocks, phase_design="dft")
+                psi = design_scattering(cfg, 0).psi
+                assert gram_spectrum(psi)[2] == np.linalg.matrix_rank(psi) \
+                    == min(blocks, cfg.tx_ris_dim)
+                count += 1
+        assert count == 512
+
+    @pytest.mark.parametrize("blocks", [32, 16, 48])
+    def test_rank_deficient_psi_is_rejected(self, monkeypatch, blocks):
+        def repeated(a, b):
+            kr = khatri_rao(a, b)  # psi^T
+            kr[:, 0] = kr[:, 1]  # two equal rows of psi
+            kr[0] = kr[1]        # and two equal columns
+            return kr
+
+        def low_rank(a, b):
+            kr = khatri_rao(a, b)
+            u, sv, vh = np.linalg.svd(kr, full_matrices=False)
+            sv[-1] = 0.0
+            return (u * sv) @ vh
+
+        for construct in (repeated, low_rank):
+            monkeypatch.setattr(signal, "khatri_rao", construct)
+            with pytest.raises(AssertionError, match="rank deficient"):
+                design_scattering(SystemConfig(blocks=blocks), 3)
 
     def test_groups_must_divide_elements(self):
         with pytest.raises(ConfigError):

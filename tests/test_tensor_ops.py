@@ -9,10 +9,12 @@ from bdris import tensor_ops
 from bdris.signal import design_scattering
 from bdris.tensor_ops import (
     best_rank1,
+    gram_spectrum,
     hermitian_cond,
     khatri_rao,
     kron,
     kron_rearrange,
+    last_result_cache,
     nearest_kronecker,
     pinv,
     schur_cond_bound,
@@ -356,6 +358,101 @@ class TestCertifiedSolve:
         slack = 1 + 1e-6
         for g in (gram, f_gram, x_gram):
             assert np.linalg.cond(g) <= kappa * slack
+
+
+class TestLastResultCache:
+    """One entry, keyed by the shape, dtype and bytes of the arguments."""
+
+    def counted(self):
+        calls = []
+
+        @last_result_cache
+        def gram(a, b):
+            calls.append(None)
+            return a.T @ b.conj(), float(np.linalg.norm(a))
+
+        return gram, calls
+
+    def test_equal_contents_hit(self):
+        gram, calls = self.counted()
+        rng = np.random.default_rng(40)
+        a, b = random_complex(rng, 6, 4), random_complex(rng, 6, 4)
+        first = gram(a, b)
+        assert gram(a.copy(), np.array(b)) is first
+        assert len(calls) == 1
+
+    def test_other_contents_never_hit(self):
+        gram, calls = self.counted()
+        rng = np.random.default_rng(41)
+        a, b = random_complex(rng, 6, 4), random_complex(rng, 6, 4)
+        gram(a, b)
+        nudged = a.copy()  # one entry one ulp away
+        nudged[3, 2] = np.nextafter(nudged[3, 2].real, np.inf) + 1j * nudged[3, 2].imag
+        assert np.array_equal(gram(nudged, b)[0], nudged.T @ b.conj())
+        assert len(calls) == 2
+        written = a.copy()
+        gram(written, b)
+        written[0, 0] += 1.0  # the same array, changed in place
+        assert np.array_equal(gram(written, b)[0], written.T @ b.conj())
+        assert len(calls) == 4
+
+    def test_same_bytes_other_shape_dtype_or_layout_miss(self):
+        gram, calls = self.counted()
+        zeros = np.zeros((2, 2))
+        assert gram(zeros, zeros)[0].dtype == np.float64
+        ints = np.zeros((2, 2), dtype=np.int64)
+        assert gram(ints, ints)[0].dtype == np.int64
+        assert gram(zeros.reshape(4, 1), zeros.reshape(4, 1))[0].shape == (1, 1)
+        c = np.arange(4.0).reshape(2, 2)
+        f = np.array(c.T, order="F")  # same memory bytes as c, transposed content
+        assert f.tobytes(order="A") == c.tobytes(order="A")
+        assert np.array_equal(gram(c, c)[0], c.T @ c)
+        assert np.array_equal(gram(f, f)[0], f.T @ f)
+        assert len(calls) == 5
+
+    def test_one_entry_read_only_results_and_clear(self):
+        gram, calls = self.counted()
+        rng = np.random.default_rng(42)
+        a, b = random_complex(rng, 3, 3), random_complex(rng, 3, 3)
+        first = gram(a, a)
+        assert not first[0].flags.writeable
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 0.0
+        gram(b, b)
+        assert gram(a, a) is not first  # only the last call is kept
+        gram.cache_clear()
+        gram(a, a)
+        assert len(calls) == 4
+
+
+class TestGramSpectrum:
+    """Gram, condition number and rank from one eigendecomposition."""
+
+    def test_matches_hermitian_cond_and_matrix_rank(self):
+        rng = np.random.default_rng(43)
+        for rows, cols in ((8, 8), (12, 5), (5, 12)):
+            a = random_complex(rng, rows, cols)
+            gram, cond, rank = gram_spectrum(a)
+            assert np.array_equal(gram, a.T @ a.conj())
+            assert cond == hermitian_cond(a.T @ a.conj())
+            assert rank == np.linalg.matrix_rank(a) == min(rows, cols)
+            assert not gram.flags.writeable
+
+    def test_rank_deficient_and_degenerate_input(self):
+        rng = np.random.default_rng(44)
+        a = random_complex(rng, 10, 3) @ random_complex(rng, 3, 6)  # rank 3
+        _, cond, rank = gram_spectrum(a)
+        assert rank == 3 and cond > 1e10
+        assert gram_spectrum(np.zeros((4, 3)))[1:] == (np.inf, 0)
+        assert gram_spectrum(np.full((3, 3), np.nan))[1:] == (np.inf, 0)
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        a = random_complex(rng, 16, 8)
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        first = gram_spectrum(a)
+        assert gram_spectrum(a.copy()) is first
+        assert calls == ["eigvalsh"]
 
 
 def test_psi_contracted_right_hand_sides():

@@ -17,8 +17,10 @@ that config override on both sides, at the config's first SNR and in
 ``svd512x32`` units as well as raw ms (``tools/trial_timing.py``,
 ``IN_PROCESS_PAIRS`` pairs of its ``TRIALS`` trials; not gated by the
 benchmark).  ``trial_timing.py`` times each receiver on its own trial
-indices, so no two consecutive calls share a scenario: its numbers measure
-the path on which ``run_trial`` draws and noises every scenario itself.
+indices, so no two consecutive calls share a scenario, and then every
+receiver on each trial index in turn (its ``shared`` block, the order of
+the ``trial-0db`` workload), where later receivers reuse the scenario and
+its preparation; both are summarized.
 Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
 recorded.
 
@@ -109,7 +111,18 @@ def summarize(runs, end_to_end) -> dict:
 def in_process_summary(runs) -> dict:
     """Per receiver and side, the raw ms and the ``svd512x32`` cost per trial
     of every run with their medians, and the mean sweeps per trial (seeded,
-    so equal in every run of a side)."""
+    so equal in every run of a side).  The runs' ``shared`` blocks, timed
+    with every receiver on each trial index in turn, are summarized the same
+    way under ``"shared"``."""
+    summary = _timing_summary(runs)
+    shared = _timing_summary([{"side": run["side"], **run["shared"]}
+                              for run in runs if "shared" in run])
+    if shared:
+        summary["shared"] = shared
+    return summary
+
+
+def _timing_summary(runs) -> dict:
     summary = {}
     for run in runs:
         for receiver, timing in run.items():

@@ -10,12 +10,18 @@ config's first ``snr_db`` entry (0 dB by default; ``--set snr_db=30`` times
 trial, the same time in ``svd512x32`` units and the mean and largest sweep
 counts.  The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed in blocks of ``REF_SVDS``
-before the first receiver and after each one; its median time over the
-blocks divides every receiver's time, so host drift between runs cancels.
+before the first receiver and after each block of trials; its median time
+over the blocks divides every receiver's time, so host drift between runs
+cancels.
 
-Each receiver runs on its own trial indices, one after another, so no call
-reuses the scenario of the one before (``run_trial``'s one-entry cache):
-these times include drawing and noising every scenario.
+The trials are timed twice.  First each receiver runs on its own, over all
+trial indices, so no call reuses the scenario of the one before: those
+times include drawing and noising every scenario and preparing it for the
+receiver.  Then (under ``"shared"``) every receiver runs on each trial
+index in turn, in ``RECEIVER_NAMES`` order as on the benchmark's
+``trial-0db`` workload, so each one after the first reuses the trial's
+scenario and the preparation (``psi``'s Gram and the contracted data) that
+an earlier receiver made.
 """
 
 import argparse
@@ -43,6 +49,13 @@ def reference_ms(matrix) -> float:
     return (time.perf_counter() - start) * 1e3 / REF_SVDS
 
 
+def timing(ms, sweeps) -> dict:
+    """Mean milliseconds and sweeps per trial, and the largest sweep count,
+    of ``len(sweeps)`` trials that took ``ms`` in all."""
+    return {"ms_per_trial": ms / len(sweeps), "sweeps_mean": sum(sweeps) / len(sweeps),
+            "sweeps_max": max(sweeps)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="in-process trial timing")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -60,15 +73,24 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         for t in range(TRIALS):
             sweeps.append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
-        out[receiver] = {
-            "ms_per_trial": (time.perf_counter() - start) * 1e3 / TRIALS,
-            "sweeps_mean": sum(sweeps) / len(sweeps), "sweeps_max": max(sweeps)}
+        out[receiver] = timing((time.perf_counter() - start) * 1e3, sweeps)
         blocks.append(reference_ms(matrix))
+    ms = dict.fromkeys(RECEIVER_NAMES, 0.0)
+    sweeps = {receiver: [] for receiver in RECEIVER_NAMES}
+    for t in range(TRIALS):
+        for receiver in RECEIVER_NAMES:
+            start = time.perf_counter()
+            sweeps[receiver].append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
+            ms[receiver] += (time.perf_counter() - start) * 1e3
+    out["shared"] = {receiver: timing(ms[receiver], sweeps[receiver])
+                     for receiver in RECEIVER_NAMES}
+    blocks.append(reference_ms(matrix))
     svd_ms = statistics.median(blocks)
     out["reference"] = {"shape": REF_SHAPE, "svds_per_block": REF_SVDS,
                         "svd_ms": svd_ms, "svd_ms_blocks": blocks}
     for receiver in RECEIVER_NAMES:
-        out[receiver]["cost"] = out[receiver]["ms_per_trial"] / svd_ms
+        for block in (out, out["shared"]):
+            block[receiver]["cost"] = block[receiver]["ms_per_trial"] / svd_ms
     print(json.dumps(out))
     return 0
 
