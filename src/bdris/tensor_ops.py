@@ -149,8 +149,9 @@ def gram_spectrum(a):
     about ``cols * eps * lambda_max``, so smaller ones are zero as far as the
     Gram can tell.  This is ``np.linalg.matrix_rank``'s tolerance applied to
     the squared singular values; it differs from ``matrix_rank`` only for an
-    ``a`` whose singular values spread more than ``(max(rows, cols) *
-    eps)**-1/2`` (about 1.2e7 at 32 x 32), whose Gram no solve could trust.
+    ``a`` whose singular values spread more than ``1 / sqrt(max(rows, cols)
+    * eps)``: about 1.2e7 at 32 x 32, a Gram condition number of 1.4e14,
+    past the 4.4e12 that :func:`solve_gram`'s rule accepts at that size.
     Cached for the last ``a`` (:func:`last_result_cache`), so the draw's rank
     check and every receiver on the same ``a`` share one decomposition.
     """
