@@ -10,7 +10,7 @@ from .errors import (
     ScalingResolutionError,
 )
 from .experiments import TrialResult, nmse_aligned, run_sweep, run_trial, ser
-from .identifiability import IdentReport, complexity_dominant, full_report, kmin_bounds, kruskal_check
+from .identifiability import IdentReport, full_report, kmin_bounds, kruskal_check
 from .receivers import ReceiverOutput, pakron, resolve_and_detect, tucker, zf_perfect_csi
 from .signal import (
     ChannelSet,
@@ -23,7 +23,6 @@ from .signal import (
     gen_channels,
     gen_symbols,
     psk_alphabet,
-    reshape_views,
     synthesize_received,
 )
 

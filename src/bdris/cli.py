@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``check``    - evaluate identifiability bounds and complexity, print JSON
+* ``check``    - evaluate identifiability bounds, print JSON
 * ``simulate`` - one seeded trial, print the trial result as JSON
 * ``sweep``    - full Monte-Carlo grid; writes trials.csv and report.json
 * ``fixture``  - emit a deterministic noiseless instance as JSON
@@ -23,7 +23,7 @@ import numpy as np
 from . import experiments, fixtures
 from .config import ConfigError, load_config
 from .errors import IdentifiabilityError
-from .identifiability import complexity_dominant, full_report
+from .identifiability import full_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,7 +87,6 @@ def _load(args):
 
 def cmd_check(cfg, args) -> int:
     report = full_report(cfg, rank_h=args.rank_h).to_dict()
-    report["complexity"] = complexity_dominant(cfg)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 """Semi-blind estimation of (channel pair, symbols) from the received tensor.
 
-Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
+Both receivers read the received tensor ``y`` through its third-order view
+``z`` (``y`` reshaped to rx*slots x blocks x frames in Fortran order, no copy):
 
 * ``pakron``  - two stages.  Stage I runs bilinear alternating least squares
   on the third-order view to estimate the mixed factor
@@ -11,11 +12,10 @@ Two receivers consume the views produced by :func:`bdris.signal.reshape_views`:
   channel at the nearest Kronecker product to ``omega`` and then ``omega``,
   on the same systems.  Stage II splits ``omega`` into ``X`` and ``H`` by the
   nearest Kronecker product (an SVD rank-1 fit of its rearrangement).
-* ``tucker``  - single stage.  Trilinear alternating least squares on the
-  fourth-order view with its known structured core, jointly updating
-  ``H @ S``, ``X`` and the stacked per-frame channel.  Its ``H @ S`` and
-  ``X`` updates split stage I's ``omega`` system over the two Kronecker
-  factors of ``omega``; its channel update and fit are stage I's.
+* ``tucker``  - single stage.  Trilinear alternating least squares for the
+  fourth-order model, whose known selection core no arithmetic reads: its
+  ``H @ S`` and ``X`` updates split stage I's ``omega`` system over the two
+  Kronecker factors of ``omega``; its channel update and fit are stage I's.
 
 Both run their sweeps through one loop, ``_extrapolated_als``, which also
 tries an extrapolated step per sweep and keeps it when it lowers the fit.
@@ -53,8 +53,7 @@ import numpy as np
 from .config import SolverOptions
 from .errors import NumericalError, ScalingResolutionError
 from .identifiability import require_feasible
-from .signal import (ChannelSet, ReceivedTensor, ScatteringDesign, build_core,
-                     complex_normal, reshape_views)
+from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
     best_rank1,
@@ -293,11 +292,11 @@ def kron_factorize(omega, s, slots, rx_antennas):
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int, gbar_init=None) -> ReceiverOutput:
     """Two-stage semi-blind receiver (alternating LS + Kronecker split)."""
-    views = reshape_views(received, design)
-    mr, slots, _, _ = received.y.shape
+    mr, slots, k, frames = received.y.shape
+    z = np.reshape(received.y, (mr * slots, k, frames), order="F")
     n = design.s.shape[0]
     mt = design.psi.shape[1] // n
-    stage1 = pakron_stage1(views.z, design.psi, (slots, mt), (mr, n),
+    stage1 = pakron_stage1(z, design.psi, (slots, mt), (mr, n),
                            solver, init_seed, gbar_init=gbar_init)
     x_raw, h_hat = kron_factorize(stage1.omega, design.s, slots, mr)
     out = ReceiverOutput(
@@ -331,8 +330,28 @@ def _mixing(mode, factor, psi, gbar, n):
 
 
 def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
+               x_init=None, gbar_init=None):
+    """:func:`tucker`'s trilinear ALS on the fourth-order view ``q4``, given
+    its core: ``core`` must be :func:`bdris.signal.build_core`'s for ``psi``'s
+    dimensions, and every call checks its shape, its ``d`` nonzeros and its
+    ones at the canonical positions.
+
+    Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
+    normalized reconstruction errors.
+    """
+    n, mt = core.shape[0], core.shape[1]
+    d = n * mt
+    r = np.arange(d)  # the ones of build_core(n, mt) sit at (r % n, r // n, r, r)
+    if (core.shape != (n, mt, d, d) or psi.shape[1] != d
+            or np.count_nonzero(core) != d
+            or not np.all(core[r % n, r // n, r, r] == 1)):
+        raise ValueError("core must be the canonical selection-structured core")
+    return _tucker_als(q4, n, psi, solver, init_seed, x_init, gbar_init)
+
+
+def _tucker_als(q4, n, psi, solver: SolverOptions, init_seed: int,
                 x_init=None, gbar_init=None):
-    """Trilinear ALS on the fourth-order view with known structured core.
+    """Trilinear ALS for ``n`` surface elements on the fourth-order view.
 
     Per sweep it updates the effective channel ``F = H @ S``, the symbols
     ``X`` and the stacked per-frame channel ``gbar`` on ``pakron_stage1``'s
@@ -343,28 +362,14 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     are its ``gbar`` system.  A mode whose Gram is not trusted falls back to
     ``pinv`` of its explicit mixing matrix.  The sweeps run in
     :func:`_extrapolated_als` on the factors ``(F, X, gbar)``.
-
-    ``core`` must be the canonical core of :func:`bdris.signal.build_core`.
-    The shared read-only array that function returns is accepted as it is;
-    any other array is checked for its shape, ``d`` nonzeros and ones at the
-    canonical positions.
-
-    Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
-    normalized reconstruction errors.
     """
     q4 = np.asarray(q4)
     _require_finite(q4)
     mr, slots, k, frames = q4.shape
-    n, mt = core.shape[0], core.shape[1]
+    mt = psi.shape[1] // n
     d = n * mt
     require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
-    r = np.arange(d)  # the ones of build_core(n, mt) sit at (r % n, r // n, r, r)
-    if core.shape != (n, mt, d, d) or (
-            core is not build_core(n, mt)  # immutable, so canonical for good
-            and (np.count_nonzero(core) != d
-                 or not np.all(core[r % n, r // n, r, r] == 1))):
-        raise ValueError("core must be the canonical selection-structured core")
 
     rng = np.random.default_rng(init_seed)
     x = (np.array(x_init, dtype=complex) if x_init is not None
@@ -409,10 +414,9 @@ def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int,
            x_init=None, gbar_init=None) -> ReceiverOutput:
     """Single-stage semi-blind receiver (trilinear ALS on the 4-way view)."""
-    views = reshape_views(received, design)
-    f, x_raw, gbar, trajectory, converged = tucker_tals(
-        views.q4, views.core, design.psi, solver, init_seed,
-        x_init=x_init, gbar_init=gbar_init)
+    f, x_raw, gbar, trajectory, converged = _tucker_als(
+        received.y, design.s.shape[0], design.psi, solver, init_seed,
+        x_init, gbar_init)
     out = ReceiverOutput(
         h_hat=f @ design.s.conj().T,  # S is unitary, so this inverts it exactly
         hs_hat=f,

@@ -77,7 +77,7 @@ class ReceivedTensor:
 
 @dataclass(frozen=True)
 class TensorViews:
-    """The two receiver-facing rearrangements of one received tensor.
+    """The two model views of one received tensor and the fourth-order core.
 
     ``z``  - third-order view, (rx_antennas*slots) x blocks x frames; frontal
              slice i stacks vec(Y[i,k]) over k.
@@ -272,24 +272,20 @@ def build_core(ris_elements: int, tx_antennas: int) -> np.ndarray:
     Shape (ris_elements, tx_antennas, d, d) with d = tx_antennas*ris_elements;
     entry (n, m, r, r) is 1 for r = n + m*ris_elements, all else zero.  Its
     unfolding with rows over modes (0, 1) and columns over modes (2, 3) is
-    ``khatri_rao(eye(d), eye(d)).T``.  It is built once per process for each
-    dimension pair and shared: every call with the same dimensions returns
-    the same read-only array, which ``tucker_tals`` accepts without a scan.
+    ``khatri_rao(eye(d), eye(d)).T``.  No receiver builds or reads it: each
+    call returns a new array, for callers that ask for the fourth-order model
+    itself (:func:`reshape_views`, ``tucker_tals``'s explicit core).
     """
-    return _canonical_core(int(ris_elements), int(tx_antennas))
-
-
-@functools.cache
-def _canonical_core(n: int, mt: int) -> np.ndarray:
-    d = n * mt
-    core = np.zeros((n, mt, d, d), dtype=complex)
-    n_idx, m_idx = np.unravel_index(np.arange(d), (n, mt), order="F")
+    d = ris_elements * tx_antennas
+    core = np.zeros((ris_elements, tx_antennas, d, d), dtype=complex)
+    n_idx, m_idx = np.unravel_index(np.arange(d), (ris_elements, tx_antennas), order="F")
     core[n_idx, m_idx, np.arange(d), np.arange(d)] = 1.0
-    return _frozen(core)
+    return core
 
 
 def reshape_views(received: ReceivedTensor, design: ScatteringDesign) -> TensorViews:
-    """Build the two model views a receiver consumes.
+    """The two model views and a new canonical core, for callers that ask for
+    the multilinear model; the receivers build neither the views nor the core.
 
     ``z`` is ``q4`` with its first two modes merged, so both hold the same
     flat data (first mode fastest): the stacked per-frame block matrices.

@@ -67,17 +67,26 @@ def test_sides_alternate_which_runs_first():
 
 
 def test_in_process_summary():
-    def timing(side, ms, cost):
+    def timing(side, ms, cost, first_ms, rss):
         return {"side": side, "overrides": ["blocks=16"],
                 "reference": {"shape": [512, 32], "svd_ms": 2.0},
                 "tucker": {"ms_per_trial": ms, "cost": cost, "sweeps_mean": 30.0,
-                           "sweeps_max": 50}}
+                           "sweeps_max": 50, "first_call_ms": first_ms,
+                           "first_call_cost": first_ms / 2.0},
+                "peak_rss_mb": rss}
 
-    runs = [timing("parent", 12.0, 6.0), timing("change", 6.0, 3.5),
-            timing("change", 7.0, 3.0), timing("parent", 10.0, 5.5),
-            timing("parent", 11.0, 4.0), timing("change", 8.0, 4.5)]
+    runs = [timing("parent", 12.0, 6.0, 40.0, 102.0),
+            timing("change", 6.0, 3.5, 30.0, 43.0),
+            timing("change", 7.0, 3.0, 20.0, 44.0),
+            timing("parent", 10.0, 5.5, 60.0, 101.0),
+            timing("parent", 11.0, 4.0, 50.0, 103.0),
+            timing("change", 8.0, 4.5, 25.0, 42.5)]
     summary = bench_pairs.in_process_summary(runs)
-    assert set(summary) == {"tucker"}  # the reference block is no receiver
+    # the reference block is no receiver
+    assert set(summary) == {"tucker", "peak_rss_mb"}
+    assert summary["peak_rss_mb"] == {
+        "parent": {"values": [102.0, 101.0, 103.0], "median": 102.0},
+        "change": {"values": [43.0, 44.0, 42.5], "median": 43.0}}
     tucker = summary["tucker"]
     assert set(tucker) == {"parent", "change"}
     assert tucker["parent"]["ms_per_trial"] == [12.0, 10.0, 11.0]
@@ -87,6 +96,9 @@ def test_in_process_summary():
     assert tucker["parent"]["cost_median"] == 5.5
     assert tucker["change"]["cost_median"] == 3.5
     assert tucker["change"]["sweeps_mean"] == 30.0
+    assert tucker["parent"]["first_call_ms"] == [40.0, 60.0, 50.0]
+    assert tucker["parent"]["first_call_ms_median"] == 50.0
+    assert tucker["change"]["first_call_cost_median"] == 12.5
 
 
 def test_in_process_summary_of_the_shared_block():
@@ -111,6 +123,7 @@ def test_in_process_summary_of_the_shared_block():
     assert shared["tucker"]["change"]["cost"] == [2.5, 3.0, 3.5]
     assert shared["tucker"]["change"]["cost_median"] == 3.0
     assert shared["tucker"]["change"]["sweeps_max"] == 50
+    assert "first_call_ms" not in shared["tucker"]["change"]  # timed alone only
 
 
 def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
@@ -119,16 +132,24 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     trial_timing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(trial_timing)
     seen = []
+    clock = [0.0]
 
     class Done:
         iterations = 3
 
+    class Clock:
+        @staticmethod
+        def perf_counter():
+            return clock[0]
+
     def fake_trial(cfg, receiver, snr_db, snr_index, trial_index):
         seen.append((snr_db, receiver, trial_index))
+        clock[0] += 0.05 if trial_index == 2 else 0.001  # the first call is slow
         return Done()
 
     blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])  # median 2.5
     monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
+    monkeypatch.setattr(trial_timing, "time", Clock)
     monkeypatch.setattr(trial_timing, "reference_ms", lambda matrix: next(blocks))
     monkeypatch.setattr(trial_timing, "TRIALS", 2)
     assert trial_timing.main(["--set", "snr_db=30,10"]) == 0
@@ -137,15 +158,21 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     assert out["reference"]["svd_ms"] == 2.5
     assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0, 2.5]
     receivers = ("pakron", "tucker", "zf-oracle")
-    # each receiver alone (warm-up on trial 2, then 0 and 1), then the shared
+    # each receiver alone (first call on trial 2, then 0 and 1), then the shared
     # block: every receiver on trial 0, then on trial 1, in trial-0db order
     alone = [(rx, t) for rx in receivers for t in (2, 0, 1)]
     shared = [(rx, t) for t in (0, 1) for rx in receivers]
     assert [(rx, t) for _, rx, t in seen] == alone + shared
     for receiver in receivers:
         for timing in (out[receiver], out["shared"][receiver]):
+            assert timing["ms_per_trial"] == pytest.approx(1.0)
             assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
             assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
+        # the first call is timed apart from the per-trial mean
+        assert out[receiver]["first_call_ms"] == pytest.approx(50.0)
+        assert out[receiver]["first_call_cost"] == pytest.approx(20.0)
+        assert "first_call_ms" not in out["shared"][receiver]
+    assert out["peak_rss_mb"] > 0.0
 
 
 def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):

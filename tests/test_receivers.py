@@ -1,15 +1,16 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bdris import experiments, receivers, tensor_ops
+from bdris import experiments, receivers, signal, tensor_ops
 from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
-from bdris.experiments import nmse_aligned, run_trial, ser
+from bdris.experiments import TrialResult, nmse_aligned, run_sweep, run_trial, ser
 from bdris.receivers import (
     kron_factorize,
     pakron,
@@ -19,7 +20,7 @@ from bdris.receivers import (
     tucker_tals,
     zf_perfect_csi,
 )
-from bdris.signal import ReceivedTensor, add_noise, reshape_views
+from bdris.signal import ReceivedTensor, add_noise, build_core, reshape_views
 from bdris.tensor_ops import khatri_rao, kron, nearest_kronecker, pinv, unfold, vec
 from util import (
     count_calls,
@@ -343,10 +344,14 @@ class TestTucker:
             tucker_tals(views.q4, core, design.psi, cfg.solver, 0)
 
     def test_canonical_copy_takes_full_check_with_same_output(self, monkeypatch):
+        # every canonical core is scanned, and each gives tucker()'s estimates
         cfg = desk_config()
-        design, _, _, received = draw_instance(cfg, 26)
+        design, _, symbols, received = draw_instance(cfg, 26)
         received = add_noise(received, 10.0, 27)
-        views = reshape_views(received, design)
+        out = tucker(received, design, symbols.alphabet, cfg.solver, 0)
+        fresh = build_core(cfg.ris_elements, cfg.tx_antennas)
+        read_only = fresh.copy()
+        read_only.setflags(write=False)
         scanned = []
         count_nonzero = np.count_nonzero
 
@@ -355,15 +360,18 @@ class TestTucker:
             return count_nonzero(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "count_nonzero", counting)
-        shared = tucker_tals(views.q4, views.core, design.psi, cfg.solver, 0)
-        assert views.core.shape not in scanned
-        copied = tucker_tals(views.q4, views.core.copy(), design.psi, cfg.solver, 0)
-        assert scanned.count(views.core.shape) == 1
-        assert shared[3] == copied[3] and shared[4] == copied[4]
-        assert all(np.array_equal(a, b) for a, b in zip(shared[:3], copied[:3]))
+        for calls, core in enumerate((fresh, fresh.copy(), read_only, fresh.real), 1):
+            f, x, gbar, traj, converged = tucker_tals(received.y, core, design.psi,
+                                                      cfg.solver, 0)
+            assert scanned.count(fresh.shape) == calls
+            assert traj == out.residual_trajectory and converged == out.converged
+            assert np.array_equal(f, out.hs_hat) and np.array_equal(gbar, out.gbar_hat)
+            resolved = resolve_and_detect(dataclasses.replace(out, x_hat=x),
+                                          symbols.alphabet)
+            assert np.array_equal(resolved.x_hat, out.x_hat)
 
     def test_read_only_altered_core_rejected(self):
-        # only the shared core skips the scan, not any read-only array
+        # a read-only core is scanned like any other
         cfg = desk_config()
         design, _, _, received = draw_instance(cfg, 26)
         views = reshape_views(received, design)
@@ -379,6 +387,13 @@ class TestTucker:
         views = reshape_views(received, design)
         with pytest.raises(ValueError, match="canonical"):
             tucker_tals(views.q4, views.core[:, :, :-1], design.psi, cfg.solver, 0)
+
+    def test_core_of_other_dimensions_rejected(self):
+        cfg = desk_config()
+        design, _, _, received = draw_instance(cfg, 26)
+        with pytest.raises(ValueError, match="canonical"):
+            tucker_tals(received.y, build_core(cfg.ris_elements, 1), design.psi,
+                        cfg.solver, 0)
 
     def test_real_canonical_core_accepted(self):
         cfg = desk_config()
@@ -766,6 +781,48 @@ class TestSharedPreparation:
         assert again[3] == float(np.linalg.norm(other) ** 2)
         other[1, 2, 0] *= -1.0  # written back in place: z's contents again
         assert np.array_equal(receivers._contract(other, psi)[0], first[0])
+
+
+class TestTrialPathBuildsNoCore:
+    """Trials read the received tensor through the view their arithmetic
+    uses; the fourth-order core and ``reshape_views`` are for callers that
+    ask for them."""
+
+    @pytest.fixture
+    def no_core(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial built the core or the tensor views")
+
+        clear_preparations()
+        monkeypatch.setattr(signal, "build_core", refuse)
+        monkeypatch.setattr(signal, "reshape_views", refuse)
+        yield
+        clear_preparations()
+
+    @pytest.mark.parametrize("receiver", receivers.RECEIVER_NAMES)
+    def test_run_trial(self, no_core, receiver):
+        assert run_trial(desk_config(), receiver, 10.0, 0, 0).iterations >= 0
+
+    def test_serial_sweep(self, no_core):
+        trials, _ = run_sweep(desk_config(snr_db=(0.0, 30.0)),
+                              list(receivers.RECEIVER_NAMES), runs=2)
+        assert len(trials) == 12 and all(isinstance(t, TrialResult) for t in trials)
+
+    def test_first_trials_allocate_far_less_than_a_core(self):
+        # d = 128: the core would be 32 MiB; no other test uses these dims
+        cfg = SystemConfig(ris_elements=32, tx_antennas=4, groups=4, blocks=128)
+        clear_preparations()
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for receiver in ("pakron", "tucker"):
+                tracemalloc.reset_peak()
+                run_trial(cfg, receiver, 0.0, 0, 0)
+                peaks[receiver] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+            clear_preparations()
+        assert max(peaks.values()) < 8, peaks
 
 
 @pytest.mark.parametrize("receiver", [pakron, tucker])

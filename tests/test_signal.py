@@ -251,14 +251,11 @@ class TestSynthesisProperty:
 
 
 class TestSharedConstants:
-    def test_scattering_and_core_are_shared_and_read_only(self):
+    def test_scattering_is_shared_and_read_only(self):
         cfg = desk_config()
         a, b = design_scattering(cfg, 1), design_scattering(cfg, 2)
-        _, _, _, received = draw_instance(cfg, 3)
-        core = reshape_views(received, a).core
         assert a.s is b.s
-        assert core is build_core(cfg.ris_elements, cfg.tx_antennas)
-        for shared in (a.s, core, core.real, a.s.T):
+        for shared in (a.s, a.s.real, a.s.T):
             assert not shared.flags.writeable
             with pytest.raises(ValueError):
                 shared.setflags(write=True)
@@ -271,10 +268,6 @@ class TestSharedConstants:
         assert len({id(s) for s in scattering.values()}) == 3
         assert scattering[(4, 1)].shape == scattering[(4, 2)].shape == (4, 4)
         assert not np.array_equal(scattering[(4, 1)], scattering[(4, 2)])
-        cores = [build_core(4, 2), build_core(2, 4), build_core(4, 1)]
-        assert len({id(c) for c in cores}) == 3
-        assert build_core(ris_elements=4, tx_antennas=2) is cores[0]
-        assert build_core(np.int64(2), 4) is cores[1]
 
 
 class TestReadOnlyScenario:

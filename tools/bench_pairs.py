@@ -20,7 +20,8 @@ benchmark).  ``trial_timing.py`` times each receiver on its own trial
 indices, so no two consecutive calls share a scenario, and then every
 receiver on each trial index in turn (its ``shared`` block, the order of
 the ``trial-0db`` workload), where later receivers reuse the scenario and
-its preparation; both are summarized.
+its preparation; both are summarized, with each receiver's first call and
+each run's peak RSS.
 Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
 recorded.
 
@@ -47,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMING = Path(__file__).resolve().parent / "trial_timing.py"
 SIDES = ("parent", "change")
 IN_PROCESS_PAIRS = 4
+# per-receiver times of an in-process run, each summarized with its median
+TIMED = ("ms_per_trial", "cost", "first_call_ms", "first_call_cost")
 SUITE = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -110,15 +113,25 @@ def summarize(runs, end_to_end) -> dict:
 
 def in_process_summary(runs) -> dict:
     """Per receiver and side, the raw ms and the ``svd512x32`` cost per trial
-    of every run with their medians, and the mean sweeps per trial (seeded,
-    so equal in every run of a side).  The runs' ``shared`` blocks, timed
-    with every receiver on each trial index in turn, are summarized the same
-    way under ``"shared"``."""
+    of every run with their medians, the same for the receiver's first call
+    (``first_call_ms``, ``first_call_cost``) and the mean sweeps per trial
+    (seeded, so equal in every run of a side).  The runs' ``shared`` blocks,
+    timed with every receiver on each trial index in turn, are summarized the
+    same way under ``"shared"``, and each side's peak RSS of every run and
+    its median under ``"peak_rss_mb"``."""
     summary = _timing_summary(runs)
     shared = _timing_summary([{"side": run["side"], **run["shared"]}
                               for run in runs if "shared" in run])
     if shared:
         summary["shared"] = shared
+    rss = {}
+    for run in runs:
+        if "peak_rss_mb" in run:
+            rss.setdefault(run["side"], []).append(run["peak_rss_mb"])
+    if rss:
+        summary["peak_rss_mb"] = {side: {"values": values,
+                                         "median": statistics.median(values)}
+                                  for side, values in rss.items()}
     return summary
 
 
@@ -128,15 +141,16 @@ def _timing_summary(runs) -> dict:
         for receiver, timing in run.items():
             if isinstance(timing, dict) and "cost" in timing:
                 side = summary.setdefault(receiver, {}).setdefault(
-                    run["side"], {"ms_per_trial": [], "cost": [],
-                                  "sweeps_mean": timing["sweeps_mean"],
+                    run["side"], {"sweeps_mean": timing["sweeps_mean"],
                                   "sweeps_max": timing["sweeps_max"]})
-                side["ms_per_trial"].append(timing["ms_per_trial"])
-                side["cost"].append(timing["cost"])
+                for key in TIMED:
+                    if key in timing:
+                        side.setdefault(key, []).append(timing[key])
     for sides in summary.values():
         for side in sides.values():
-            side["ms_per_trial_median"] = statistics.median(side["ms_per_trial"])
-            side["cost_median"] = statistics.median(side["cost"])
+            for key in TIMED:
+                if key in side:
+                    side[key + "_median"] = statistics.median(side[key])
     return summary
 
 

@@ -4,11 +4,15 @@ Usage (the ``bdris`` on ``PYTHONPATH`` is the one timed)::
 
     OPENBLAS_NUM_THREADS=1 python3 tools/trial_timing.py --set blocks=16
 
-After one warm-up trial per receiver, runs trials ``0 .. TRIALS-1`` at the
-config's first ``snr_db`` entry (0 dB by default; ``--set snr_db=30`` times
-30 dB) and prints one JSON line: per receiver the mean milliseconds per
-trial, the same time in ``svd512x32`` units and the mean and largest sweep
-counts.  The unit is the benchmark's reference (``perfbench/child.py``): one
+Each receiver first runs trial ``TRIALS`` once, timed on its own as its
+first call (``first_call_ms``; it pays whatever that receiver builds on first
+use at these dimensions), then trials ``0 .. TRIALS-1``, all at the config's
+first ``snr_db`` entry (0 dB by default; ``--set snr_db=30`` times 30 dB).
+It prints one JSON line: per receiver the mean milliseconds per trial, the
+same time and the first call's in ``svd512x32`` units (``cost``,
+``first_call_cost``) and the mean and largest sweep counts, and the
+process's peak resident set size (``peak_rss_mb``, from ``ru_maxrss``).
+The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed in blocks of ``REF_SVDS``
 before the first receiver and after each block of trials; its median time
 over the blocks divides every receiver's time, so host drift between runs
@@ -26,6 +30,7 @@ an earlier receiver made.
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -68,12 +73,15 @@ def main(argv=None) -> int:
     out = {"overrides": args.overrides, "snr_db": snr_db, "trials": TRIALS}
     blocks = [reference_ms(matrix)]
     for receiver in RECEIVER_NAMES:
-        run_trial(cfg, receiver, snr_db, 0, TRIALS)  # warm-up, unscored
+        start = time.perf_counter()
+        run_trial(cfg, receiver, snr_db, 0, TRIALS)
+        first_call_ms = (time.perf_counter() - start) * 1e3
         sweeps = []
         start = time.perf_counter()
         for t in range(TRIALS):
             sweeps.append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
         out[receiver] = timing((time.perf_counter() - start) * 1e3, sweeps)
+        out[receiver]["first_call_ms"] = first_call_ms
         blocks.append(reference_ms(matrix))
     ms = dict.fromkeys(RECEIVER_NAMES, 0.0)
     sweeps = {receiver: [] for receiver in RECEIVER_NAMES}
@@ -91,6 +99,8 @@ def main(argv=None) -> int:
     for receiver in RECEIVER_NAMES:
         for block in (out, out["shared"]):
             block[receiver]["cost"] = block[receiver]["ms_per_trial"] / svd_ms
+        out[receiver]["first_call_cost"] = out[receiver]["first_call_ms"] / svd_ms
+    out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(out))
     return 0
 
