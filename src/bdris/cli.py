@@ -13,6 +13,7 @@ machine-readable category.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -79,9 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config, args.overrides)
     if args.seed is not None:
-        mapping = cfg.to_mapping()
-        mapping["seed"] = args.seed
-        cfg = cfg.__class__.from_mapping(mapping)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

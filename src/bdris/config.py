@@ -38,6 +38,19 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _store_ints(obj, names) -> None:
+    """Store each named field of a frozen dataclass as the ``int`` of
+    ``operator.index`` (numpy integers pass), else raise ``ConfigError``: equal
+    configs then have equal ``repr``s, so they derive equal seeds."""
+    for name in names:
+        try:
+            value = operator.index(getattr(obj, name))
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, "
+                              f"got {getattr(obj, name)!r}") from None
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs of the alternating-least-squares receivers."""
@@ -47,6 +60,9 @@ class SolverOptions:
     init_seed: int = 0
     structure_projection: bool = True  # pin the two-stage receiver's mixed factor
     pinv_tol: float = 1e-12
+
+    def __post_init__(self):
+        _store_ints(self, ("max_iters", "init_seed"))
 
     def validate(self):
         if not (math.isfinite(self.delta) and self.delta >= 0):
@@ -75,18 +91,14 @@ class SystemConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        # stored normalised (int dimensions, a tuple of float SNRs), so that a
-        # config is hashable and equal to its to_mapping/from_mapping round trip
-        for name in ("tx_antennas", "rx_antennas", "ris_elements", "groups",
-                     "blocks", "slots", "frames"):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, "
-                                  f"got {getattr(self, name)!r}") from None
-            if value < 1:
+        # stored normalised (int counts and seed, a tuple of float SNRs), so that
+        # a config is hashable and equal to its to_mapping/from_mapping round trip
+        dims = ("tx_antennas", "rx_antennas", "ris_elements", "groups",
+                "blocks", "slots", "frames")
+        _store_ints(self, dims + ("modulation_order", "paths", "seed"))
+        for name in dims:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, value)
         try:
             object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
         except (TypeError, ValueError):
@@ -170,7 +182,9 @@ def _coerce(key, raw, typ):
         return tuple(vals)
     try:
         if typ in ("int", int):
-            return int(str(raw).strip()) if isinstance(raw, str) else int(raw)
+            # a typed value is left to the constructor's integer check, so a
+            # float is rejected, not truncated
+            return int(raw.strip()) if isinstance(raw, str) else raw
         if typ in ("float", float):
             return float(raw)
         if typ in ("bool", bool):

@@ -18,6 +18,7 @@ from .signal import (
     ScatteringDesign,
     SymbolBlock,
     draw_scenario,
+    is_unitary,
     psk_alphabet,
     synthesize_received,
 )
@@ -71,7 +72,9 @@ def make_fixture(cfg: SystemConfig, master_seed: int | None = None) -> dict:
 
 
 def load_fixture(obj_or_path):
-    """Rebuild (cfg, design, channels, symbols, received, recorded_tensor)."""
+    """Rebuild (cfg, design, channels, symbols, received, recorded_tensor);
+    ``ValueError`` unless the design passes a drawn one's checks: ``psi`` of
+    full rank (``psi_spectrum``) and a unitary scattering matrix."""
     if isinstance(obj_or_path, (str, bytes)) or hasattr(obj_or_path, "__fspath__"):
         with open(obj_or_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -94,6 +97,10 @@ def load_fixture(obj_or_path):
     except (KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"malformed fixture document: {err!r}") from err
     design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
+    if design.psi_spectrum[2] < min(design.psi.shape):
+        raise ValueError("fixture's combined rotation/coding matrix is rank deficient")
+    if not is_unitary(s):
+        raise ValueError("fixture's scattering matrix is not unitary")
     channels = ChannelSet(h=h, g=g)
     symbols = SymbolBlock(x=x, alphabet=psk_alphabet(cfg.modulation_order))
     received = synthesize_received(channels, design, symbols)

@@ -30,11 +30,10 @@ explicit matrix, which is built only then.
 
 Both receivers start from the same preparation of one received tensor
 (``_contract``): the data contracted with ``conj(psi)``, ``psi``'s Gram, its
-diagonal and condition number, and ``||z||^2``.  It is cached for the last
-``(z, psi)`` by content, and ``psi``'s Gram and condition number come from the
-decomposition the scenario draw made for its rank check
-(:func:`bdris.tensor_ops.gram_spectrum`), so on one trial ``psi`` is
-decomposed once and the data contracted once, whichever receivers run.
+diagonal and condition number, and ``||z||^2``.  ``pakron`` and ``tucker``
+take ``psi``'s Gram and condition number from the design
+(``ScatteringDesign.psi_spectrum``), the decomposition the scenario draw made
+for its rank check, so every receiver on one design shares it.
 
 Both inherit the model's indeterminacies: a per-stream scale on the symbol
 columns (pinned by the known reference row, see ``resolve_and_detect``) and a
@@ -60,7 +59,6 @@ from .tensor_ops import (  # noqa: F401
     gram_spectrum,
     khatri_rao,
     kron,
-    last_result_cache,
     nearest_kronecker,
     pinv,
     schur_cond_bound,
@@ -105,21 +103,14 @@ def _require_finite(data):
 # Each solve is passed Schur's bound on its Gram's condition number, from
 # cond(psi_gram) and the diagonal of B.
 
-@last_result_cache
-def _contract(z, psi):
+def _contract(z, psi, spectrum):
     """``(zp, psi_gram, psi_diag, znorm2, psi_cond)`` of the third-order view
     ``z`` and ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s
     Gram ``psi^T conj(psi)``, its real diagonal, ``||z||^2`` and the Gram's
-    condition number.
-
-    The Gram and its condition number are :func:`gram_spectrum`'s, so they
-    come from the decomposition the draw made for its rank check.  The
-    result is kept for the last ``(z, psi)``, keyed by their shape, dtype
-    and bytes (:func:`last_result_cache`), and its arrays are read-only: a
-    second receiver on the same received tensor reuses it bit for bit,
-    while arrays of equal shape and other content recompute it.
+    condition number; the Gram and its condition number are read off
+    ``spectrum``, :func:`gram_spectrum` of ``psi``.
     """
-    psi_gram, psi_cond, _ = gram_spectrum(psi)
+    psi_gram, psi_cond, _ = spectrum
     return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram,
             psi_gram.diagonal().real, float(np.linalg.norm(z) ** 2), psi_cond)
 
@@ -205,7 +196,7 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions):
 
 
 def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
-                  init_seed: int, gbar_init=None) -> StageOneResult:
+                  init_seed: int, gbar_init=None, spectrum=None) -> StageOneResult:
     """Bilinear ALS on the third-order view ``z``.
 
     Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
@@ -224,6 +215,9 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     per-column scale indeterminacy to a separable one without degrading the
     noiseless fit, and the reported fit is then the explicit residual of the
     returned factors.
+
+    ``spectrum`` is ``psi``'s :func:`gram_spectrum`, such as a design's
+    ``psi_spectrum``; without it, ``psi`` is decomposed here, to the same bits.
     """
     z = np.asarray(z)
     _require_finite(z)
@@ -238,7 +232,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
-    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi)
+    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(
+        z, psi, spectrum or gram_spectrum(psi))
 
     def sweep(factors):
         gbar = factors[1]
@@ -296,8 +291,8 @@ def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
     z = np.reshape(received.y, (mr * slots, k, frames), order="F")
     n = design.s.shape[0]
     mt = design.psi.shape[1] // n
-    stage1 = pakron_stage1(z, design.psi, (slots, mt), (mr, n),
-                           solver, init_seed, gbar_init=gbar_init)
+    stage1 = pakron_stage1(z, design.psi, (slots, mt), (mr, n), solver, init_seed,
+                           gbar_init=gbar_init, spectrum=design.psi_spectrum)
     x_raw, h_hat = kron_factorize(stage1.omega, design.s, slots, mr)
     out = ReceiverOutput(
         h_hat=h_hat,
@@ -337,7 +332,8 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
     ones at the canonical positions.
 
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
-    normalized reconstruction errors.
+    normalized reconstruction errors.  Each call decomposes ``psi``, where
+    :func:`tucker` reads the design's ``psi_spectrum``, to the same bits.
     """
     n, mt = core.shape[0], core.shape[1]
     d = n * mt
@@ -346,10 +342,11 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
             or np.count_nonzero(core) != d
             or not np.all(core[r % n, r // n, r, r] == 1)):
         raise ValueError("core must be the canonical selection-structured core")
-    return _tucker_als(q4, n, psi, solver, init_seed, x_init, gbar_init)
+    return _tucker_als(q4, n, psi, gram_spectrum(psi), solver, init_seed,
+                       x_init, gbar_init)
 
 
-def _tucker_als(q4, n, psi, solver: SolverOptions, init_seed: int,
+def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
                 x_init=None, gbar_init=None):
     """Trilinear ALS for ``n`` surface elements on the fourth-order view.
 
@@ -361,7 +358,8 @@ def _tucker_als(q4, n, psi, solver: SolverOptions, init_seed: int,
     right-hand side and Gram; the ``gbar`` update and the clamped Gram fit
     are its ``gbar`` system.  A mode whose Gram is not trusted falls back to
     ``pinv`` of its explicit mixing matrix.  The sweeps run in
-    :func:`_extrapolated_als` on the factors ``(F, X, gbar)``.
+    :func:`_extrapolated_als` on the factors ``(F, X, gbar)``.  ``spectrum``
+    is ``psi``'s :func:`gram_spectrum`.
     """
     q4 = np.asarray(q4)
     _require_finite(q4)
@@ -379,7 +377,7 @@ def _tucker_als(q4, n, psi, solver: SolverOptions, init_seed: int,
 
     tol = solver.pinv_tol
     z = np.reshape(q4, (mr * slots, k, frames), order="F")
-    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi)
+    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi, spectrum)
 
     def sweep(factors):
         _, x, gbar = factors
@@ -415,8 +413,8 @@ def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            x_init=None, gbar_init=None) -> ReceiverOutput:
     """Single-stage semi-blind receiver (trilinear ALS on the 4-way view)."""
     f, x_raw, gbar, trajectory, converged = _tucker_als(
-        received.y, design.s.shape[0], design.psi, solver, init_seed,
-        x_init, gbar_init)
+        received.y, design.s.shape[0], design.psi, design.psi_spectrum, solver,
+        init_seed, x_init, gbar_init)
     out = ReceiverOutput(
         h_hat=f @ design.s.conj().T,  # S is unitary, so this inverts it exactly
         hs_hat=f,

@@ -48,6 +48,15 @@ class ScatteringDesign:
     w: np.ndarray    # blocks x tx_antennas, coding matrix
     psi: np.ndarray  # blocks x (tx_antennas * ris_elements)
 
+    @cached_property
+    def psi_spectrum(self) -> tuple:
+        """``(gram, cond, rank)`` of ``psi`` (:func:`bdris.tensor_ops.gram_spectrum`),
+        decomposed once per design: the draw's rank check and every receiver
+        on this design read it.  The Gram is read-only, since they share it."""
+        gram, cond, rank = gram_spectrum(self.psi)
+        gram.flags.writeable = False
+        return gram, cond, rank
+
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -103,6 +112,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
+def is_unitary(s) -> bool:
+    """Whether ``s`` is square with ``||s s^H - I||_F <= 1e-12 * rows``, the
+    tolerance every scattering matrix is held to."""
+    n = s.shape[0]
+    return s.shape == (n, n) and np.linalg.norm(s @ s.conj().T - np.eye(n)) <= 1e-12 * n
+
+
 @functools.cache
 def _block_dft(ris_elements: int, groups: int) -> np.ndarray:
     """The block-diagonal scattering matrix with unitary DFT blocks, built and
@@ -113,7 +129,7 @@ def _block_dft(ris_elements: int, groups: int) -> np.ndarray:
     s = np.zeros((ris_elements, ris_elements), dtype=complex)
     for q in range(groups):
         s[q * nbar:(q + 1) * nbar, q * nbar:(q + 1) * nbar] = block
-    if np.linalg.norm(s @ s.conj().T - np.eye(ris_elements)) > 1e-12 * ris_elements:
+    if not is_unitary(s):
         raise AssertionError("scattering matrix lost unitarity")
     return _frozen(s)
 
@@ -130,9 +146,9 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
     ``min(blocks, tx_antennas * ris_elements)``, counted from the eigenvalues
     of its Gram ``psi^T conj(psi)`` above ``max(blocks, d) * eps *
     lambda_max`` (:func:`bdris.tensor_ops.gram_spectrum`, which states why
-    that is the Gram's resolution).  The decomposition is cached, so the
-    receivers on this scenario take the Gram and its condition number from
-    it instead of decomposing ``psi`` again.
+    that is the Gram's resolution).  The check reads the design's
+    ``psi_spectrum``, so the receivers on this design take the Gram and its
+    condition number from the same decomposition.
     """
     s = _block_dft(cfg.ris_elements, cfg.groups)
     k = cfg.blocks
@@ -149,11 +165,10 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
         p = np.exp(2j * np.pi * rng.random((k, n)))
         w = np.exp(2j * np.pi * rng.random((k, mt)))
 
-    psi = khatri_rao(w.T, p.T).T
-
-    if gram_spectrum(psi)[2] != min(k, mt * n):
+    design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
+    if design.psi_spectrum[2] != min(k, mt * n):
         raise AssertionError("combined rotation/coding matrix is rank deficient")
-    return ScatteringDesign(s=s, p=p, w=w, psi=psi)
+    return design
 
 
 def gen_channels(cfg: SystemConfig, seed: int) -> ChannelSet:

@@ -2,8 +2,7 @@
 Khatri-Rao products, least squares (normal equations by LU, with a trust rule
 on the Gram's condition number; SVD pseudo-inverse), a column Gram with its
 condition number and rank from one eigendecomposition, condition bounds for
-Hadamard-product Grams, rank-1 fits and the nearest Kronecker product, and a
-one-entry cache keyed by array contents.
+Hadamard-product Grams, rank-1 fits and the nearest Kronecker product.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -19,8 +18,6 @@ and for a dense core ``G`` of any order,
 
     unfold(Z, n) == M_n @ unfold(G, n) @ kron(M_last, ..., skipping M_n).T
 """
-
-import functools
 
 import numpy as np
 
@@ -104,40 +101,6 @@ def hermitian_cond(a):
     return _cond(_eigvalsh(a))
 
 
-def _content_key(a):
-    """Shape, dtype and bytes of an array: equal keys mean equal contents.
-    The bytes are taken in the array's own memory order (named in the key),
-    so a contiguous array is copied without reordering."""
-    a = np.asarray(a)
-    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-    return a.shape, a.dtype.str, order, a.tobytes(order=order)
-
-
-def last_result_cache(fn):
-    """Keep the result of the last call of ``fn(*arrays)``, keyed by the
-    contents of its array arguments (:func:`_content_key`), never by their
-    identity: a new array with the same bytes hits, the same array written
-    in between misses.  One entry is held.  Arrays in the result are made
-    read-only, since every caller with equal arguments shares them.
-    ``cache_clear()`` drops the entry."""
-    entry = []
-
-    @functools.wraps(fn)
-    def cached(*arrays):
-        key = [_content_key(a) for a in arrays]
-        if not entry or entry[0] != key:
-            result = fn(*arrays)
-            for value in result:
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-            entry[:] = key, result
-        return entry[1]
-
-    cached.cache_clear = entry.clear
-    return cached
-
-
-@last_result_cache
 def gram_spectrum(a):
     """``(gram, cond, rank)`` of a ``rows x cols`` matrix ``a`` from one
     ``eigvalsh`` of its column Gram ``gram = a.T @ conj(a)``: the Gram's
@@ -152,8 +115,8 @@ def gram_spectrum(a):
     ``a`` whose singular values spread more than ``1 / sqrt(max(rows, cols)
     * eps)``: about 1.2e7 at 32 x 32, a Gram condition number of 1.4e14,
     past the 4.4e12 that :func:`solve_gram`'s rule accepts at that size.
-    Cached for the last ``a`` (:func:`last_result_cache`), so the draw's rank
-    check and every receiver on the same ``a`` share one decomposition.
+    Each call decomposes ``a``; a scattering design keeps its ``psi``'s result
+    (:attr:`bdris.signal.ScatteringDesign.psi_spectrum`).
     """
     gram = a.T @ a.conj()
     w = _eigvalsh(gram)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bdris
+from bdris import experiments
 from bdris.cli import EXIT_CONFIG, EXIT_IDENT, main
 from bdris.config import (
     ConfigError,
@@ -16,6 +17,7 @@ from bdris.config import (
     load_config,
     parse_config_file,
 )
+from bdris.experiments import run_trial
 from bdris.fixtures import decode_array, encode_array
 
 REFERENCE_ARGS = ["--set", "ris_elements=16", "--set", "blocks=32",
@@ -120,6 +122,41 @@ class TestConfigParsing:
         cfg = SystemConfig(tx_antennas=np.int64(2), blocks=np.int32(16))
         assert type(cfg.tx_antennas) is int and type(cfg.blocks) is int
         assert cfg == SystemConfig(blocks=16)
+
+    def test_numpy_integer_seed_draws_the_same_trial(self):
+        # equal configs are one key of the scenario cache, so they must draw
+        # the same scenario whichever of them runs first
+        a = SystemConfig(seed=5, snr_db=(10.0,))
+        b = SystemConfig(seed=np.int64(5), snr_db=(10.0,))
+        assert type(b.seed) is int and b == a and repr(b) == repr(a)
+        results = []
+        for order in ((a, b), (b, a)):
+            experiments._noised_scenario.cache_clear()
+            results += [run_trial(cfg, "tucker", 10.0).astuple()[:-1] for cfg in order]
+        experiments._noised_scenario.cache_clear()
+        assert len(set(results)) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: SystemConfig(seed=5.0),
+        lambda: SystemConfig(modulation_order=4.0),
+        lambda: SystemConfig(paths=3.0),
+        lambda: SolverOptions(max_iters=2.5),
+        lambda: SolverOptions(init_seed=0.0),
+    ], ids=["seed", "modulation_order", "paths", "max_iters", "init_seed"])
+    def test_float_counts_and_seeds_rejected(self, build):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("key", ["seed", "blocks", "solver.max_iters"])
+    def test_typed_float_in_a_mapping_is_rejected_not_truncated(self, key):
+        # a fixture's config section arrives typed from JSON
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SystemConfig.from_mapping({key: 32.7})
+
+    def test_integer_solver_fields_are_stored_as_int(self):
+        solver = SolverOptions(max_iters=np.int32(7), init_seed=np.uint8(3))
+        assert type(solver.max_iters) is int and type(solver.init_seed) is int
+        assert solver == SolverOptions(max_iters=7, init_seed=3)
 
 
 class TestCheck:
@@ -253,6 +290,13 @@ class TestSweep:
         assert not out_dir.exists()
 
 
+def edit_design(doc, **edits):
+    """``doc`` with each named design array replaced by ``edit(array)``."""
+    for key, edit in edits.items():
+        doc["design"][key] = encode_array(edit(decode_array(doc["design"][key])))
+    return doc
+
+
 class TestFixture:
     def test_roundtrip(self, capsys, tmp_path):
         fx = tmp_path / "fx.json"
@@ -284,7 +328,11 @@ class TestFixture:
         lambda doc: {k: v for k, v in doc.items() if k != "symbols"},
         lambda doc: {**doc, "version": 99},
         lambda doc: {**doc, "config": []},
-    ], ids=["array", "no-symbols", "version-99", "config-array"])
+        lambda doc: edit_design(doc, rotation=lambda p: p[[0] * len(p)],
+                                coding=lambda w: w[[0] * len(w)]),
+        lambda doc: edit_design(doc, scattering=lambda s: 3 * s),
+    ], ids=["array", "no-symbols", "version-99", "config-array", "rank-1-psi",
+            "non-unitary-s"])
     def test_malformed_fixture_is_invalid(self, capsys, tmp_path, mangle):
         fx = tmp_path / "fx.json"
         args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]

@@ -703,10 +703,8 @@ class TestCertifiedGrams:
 
 
 def clear_preparations():
-    """Forget the cached scenario, psi decomposition and contraction."""
+    """Forget the cached scenario."""
     experiments._noised_scenario.cache_clear()
-    tensor_ops.gram_spectrum.cache_clear()
-    receivers._contract.cache_clear()
 
 
 def same_output(a, b) -> bool:
@@ -719,8 +717,8 @@ ACCEPTANCE_CFG = SystemConfig(tx_antennas=2, rx_antennas=4, ris_elements=8, grou
 
 
 class TestSharedPreparation:
-    """The draw's psi decomposition and one contraction per received tensor
-    are shared by every receiver on a trial, and change no result."""
+    """The draw's psi decomposition, kept on the design, is shared by every
+    receiver on a trial, and changes no result."""
 
     @pytest.fixture(autouse=True)
     def fresh(self):
@@ -765,22 +763,39 @@ class TestSharedPreparation:
             assert len(eig) == 1 and rank == [] and pinvs == []
             assert len(svd) == len(rank1) == 2
 
-    def test_contraction_is_read_only_and_keyed_by_content(self):
-        design, _, _, received = draw_instance(desk_config(), 62)
-        z, psi = reshape_views(received, design).z, design.psi
-        first = receivers._contract(z, psi)
-        assert all(not a.flags.writeable for a in first if isinstance(a, np.ndarray))
-        with pytest.raises(ValueError):
-            first[0][0, 0, 0] = 0.0
-        assert receivers._contract(np.array(z), psi.copy()) is first
-        other = np.array(z)
-        other[1, 2, 0] *= -1.0  # equal shape, other content
-        again = receivers._contract(other, psi)
-        assert again is not first
-        assert np.array_equal(again[0], np.transpose(other, (2, 0, 1)) @ psi.conj())
-        assert again[3] == float(np.linalg.norm(other) ** 2)
-        other[1, 2, 0] *= -1.0  # written back in place: z's contents again
-        assert np.array_equal(receivers._contract(other, psi)[0], first[0])
+    @pytest.mark.parametrize("cfg", [SystemConfig(), ACCEPTANCE_CFG],
+                             ids=["default", "acceptance"])
+    def test_bare_psi_entry_points_match_the_receivers(self, cfg):
+        # pakron_stage1 and tucker_tals decompose a bare psi themselves;
+        # pakron() and tucker() read the design's: the bits are the same
+        n, mt = cfg.ris_elements, cfg.tx_antennas
+        for trial in range(3):
+            design, _, symbols, received = draw_instance(cfg, 70 + trial)
+            received = add_noise(received, 0.0, 71 + trial)
+            psi, solver = np.array(design.psi), cfg.solver
+            out = pakron(received, design, symbols.alphabet, solver, 9)
+            z = np.reshape(received.y, (cfg.rx_antennas * cfg.slots,
+                                        cfg.blocks, cfg.frames), order="F")
+            res = pakron_stage1(z, psi, (cfg.slots, mt), (cfg.rx_antennas, n),
+                                solver, 9)
+            x_raw, h_hat = kron_factorize(res.omega, design.s, cfg.slots,
+                                          cfg.rx_antennas)
+            assert np.array_equal(out.h_hat, h_hat)
+            assert np.array_equal(out.gbar_hat, res.gbar)
+            assert out.residual_trajectory == res.trajectory
+            assert out.final_fit == res.fit
+            assert same_output(out, resolve_and_detect(
+                dataclasses.replace(out, x_hat=x_raw), symbols.alphabet))
+
+            out = tucker(received, design, symbols.alphabet, solver, 9)
+            f, x_raw, gbar, trajectory, converged = tucker_tals(
+                received.y, build_core(n, mt), psi, solver, 9)
+            assert np.array_equal(out.hs_hat, f)
+            assert np.array_equal(out.gbar_hat, gbar)
+            assert out.residual_trajectory == trajectory
+            assert out.converged == converged
+            assert same_output(out, resolve_and_detect(
+                dataclasses.replace(out, x_hat=x_raw), symbols.alphabet))
 
 
 class TestTrialPathBuildsNoCore:

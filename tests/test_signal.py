@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from bdris.signal import (
 from bdris.tensor_ops import gram_spectrum, khatri_rao, kron, unfold
 from util import (
     ambiguity_equivalent,
+    count_calls,
     desk_config,
     draw_instance,
     loop_oracle,
@@ -131,6 +133,26 @@ class TestScatteringDesign:
     def test_groups_must_divide_elements(self):
         with pytest.raises(ConfigError):
             desk_config(ris_elements=6, groups=4)
+
+    def test_psi_spectrum_is_decomposed_once_per_design(self, monkeypatch):
+        cfg = SystemConfig()
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        design = design_scattering(cfg, 5)  # the rank check reads it
+        spectrum = design.psi_spectrum
+        assert design.psi_spectrum is spectrum
+        assert calls == ["eigvalsh"]
+        gram, cond, rank = spectrum
+        assert np.array_equal(gram, design.psi.T @ design.psi.conj())
+        assert (cond, rank) == gram_spectrum(design.psi)[1:]
+        assert not gram.flags.writeable
+        with pytest.raises(ValueError):
+            gram[0, 0] = 0.0
+        # another design object with the same psi decomposes it again
+        del calls[:]
+        again = dataclasses.replace(design)
+        assert again.psi_spectrum is not spectrum
+        assert np.array_equal(again.psi_spectrum[0], gram)
+        assert calls == ["eigvalsh"]
 
 
 class TestChannels:

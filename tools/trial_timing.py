@@ -24,8 +24,8 @@ times include drawing and noising every scenario and preparing it for the
 receiver.  Then (under ``"shared"``) every receiver runs on each trial
 index in turn, in ``RECEIVER_NAMES`` order as on the benchmark's
 ``trial-0db`` workload, so each one after the first reuses the trial's
-scenario and the preparation (``psi``'s Gram and the contracted data) that
-an earlier receiver made.
+scenario, and with its design the decomposition of ``psi`` that the draw
+made; each receiver still contracts the data itself.
 """
 
 import argparse
