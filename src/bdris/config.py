@@ -63,6 +63,7 @@ class SolverOptions:
 
     def __post_init__(self):
         _store_ints(self, ("max_iters", "init_seed"))
+        self.validate()
 
     def validate(self):
         if not (math.isfinite(self.delta) and self.delta >= 0):
@@ -123,7 +124,8 @@ class SystemConfig:
             raise ConfigError("paths must be a positive integer")
         if not all(math.isfinite(v) or v == math.inf for v in self.snr_db):
             raise ConfigError("snr_db values must be finite or inf (noiseless)")
-        self.solver.validate()
+        if not isinstance(self.solver, SolverOptions):
+            raise ConfigError(f"solver must be a SolverOptions, got {self.solver!r}")
 
     @property
     def group_size(self) -> int:

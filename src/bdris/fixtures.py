@@ -71,10 +71,31 @@ def make_fixture(cfg: SystemConfig, master_seed: int | None = None) -> dict:
     }
 
 
+def _check_described(cfg: SystemConfig, arrays: dict) -> None:
+    """``ValueError`` unless every array has the shape ``cfg`` gives it and
+    every symbol is a point of ``cfg``'s alphabet, so the receivers' alphabet
+    and solver come from a config that describes the instance."""
+    mt, mr, n = cfg.tx_antennas, cfg.rx_antennas, cfg.ris_elements
+    k, slots, frames = cfg.blocks, cfg.slots, cfg.frames
+    shapes = {"scattering": (n, n), "rotation": (k, n), "coding": (k, mt),
+              "ris_bs": (mr, n), "ut_ris": (frames, n, mt), "x": (slots, mt),
+              "received_noiseless": (mr, slots, k, frames)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"fixture's {name} array has shape "
+                             f"{arrays[name].shape}; its config describes {shape}")
+    alphabet = psk_alphabet(cfg.modulation_order)
+    if np.any(np.min(np.abs(arrays["x"][..., None] - alphabet), axis=-1) > 1e-12):
+        raise ValueError(f"fixture's symbols are not points of its config's "
+                         f"{cfg.modulation_order}-PSK alphabet")
+
+
 def load_fixture(obj_or_path):
     """Rebuild (cfg, design, channels, symbols, received, recorded_tensor);
-    ``ValueError`` unless the design passes a drawn one's checks: ``psi`` of
-    full rank (``psi_spectrum``) and a unitary scattering matrix."""
+    ``ValueError`` unless the config describes the arrays (their shapes and
+    the symbols' alphabet) and the design passes a drawn one's checks:
+    ``psi`` of full rank (``psi_spectrum``) and a unitary scattering
+    matrix."""
     if isinstance(obj_or_path, (str, bytes)) or hasattr(obj_or_path, "__fspath__"):
         with open(obj_or_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -96,6 +117,8 @@ def load_fixture(obj_or_path):
         recorded = decode_array(obj["received_noiseless"])
     except (KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"malformed fixture document: {err!r}") from err
+    _check_described(cfg, dict(scattering=s, rotation=p, coding=w, ris_bs=h, ut_ris=g,
+                               x=x, received_noiseless=recorded))
     design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
     if design.psi_spectrum[2] < min(design.psi.shape):
         raise ValueError("fixture's combined rotation/coding matrix is rank deficient")

@@ -147,7 +147,7 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
         clock[0] += 0.05 if trial_index == 2 else 0.001  # the first call is slow
         return Done()
 
-    blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])  # median 2.5
+    blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])
     monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
     monkeypatch.setattr(trial_timing, "time", Clock)
     monkeypatch.setattr(trial_timing, "reference_ms", lambda matrix: next(blocks))
@@ -155,8 +155,9 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     assert trial_timing.main(["--set", "snr_db=30,10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert {snr for snr, _, _ in seen} == {30.0} and out["snr_db"] == 30.0
-    assert out["reference"]["svd_ms"] == 2.5
     assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0, 2.5]
+    # each block's unit is the mean of the references right before and after it
+    units = {"pakron": (1.5, 2.75), "tucker": (2.5, 2.75), "zf-oracle": (3.5, 2.75)}
     receivers = ("pakron", "tucker", "zf-oracle")
     # each receiver alone (first call on trial 2, then 0 and 1), then the shared
     # block: every receiver on trial 0, then on trial 1, in trial-0db order
@@ -164,13 +165,14 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     shared = [(rx, t) for t in (0, 1) for rx in receivers]
     assert [(rx, t) for _, rx, t in seen] == alone + shared
     for receiver in receivers:
-        for timing in (out[receiver], out["shared"][receiver]):
+        for timing, unit in zip((out[receiver], out["shared"][receiver]), units[receiver]):
             assert timing["ms_per_trial"] == pytest.approx(1.0)
-            assert timing["cost"] == pytest.approx(timing["ms_per_trial"] / 2.5)
+            assert timing["svd_ms"] == unit
+            assert timing["cost"] == pytest.approx(1.0 / unit)
             assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
-        # the first call is timed apart from the per-trial mean
+        # the first call is timed apart from the per-trial mean, in its block's unit
         assert out[receiver]["first_call_ms"] == pytest.approx(50.0)
-        assert out[receiver]["first_call_cost"] == pytest.approx(20.0)
+        assert out[receiver]["first_call_cost"] == pytest.approx(50.0 / units[receiver][0])
         assert "first_call_ms" not in out["shared"][receiver]
     assert out["peak_rss_mb"] > 0.0
 

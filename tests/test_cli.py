@@ -83,18 +83,25 @@ class TestConfigParsing:
         dict(modulation_order=3),
         dict(channel_model="awgn"),
         dict(blocks=0),
-        dict(solver=SolverOptions(delta=float("nan"))),
-        dict(solver=SolverOptions(delta=float("inf"))),
-        dict(solver=SolverOptions(delta=-1e-6)),
-        dict(solver=SolverOptions(pinv_tol=float("nan"))),
-        dict(solver=SolverOptions(pinv_tol=-1e-12)),
-        dict(solver=SolverOptions(pinv_tol=1.0)),
+        dict(solver=dict(delta=float("nan"))),
+        dict(solver=dict(delta=float("inf"))),
+        dict(solver=dict(delta=-1e-6)),
+        dict(solver=dict(pinv_tol=float("nan"))),
+        dict(solver=dict(pinv_tol=-1e-12)),
+        dict(solver=dict(pinv_tol=1.0)),
         dict(snr_db=(0.0, float("nan"))),
         dict(snr_db=(float("-inf"),)),
     ])
     def test_validation_failures(self, kwargs):
         with pytest.raises(ConfigError):
+            # an invalid SolverOptions raises when it is built, so build it here
+            if "solver" in kwargs:
+                kwargs = {**kwargs, "solver": SolverOptions(**kwargs["solver"])}
             SystemConfig(**kwargs)
+
+    def test_solver_must_be_solver_options(self):
+        with pytest.raises(ConfigError, match="SolverOptions"):
+            SystemConfig(solver={"max_iters": 10})
 
     def test_infinite_snr_means_noiseless(self):
         assert SystemConfig(snr_db=(10, float("inf"))).snr_db == (10, float("inf"))
@@ -331,8 +338,10 @@ class TestFixture:
         lambda doc: edit_design(doc, rotation=lambda p: p[[0] * len(p)],
                                 coding=lambda w: w[[0] * len(w)]),
         lambda doc: edit_design(doc, scattering=lambda s: 3 * s),
+        lambda doc: {**doc, "config": {**doc["config"], "ris_elements": 8, "blocks": 64}},
+        lambda doc: {**doc, "config": {**doc["config"], "modulation_order": 8}},
     ], ids=["array", "no-symbols", "version-99", "config-array", "rank-1-psi",
-            "non-unitary-s"])
+            "non-unitary-s", "config-of-other-dims", "symbols-off-alphabet"])
     def test_malformed_fixture_is_invalid(self, capsys, tmp_path, mangle):
         fx = tmp_path / "fx.json"
         args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]

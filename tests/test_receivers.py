@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from bdris import experiments, receivers, signal, tensor_ops
 from bdris.config import SolverOptions, SystemConfig
-from bdris.errors import IdentifiabilityError, NumericalError, ScalingResolutionError
+from bdris.errors import (ConfigError, IdentifiabilityError, NumericalError,
+                          ScalingResolutionError)
 from bdris.experiments import TrialResult, nmse_aligned, run_sweep, run_trial, ser
 from bdris.receivers import (
     kron_factorize,
@@ -277,6 +278,15 @@ class TestPakron:
         assert a.residual_trajectory == b.residual_trajectory
 
 
+@pytest.mark.parametrize("receiver", [pakron, tucker])
+def test_invalid_solver_options_raise_config_error(receiver):
+    # before reaching the sweep loop, where max_iters = 0 leaves no trajectory
+    design, _, symbols, received = draw_instance(
+        SystemConfig(ris_elements=8, groups=2, blocks=16), 0)
+    with pytest.raises(ConfigError, match="max_iters"):
+        receiver(received, design, symbols.alphabet, SolverOptions(max_iters=0), 1)
+
+
 def run_tals(design, received, solver, init_seed=0, **inits):
     views = reshape_views(received, design)
     return views.q4, tucker_tals(views.q4, views.core, design.psi, solver,
@@ -534,7 +544,7 @@ class TestExtrapolatedALS:
     factor is a number, a sweep halves it and its fit is its square."""
 
     @staticmethod
-    def script(jump_fit=None, max_iters=20, delta=1e-9):
+    def script(jump_fit=None, max_iters=20, delta=1e-9, receiver="pakron"):
         log = []
 
         def sweep(factors):
@@ -547,7 +557,23 @@ class TestExtrapolatedALS:
             return factors[0] ** 2 if jump_fit is None else jump_fit(factors)
 
         solver = SolverOptions(delta=delta, max_iters=max_iters)
-        return log, receivers._extrapolated_als(sweep, fit_at, (1.0, 2.0), solver)
+        return log, receivers._extrapolated_als(
+            sweep, fit_at, (1.0, 2.0), solver, receivers.STEP_SCHEDULES[receiver])
+
+    @staticmethod
+    def default_instances(snr_db):
+        """The 20 seeded default-config instances, noised at ``snr_db``."""
+        cfg = SystemConfig()
+        instances = []
+        for seed in range(20):
+            design, _, _, received = draw_instance(cfg, 900 + seed)
+            instances.append((design, add_noise(received, snr_db, 950 + seed)))
+        return cfg, instances
+
+    @staticmethod
+    def total_tucker_sweeps(cfg, instances):
+        return sum(len(run_tals(design, received, cfg.solver, seed)[1][3])
+                   for seed, (design, received) in enumerate(instances))
 
     def test_first_candidate_at_sweep_three(self):
         log, (_, trajectory, _) = self.script()
@@ -555,12 +581,14 @@ class TestExtrapolatedALS:
         assert kinds[:4] == ["sweep", "sweep", "sweep", "fit_at"]
         assert kinds.count("fit_at") == len(trajectory) - 2
 
-    def test_candidate_is_the_sqrt_step(self):
-        log, _ = self.script(max_iters=3)
+    @pytest.mark.parametrize("receiver, step", [
+        ("pakron", np.sqrt(3)), ("tucker", 3 ** (1 / 3))], ids=["pakron", "tucker"])
+    def test_candidate_is_the_receivers_step(self, receiver, step):
+        log, _ = self.script(max_iters=3, receiver=receiver)
         (_, old), (kind, jump) = log[2:]
         new = (0.5 * old[0], 0.5 * old[1])
         assert kind == "fit_at"
-        assert jump == tuple(o + np.sqrt(3) * (n - o) for o, n in zip(old, new))
+        assert jump == tuple(o + step * (n - o) for o, n in zip(old, new))
 
     def test_candidate_kept_only_when_strictly_lower(self):
         # a tie with the plain update refuses the candidate
@@ -587,22 +615,19 @@ class TestExtrapolatedALS:
         assert len(trajectory) < 60 and converged
 
     def test_tucker_takes_fewer_sweeps_than_plain_als(self, monkeypatch):
-        cfg = SystemConfig()
-        instances = []
-        for seed in range(20):
-            design, _, _, received = draw_instance(cfg, 900 + seed)
-            instances.append((design, add_noise(received, 0.0, 950 + seed)))
-
-        def total_sweeps():
-            return sum(len(run_tals(design, received, cfg.solver, seed)[1][3])
-                       for seed, (design, received) in enumerate(instances))
-
-        extrapolated = total_sweeps()
+        cfg, instances = self.default_instances(0.0)
+        extrapolated = self.total_tucker_sweeps(cfg, instances)
         driver = receivers._extrapolated_als
         monkeypatch.setattr(receivers, "_extrapolated_als",
-                            lambda sweep, fit_at, factors, solver:
-                            driver(sweep, lambda _: np.inf, factors, solver))
-        assert extrapolated < total_sweeps()
+                            lambda sweep, fit_at, factors, solver, step:
+                            driver(sweep, lambda _: np.inf, factors, solver, step))
+        assert extrapolated < self.total_tucker_sweeps(cfg, instances)
+
+    def test_tucker_step_takes_fewer_sweeps_than_sqrt_step(self, monkeypatch):
+        cfg, instances = self.default_instances(20.0)
+        own_step = self.total_tucker_sweeps(cfg, instances)
+        monkeypatch.setitem(receivers.STEP_SCHEDULES, "tucker", math.sqrt)
+        assert own_step < self.total_tucker_sweeps(cfg, instances)
 
 
 def record_solves(mp):

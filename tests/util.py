@@ -126,7 +126,7 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     """Trilinear ALS oracle: each sweep builds the mode mixing matrices,
     solves ``solve_rows(unfold(q4, mode), v, tol)`` for ``F``, ``X`` and
     ``gbar`` in turn and takes the residual explicitly.  From sweep 3 on it
-    also scores ``old + sqrt(sweep) * (new - old)`` of all three factors by
+    also scores ``old + sweep ** (1/3) * (new - old)`` of all three factors by
     its explicit residual and keeps that point when it is strictly lower.
     Same initial draws, stopping rule and return tuple as
     ``receivers.tucker_tals``."""
@@ -157,7 +157,7 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
         gbar_new = solve_rows(q4m, tucker_mixing(3, f_new, x_new, psi, gbar), tol)
         err = residual(f_new, x_new, gbar_new)
         if sweep >= 3:
-            step = np.sqrt(sweep)
+            step = sweep ** (1 / 3)
             jump = [old + step * (new - old)
                     for old, new in ((f, f_new), (x, x_new), (gbar, gbar_new))]
             err_jump = residual(*jump)

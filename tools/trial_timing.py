@@ -14,9 +14,11 @@ same time and the first call's in ``svd512x32`` units (``cost``,
 process's peak resident set size (``peak_rss_mb``, from ``ru_maxrss``).
 The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed in blocks of ``REF_SVDS``
-before the first receiver and after each block of trials; its median time
-over the blocks divides every receiver's time, so host drift between runs
-cancels.
+right before and right after each block of trials (a reference between two
+blocks serves both).  Each block's times are divided by the mean of its two
+references (``svd_ms`` of that block), so host drift between runs cancels,
+and so does most drift within one run, which a single unit for the whole run
+left in: the same work read up to 12 % apart in two blocks of one run.
 
 The trials are timed twice.  First each receiver runs on its own, over all
 trial indices, so no call reuses the scenario of the one before: those
@@ -31,7 +33,6 @@ made; each receiver still contracts the data itself.
 import argparse
 import json
 import resource
-import statistics
 import sys
 import time
 
@@ -61,6 +62,17 @@ def timing(ms, sweeps) -> dict:
             "sweeps_max": max(sweeps)}
 
 
+def in_units(timing, refs) -> None:
+    """Add to one block's ``timing`` its unit ``svd_ms``, the mean of the
+    reference blocks ``refs`` timed right before and right after it, and its
+    times in that unit."""
+    svd_ms = sum(refs) / len(refs)
+    timing["svd_ms"] = svd_ms
+    timing["cost"] = timing["ms_per_trial"] / svd_ms
+    if "first_call_ms" in timing:
+        timing["first_call_cost"] = timing["first_call_ms"] / svd_ms
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="in-process trial timing")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -71,7 +83,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal(REF_SHAPE) + 1j * rng.standard_normal(REF_SHAPE)
     out = {"overrides": args.overrides, "snr_db": snr_db, "trials": TRIALS}
-    blocks = [reference_ms(matrix)]
+    refs = [reference_ms(matrix)]
     for receiver in RECEIVER_NAMES:
         start = time.perf_counter()
         run_trial(cfg, receiver, snr_db, 0, TRIALS)
@@ -82,7 +94,8 @@ def main(argv=None) -> int:
             sweeps.append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
         out[receiver] = timing((time.perf_counter() - start) * 1e3, sweeps)
         out[receiver]["first_call_ms"] = first_call_ms
-        blocks.append(reference_ms(matrix))
+        refs.append(reference_ms(matrix))
+        in_units(out[receiver], refs[-2:])
     ms = dict.fromkeys(RECEIVER_NAMES, 0.0)
     sweeps = {receiver: [] for receiver in RECEIVER_NAMES}
     for t in range(TRIALS):
@@ -92,14 +105,11 @@ def main(argv=None) -> int:
             ms[receiver] += (time.perf_counter() - start) * 1e3
     out["shared"] = {receiver: timing(ms[receiver], sweeps[receiver])
                      for receiver in RECEIVER_NAMES}
-    blocks.append(reference_ms(matrix))
-    svd_ms = statistics.median(blocks)
-    out["reference"] = {"shape": REF_SHAPE, "svds_per_block": REF_SVDS,
-                        "svd_ms": svd_ms, "svd_ms_blocks": blocks}
+    refs.append(reference_ms(matrix))
     for receiver in RECEIVER_NAMES:
-        for block in (out, out["shared"]):
-            block[receiver]["cost"] = block[receiver]["ms_per_trial"] / svd_ms
-        out[receiver]["first_call_cost"] = out[receiver]["first_call_ms"] / svd_ms
+        in_units(out["shared"][receiver], refs[-2:])
+    out["reference"] = {"shape": REF_SHAPE, "svds_per_block": REF_SVDS,
+                        "svd_ms_blocks": refs}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(out))
     return 0
