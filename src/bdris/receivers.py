@@ -182,9 +182,9 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step):
     3 on, every factor is also tried at ``old + step(k) * (new - old)`` at
     sweep ``k`` (Bro 1998, §4.6), with the calling receiver's schedule from
     ``STEP_SCHEDULES``, and that point is kept when ``fit_at`` of it is
-    strictly lower, so a sweep never ends above the plain update's fit.  The loop stops
-    when the fit changes by no more than ``solver.delta`` (converged) or after
-    ``solver.max_iters`` sweeps.
+    strictly lower, so a sweep never ends above the plain update's fit.  The
+    loop stops when the fit changes by no more than ``solver.delta``
+    (converged) or after ``solver.max_iters`` sweeps.
 
     Returns ``(factors, trajectory, converged)`` with the fit of every sweep.
     """
