@@ -23,7 +23,6 @@ import functools
 import math
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,6 +286,8 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
         for r in range(runs)
     ]
     if jobs > 1:
+        # imported here: it pulls multiprocessing into every import of bdris
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_scenario_task, tasks, chunksize=8))
     else:

@@ -11,7 +11,7 @@ Both receivers read the received tensor ``y`` through its third-order view
   With the structure projection on, stage I ends by re-solving the stacked
   channel at the nearest Kronecker product to ``omega`` and then ``omega``,
   on the same systems.  Stage II splits ``omega`` into ``X`` and ``H`` by the
-  nearest Kronecker product (an SVD rank-1 fit of its rearrangement).
+  nearest Kronecker product (a rank-1 fit of its rearrangement).
 * ``tucker``  - single stage.  Trilinear alternating least squares for the
   fourth-order model, whose known selection core no arithmetic reads: its
   ``H @ S`` and ``X`` updates split stage I's ``omega`` system over the two
@@ -21,20 +21,25 @@ Both run their sweeps through one loop, ``_extrapolated_als``, which also
 tries an extrapolated step per sweep and keeps it when it lowers the fit.
 The step's length comes from the receiver (``STEP_SCHEDULES``): ``pakron``'s
 bilinear stage I takes ``sqrt(k)`` at sweep ``k``, ``tucker``'s trilinear
-sweeps the shorter ``k ** (1/3)``.
+sweeps the shorter ``k ** (1/3)``.  A sweep's fit comes from its last solve
+(``_solved_fit``); a candidate's from the Gram of one system at it
+(``_gram_fit``).  ``pakron`` scores its candidate on the ``omega`` system at
+the candidate's ``gbar``, which is the next sweep's first system when the
+candidate is kept, so that sweep solves it as it is.
 
 Every Gram either receiver solves is a Hadamard product of a factor Gram with
 ``psi``'s Gram, or (``tucker``'s ``H @ S`` and ``X`` updates) a contraction of
 one, so Schur's bound on its condition number comes from ``cond(psi^T
-conj(psi))`` and a diagonal.  ``solve_gram`` solves a trusted Gram by LU,
-reading its condition number off this bound or, when the bound is too loose,
-off the Gram's eigenvalues; an untrusted one falls back to ``pinv`` of the
-explicit matrix, which is built only then.
+conj(psi))`` and the factor Gram's diagonal, which each system carries.
+``solve_gram`` solves a trusted Gram by LU, reading its condition number off
+this bound or, when the bound is too loose, off the Gram's eigenvalues; an
+untrusted one falls back to ``pinv`` of the explicit matrix, which is built
+only then.
 
 Both receivers start from the same preparation of one received tensor
-(``_contract``): the data contracted with ``conj(psi)``, ``psi``'s Gram, its
-diagonal and condition number, and ``||z||^2``.  ``pakron`` and ``tucker``
-take ``psi``'s Gram and condition number from the design
+(``_contract``): the data contracted with ``conj(psi)``, ``psi``'s Gram and
+its condition number, and ``||z||^2``.  ``pakron`` and ``tucker`` take
+``psi``'s Gram and condition number from the design
 (``ScatteringDesign.psi_spectrum``), the decomposition the scenario draw made
 for its rank check, so every receiver on one design shares it.
 
@@ -110,25 +115,19 @@ def _require_finite(data):
 # Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
 # unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
 # with Khatri-Rao Grams as Hadamard products B ∘ psi_gram of factor Grams.
-# Each solve is passed Schur's bound on its Gram's condition number, from
-# cond(psi_gram) and the diagonal of B.
+# Each system carries the real diagonal of its factor Gram B, from which its
+# solve takes Schur's bound on the Gram's condition number.
 
 def _contract(z, psi, spectrum):
-    """``(zp, psi_gram, psi_diag, znorm2, psi_cond)`` of the third-order view
-    ``z`` and ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s
-    Gram ``psi^T conj(psi)``, its real diagonal, ``||z||^2`` and the Gram's
-    condition number; the Gram and its condition number are read off
-    ``spectrum``, :func:`gram_spectrum` of ``psi``.
+    """``(zp, psi_gram, znorm2, psi_cond)`` of the third-order view ``z`` and
+    ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s Gram
+    ``psi^T conj(psi)``, ``||z||^2`` and the Gram's condition number; the Gram
+    and its condition number are read off ``spectrum``, :func:`gram_spectrum`
+    of ``psi``.
     """
     psi_gram, psi_cond, _ = spectrum
     return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram,
-            psi_gram.diagonal().real, float(np.linalg.norm(z) ** 2), psi_cond)
-
-
-def _cond_bound(gram, psi_diag, psi_cond):
-    """:func:`schur_cond_bound` of ``gram = B ∘ psi_gram``, reading B's
-    diagonal off the Gram's and ``psi_gram``'s (``psi_diag``)."""
-    return schur_cond_bound(psi_cond, gram.diagonal().real / psi_diag)
+            float(np.linalg.norm(z) ** 2), psi_cond)
 
 
 def _contracted_bound(bound, x):
@@ -140,17 +139,32 @@ def _contracted_bound(bound, x):
 
 
 def _omega_system(zp, psi_gram, gbar):
-    return (zp * gbar.conj()[:, None, :]).sum(0), (gbar.T @ gbar.conj()) * psi_gram
+    """``(rhs, gram, b_diag)`` of the ``omega`` update at ``gbar``: its Gram
+    is ``B ∘ psi_gram`` with ``B = gbar^T conj(gbar)``, whose real diagonal is
+    ``b_diag``."""
+    b = gbar.T @ gbar.conj()
+    return (zp * gbar.conj()[:, None, :]).sum(0), b * psi_gram, b.diagonal().real
 
 
 def _gbar_system(zp, psi_gram, omega):
-    return (zp * omega.conj()).sum(1), psi_gram * (omega.T @ omega.conj())
+    """``(rhs, gram, b_diag)`` of the ``gbar`` update at ``omega``, with
+    ``B = omega^T conj(omega)``."""
+    b = omega.T @ omega.conj()
+    return (zp * omega.conj()).sum(1), psi_gram * b, b.diagonal().real
 
 
-def _gram_fit(gbar, rhs, gram, znorm2):
-    """Normalized residual of the ``gbar`` system, from its Gram, clamped at 0."""
-    err = znorm2 - 2 * np.vdot(gbar, rhs).real + np.vdot(gbar, gbar @ gram).real
+def _gram_fit(x, rhs, gram, znorm2):
+    """Normalized residual at ``x`` of the system ``(rhs, gram)``, from its
+    Gram, clamped at 0; either system gives the residual of the same model."""
+    err = znorm2 - 2 * np.vdot(x, rhs).real + np.vdot(x, x @ gram).real
     return max(float(err) / znorm2, 0.0)
+
+
+def _solved_fit(x, rhs, znorm2):
+    """:func:`_gram_fit` at the least-squares solution ``x`` of its system:
+    there ``x @ gram`` meets ``rhs`` on the subspace the solve keeps (LU or
+    ``pinv``), so the residual is ``(||z||^2 - Re<x, rhs>) / ||z||^2``."""
+    return max(float(znorm2 - np.vdot(x, rhs).real) / znorm2, 0.0)
 
 
 def _solve(rhs, gram, tol, cond_bound, fallback, *args):
@@ -159,6 +173,13 @@ def _solve(rhs, gram, tol, cond_bound, fallback, *args):
     unfolding and the explicit mixing matrix only then."""
     x = solve_gram(rhs, gram, tol, cond_bound)
     return fallback(*args, tol) if x is None else x
+
+
+def _solve_system(system, psi_cond, tol, fallback, *args):
+    """:func:`_solve` of a Hadamard system ``(rhs, gram, b_diag)``, trusted
+    by Schur's bound from ``cond(psi_gram)`` and ``b_diag``."""
+    rhs, gram, b_diag = system
+    return _solve(rhs, gram, tol, schur_cond_bound(psi_cond, b_diag), fallback, *args)
 
 
 # the fallbacks of _solve: least squares by pinv of an explicit mixing matrix
@@ -214,9 +235,12 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
     either Khatri-Rao matrix: both are solved from the normal equations on
     the ``psi``-contracted data (``_omega_system``, ``_gbar_system``), with a
-    ``pinv`` fallback on an untrusted Gram.  The fit is the ``gbar`` system's
-    Gram fit, clamped at 0.  The sweeps run in :func:`_extrapolated_als` on
-    the factors ``(omega, gbar)``, with the ``sqrt(k)`` step.
+    ``pinv`` fallback on an untrusted Gram.  A sweep's fit is read off its
+    ``gbar`` solve, ``(||z||^2 - Re<gbar, rhs>) / ||z||^2`` clamped at 0.  The
+    sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``,
+    with the ``sqrt(k)`` step; a candidate is scored by the Gram fit of the
+    ``omega`` system at its ``gbar``, and when the loop keeps it, the next
+    sweep solves that system instead of building it again.
 
     ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
@@ -243,22 +267,25 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
-    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(
-        z, psi, spectrum or gram_spectrum(psi))
+    zp, psi_gram, znorm2, psi_cond = _contract(z, psi, spectrum or gram_spectrum(psi))
+    # the gbar of the last candidate scored and its omega system
+    scored = [None, None]
 
     def sweep(factors):
         gbar = factors[1]
-        rhs, gram = _omega_system(zp, psi_gram, gbar)
-        omega = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
-                       _omega_pinv, z, psi, gbar)
-        rhs, gram = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
-                      _gbar_pinv, z, psi, omega)
-        return (omega, gbar), _gram_fit(gbar, rhs, gram, znorm2)
+        system = (scored[1] if gbar is scored[0]
+                  else _omega_system(zp, psi_gram, gbar))
+        omega = _solve_system(system, psi_cond, tol, _omega_pinv, z, psi, gbar)
+        system = _gbar_system(zp, psi_gram, omega)
+        gbar = _solve_system(system, psi_cond, tol, _gbar_pinv, z, psi, omega)
+        return (omega, gbar), _solved_fit(gbar, system[0], znorm2)
 
     def fit_at(factors):
+        # scored on the omega system at the candidate's gbar, which the next
+        # sweep solves as it is when the loop keeps the candidate
         omega, gbar = factors
-        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, omega), znorm2)
+        scored[:] = gbar, _omega_system(zp, psi_gram, gbar)
+        return _gram_fit(omega, *scored[1][:2], znorm2)
 
     (omega, gbar), trajectory, converged = _extrapolated_als(
         sweep, fit_at, (None, gbar), solver, STEP_SCHEDULES["pakron"])
@@ -266,12 +293,10 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
 
     if solver.structure_projection:
         omega_p = kron(*nearest_kronecker(omega, left_shape, right_shape))
-        rhs, gram = _gbar_system(zp, psi_gram, omega_p)
-        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
-                      _gbar_pinv, z, psi, omega_p)
-        rhs, gram = _omega_system(zp, psi_gram, gbar)
-        omega = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
-                       _omega_pinv, z, psi, gbar)
+        gbar = _solve_system(_gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
+                             _gbar_pinv, z, psi, omega_p)
+        omega = _solve_system(_omega_system(zp, psi_gram, gbar), psi_cond, tol,
+                              _omega_pinv, z, psi, gbar)
         residual = unfold(z, 0) - omega @ khatri_rao(gbar, psi).T
         fit = float(np.linalg.norm(residual) ** 2) / znorm2
 
@@ -390,12 +415,12 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
 
     tol = solver.pinv_tol
     z = np.reshape(q4, (mr * slots, k, frames), order="F")
-    zp, psi_gram, psi_diag, znorm2, psi_cond = _contract(z, psi, spectrum)
+    zp, psi_gram, znorm2, psi_cond = _contract(z, psi, spectrum)
 
     def sweep(factors):
         _, x, gbar = factors
-        rhs, gram = _omega_system(zp, psi_gram, gbar)
-        bound = _cond_bound(gram, psi_diag, psi_cond)
+        rhs, gram, b_diag = _omega_system(zp, psi_gram, gbar)
+        bound = schur_cond_bound(psi_cond, b_diag)
         # omega = kron(X, F): block (t, m) of rhs is rx x n, block (m, p) of
         # gram is n x n; rows of these views run over the blocks
         rb = rhs.reshape(slots, mr, mt, n).transpose(0, 2, 1, 3).reshape(slots * mt, -1)
@@ -407,14 +432,13 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
                    (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol,
                    _contracted_bound(bound, f), _mode_pinv, q4, 1, f, psi, gbar, n)
         omega = kron(x, f)
-        rhs, gram = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve(rhs, gram, tol, _cond_bound(gram, psi_diag, psi_cond),
-                      _gbar_pinv, z, psi, omega)
-        return (f, x, gbar), _gram_fit(gbar, rhs, gram, znorm2)
+        system = _gbar_system(zp, psi_gram, omega)
+        gbar = _solve_system(system, psi_cond, tol, _gbar_pinv, z, psi, omega)
+        return (f, x, gbar), _solved_fit(gbar, system[0], znorm2)
 
     def fit_at(factors):
         f, x, gbar = factors
-        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, kron(x, f)), znorm2)
+        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, kron(x, f))[:2], znorm2)
 
     (f, x, gbar), trajectory, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, STEP_SCHEDULES["tucker"])

@@ -266,10 +266,13 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
 
     The noise variance is set from the Frobenius power of the noiseless
     tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``.  The noisy
-    tensor is read-only, like the scenario it is added to.
+    tensor is read-only, like the scenario it is added to.  ``snr_db = +inf``
+    returns ``received`` itself; ``-inf`` and NaN raise ``ValueError``.
     """
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return received
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     y0 = received.y
     signal_power = float(np.linalg.norm(y0) ** 2)
     sigma2 = signal_power / (y0.size * 10.0 ** (snr_db / 10.0))

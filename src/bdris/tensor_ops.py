@@ -2,7 +2,8 @@
 Khatri-Rao products, least squares (normal equations by LU, with a trust rule
 on the Gram's condition number; SVD pseudo-inverse), a column Gram with its
 condition number and rank from one eigendecomposition, condition bounds for
-Hadamard-product Grams, rank-1 fits and the nearest Kronecker product.
+Hadamard-product Grams, rank-1 fits (from the smaller Gram's leading
+eigenpair) and the nearest Kronecker product.
 
 Linearization convention, used everywhere in this package: the first
 (leftmost) mode varies fastest, i.e. tensors are flattened in Fortran
@@ -130,7 +131,9 @@ def schur_cond_bound(p_cond, b_diag):
     number ``p_cond``): ``p_cond * max(b_diag) / min(b_diag)``, ``inf`` unless
     ``min(b_diag) > 0``.  By the Schur product theorem (Horn & Johnson, *Topics
     in Matrix Analysis*, Thm 5.3.4) every eigenvalue of ``B ∘ P`` lies in
-    ``[lambda_min(P) min(b_diag), lambda_max(P) max(b_diag)]``.
+    ``[lambda_min(P) min(b_diag), lambda_max(P) max(b_diag)]``.  The receivers
+    pass the real diagonal of the factor Gram ``B`` they formed, so a zero
+    diagonal entry of ``P`` costs the bound nothing.
     """
     lo = b_diag.min()
     return p_cond * b_diag.max() / lo if lo > 0 else np.inf
@@ -164,17 +167,30 @@ def best_rank1(a):
     """Dominant singular triple ``(u, v, sigma)`` of a matrix.
 
     ``sigma * outer(u, v.conj())`` is the Frobenius-optimal rank-1
-    approximation of ``a``.  A zero matrix yields ``sigma == 0`` with valid
-    unit-norm singular vectors.
+    approximation of ``a``.  The triple comes from the leading eigenpair of
+    the smaller Gram, ``a @ a^H`` (or ``a^H @ a`` when ``a`` is tall):
+    ``sigma`` is the root of its eigenvalue, the eigenvector is one singular
+    vector and the other is ``a^H u / sigma`` (``a v / sigma``), which costs
+    less than a full SVD and gives the same product.  A zero matrix yields
+    ``sigma == 0`` with valid unit-norm singular vectors.
     """
     a = np.asarray(a)
     if a.size == 0:
         raise ValueError("empty matrix")
+    wide = a.shape[0] <= a.shape[1]
+    b = a if wide else a.conj().T  # a wide view: b = sigma * x @ y^H
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        w, q = np.linalg.eigh(b @ b.conj().T)
     except np.linalg.LinAlgError as err:
-        raise NumericalError(f"SVD did not converge in best_rank1: {err}") from err
-    return u[:, 0], vh[0].conj(), float(s[0])
+        raise NumericalError(f"eigh did not converge in best_rank1: {err}") from err
+    x = q[:, -1]
+    sigma = float(np.sqrt(max(w[-1], 0.0)))
+    if sigma > 0:
+        y = b.conj().T @ x / sigma
+    else:
+        y = np.zeros(b.shape[1], dtype=x.dtype)
+        y[0] = 1.0
+    return (x, y, sigma) if wide else (y, x, sigma)
 
 
 def kron_rearrange(m, left_shape, right_shape):

@@ -1,9 +1,11 @@
-"""The summary that tools/bench_pairs.py writes, on synthetic runs."""
+"""The summary that tools/bench_pairs.py writes, on synthetic runs, and the
+reference unit of tools/trial_timing.py on a fake clock."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPEC = importlib.util.spec_from_file_location(
@@ -196,3 +198,29 @@ def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):
     assert env["OPENBLAS_NUM_THREADS"] == "1"
     assert got["returncode"] == 0 and got["summary"] == "307 passed in 14.02s"
     assert got["wall_s"] >= 0.0
+
+
+TIMING_SPEC = importlib.util.spec_from_file_location(
+    "trial_timing", Path(__file__).resolve().parent.parent / "tools" / "trial_timing.py")
+trial_timing = importlib.util.module_from_spec(TIMING_SPEC)
+TIMING_SPEC.loader.exec_module(trial_timing)
+
+
+def test_one_slow_reference_subblock_leaves_the_unit():
+    def clock(subblock_ms):
+        # each sub-block reads its start, then its end subblock_ms later
+        ticks = []
+        for ms in subblock_ms:
+            start = ticks[-1] + 1.0 if ticks else 0.0
+            ticks += [start, start + ms / 1e3]
+        return iter(ticks).__next__
+
+    steady = [4.0] * trial_timing.REF_SUBBLOCKS
+    slow = steady[:3] + [40.0] + steady[4:]
+    matrix = np.ones((2, 2))
+    svd_ms = [trial_timing.reference_ms(matrix, clock(ms)) for ms in (steady, slow)]
+    assert svd_ms == pytest.approx([4.0 / trial_timing.REF_SVDS] * 2, rel=1e-12)
+    timing = {"ms_per_trial": 6.0}
+    trial_timing.in_units(timing, svd_ms)
+    assert timing["svd_ms"] == pytest.approx(2.0, rel=1e-12)
+    assert timing["cost"] == pytest.approx(3.0, rel=1e-12)

@@ -403,3 +403,14 @@ def test_runtime_imports_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "False"
+
+
+def test_import_leaves_the_process_pool_out():
+    # run_sweep imports the pool only for jobs > 1: it pulls multiprocessing,
+    # socket, queue and logging in, a third of the package's own import time
+    code = ("import sys, bdris, bdris.cli\n"
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(bdris.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "False"

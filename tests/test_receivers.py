@@ -21,7 +21,8 @@ from bdris.receivers import (
     tucker_tals,
     zf_perfect_csi,
 )
-from bdris.signal import ReceivedTensor, add_noise, build_core, reshape_views
+from bdris.signal import (ReceivedTensor, add_noise, build_core, complex_normal,
+                          reshape_views)
 from bdris.tensor_ops import khatri_rao, kron, nearest_kronecker, pinv, unfold, vec
 from util import (
     count_calls,
@@ -189,6 +190,108 @@ class TestStageOne:
         slack = 1e-12 * traj[0] + rounding  # criterion 8's slack plus rounding
         assert all(traj[i + 1] <= traj[i] + slack for i in range(len(traj) - 1))
         assert abs(traj[-1] - explicit_fit(z, design.psi, res)) <= 1e-12 + rounding
+
+    def test_ill_conditioned_psi_instance(self):
+        # the property's hardest known instance: d = 2, blocks = 2 and
+        # cond(psi) ≈ 490, where the data is fit exactly and the fit is all
+        # rounding (4.1e-12 from the explicit residual; 5.3e-12 with the Gram
+        # fit of the plain update)
+        cfg = desk_config(tx_antennas=1, rx_antennas=2, ris_elements=2, groups=2,
+                          slots=2, frames=1, blocks=2)
+        design, _, _, received = draw_instance(cfg, 1158)
+        received = add_noise(received, 0.0, 1159)
+        assert 480 < math.sqrt(design.psi_spectrum[1]) < 500
+        solver = SolverOptions(delta=1e-10, max_iters=200, structure_projection=False)
+        z, res = stage1(cfg, design, received, solver, init_seed=1160)
+        m = khatri_rao(design.psi, res.omega).T
+        terms = np.abs(res.gbar) @ np.abs(m @ m.conj().T) * np.abs(res.gbar)
+        rounding = 8 * np.finfo(float).eps * terms.sum() / np.linalg.norm(z) ** 2
+        assert explicit_fit(z, design.psi, res) < 1e-20
+        assert abs(res.trajectory[-1] - explicit_fit(z, design.psi, res)) <= 1e-12 + rounding
+
+
+class TestSweepSystems:
+    """Each quantity of a pakron_stage1 sweep is computed once: a kept
+    candidate's omega system is the next sweep's, and the plain update's fit
+    comes from its solve."""
+
+    @staticmethod
+    def prepared(seed, snr_db):
+        cfg = desk_config()
+        design, channels, symbols, received = draw_instance(cfg, seed)
+        z = reshape_views(add_noise(received, snr_db, seed + 1), design).z
+        return cfg, design, channels, symbols, z, receivers._contract(
+            z, design.psi, tensor_ops.gram_spectrum(design.psi))
+
+    def test_kept_candidates_system_is_the_next_sweeps(self, monkeypatch):
+        cfg, design, _, _, z, (zp, psi_gram, _, _) = self.prepared(86, 0.0)
+        events = []
+        build, solve = receivers._omega_system, receivers._solve_system
+        loop = receivers._extrapolated_als
+
+        def logged_loop(sweep, fit_at, factors, solver, step):
+            def logged_sweep(factors):
+                events.append(("sweep", factors))
+                return sweep(factors)
+
+            def logged_fit_at(factors):
+                events.append(("fit_at", factors))
+                return fit_at(factors)
+            return loop(logged_sweep, logged_fit_at, factors, solver, step)
+
+        monkeypatch.setattr(receivers, "_extrapolated_als", logged_loop)
+        monkeypatch.setattr(receivers, "_omega_system",
+                            lambda *args: events.append(("build", args[2])) or build(*args))
+        monkeypatch.setattr(receivers, "_solve_system",
+                            lambda system, *args: events.append(("solve", system))
+                            or solve(system, *args))
+        solver = SolverOptions(max_iters=40, structure_projection=False)
+        res = pakron_stage1(z, design.psi, (cfg.slots, cfg.tx_antennas),
+                            (cfg.rx_antennas, cfg.ris_elements), solver, 87)
+
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "sweep"]
+        assert len(starts) == res.iterations > 3
+        kept = refused = 0
+        for i in starts[3:]:
+            candidate = next(arg for kind, arg in reversed(events[:i]) if kind == "fit_at")
+            factors = events[i][1]
+            end = next((j for j in range(i + 1, len(events))
+                        if events[j][0] in ("sweep", "fit_at")), len(events))
+            builds = [arg for kind, arg in events[i + 1:end] if kind == "build"]
+            solved = next(arg for kind, arg in events[i + 1:end] if kind == "solve")
+            if factors is candidate:
+                kept += 1
+                assert builds == []
+                expected = build(zp, psi_gram, factors[1])
+                assert all(np.array_equal(a, b) for a, b in zip(solved, expected))
+            else:
+                refused += 1
+                assert len(builds) == 1 and builds[0] is factors[1]
+        assert kept > 0 and refused > 0
+
+    @pytest.mark.parametrize("untrusted", [False, True], ids=["lu", "pinv"])
+    def test_solved_fit_equals_gram_fit(self, monkeypatch, untrusted):
+        pinvs = count_calls(monkeypatch, receivers, "pinv")
+        for seed in (88, 90, 92):
+            cfg, design, channels, symbols, z, prep = self.prepared(seed, 10.0)
+            zp, psi_gram, znorm2, psi_cond = prep
+            rng = np.random.default_rng(seed)
+            omega = kron(symbols.x, channels.h @ design.s)
+            omega = omega + 0.1 * complex_normal(rng, omega.shape)
+            gbar = channels.gbar + 0.1 * complex_normal(rng, channels.gbar.shape)
+            if untrusted:  # a zero column makes B, and so the Gram, singular
+                omega[:, 1] = gbar[:, 1] = 0.0
+            for system_at, at, fallback in (
+                    (receivers._gbar_system, omega, receivers._gbar_pinv),
+                    (receivers._omega_system, gbar, receivers._omega_pinv)):
+                system = system_at(zp, psi_gram, at)
+                x = receivers._solve_system(system, psi_cond, cfg.solver.pinv_tol,
+                                            fallback, z, design.psi, at)
+                rhs, gram, _ = system
+                solved = receivers._solved_fit(x, rhs, znorm2)
+                assert 0 < solved < 1
+                assert abs(solved - receivers._gram_fit(x, rhs, gram, znorm2)) <= 1e-14
+        assert len(pinvs) == (6 if untrusted else 0)
 
 
 class TestKronFactorize:
@@ -775,18 +878,20 @@ class TestSharedPreparation:
     def test_pair_decomposes_psi_once(self, monkeypatch):
         cfg = SystemConfig()
         eig = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        eigh = count_calls(monkeypatch, np.linalg, "eigh")
         svd = count_calls(monkeypatch, np.linalg, "svd")
         rank = count_calls(monkeypatch, np.linalg, "matrix_rank")
         rank1 = count_calls(monkeypatch, tensor_ops, "best_rank1")
         pinvs = count_calls(monkeypatch, receivers, "pinv")
         for trial in range(2):
-            del eig[:], svd[:], rank1[:]
+            del eig[:], eigh[:], rank1[:]
             run_trial(cfg, "pakron", 0.0, 0, trial)
             run_trial(cfg, "tucker", 0.0, 0, trial)
             # the draw's rank check is the one decomposition of psi; the two
-            # SVDs are pakron's rank-1 fits (structure projection, Kronecker split)
-            assert len(eig) == 1 and rank == [] and pinvs == []
-            assert len(svd) == len(rank1) == 2
+            # eighs are pakron's rank-1 fits (structure projection, Kronecker
+            # split), and no trial takes an SVD
+            assert len(eig) == 1 and rank == [] and pinvs == [] and svd == []
+            assert len(eigh) == len(rank1) == 2
 
     @pytest.mark.parametrize("cfg", [SystemConfig(), ACCEPTANCE_CFG],
                              ids=["default", "acceptance"])

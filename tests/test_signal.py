@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from bdris import signal
 from bdris.config import SystemConfig, derive_seed
 from bdris.errors import ConfigError
+from bdris.experiments import run_trial
 from bdris.signal import (
     ReceivedTensor,
     add_noise,
@@ -315,6 +316,15 @@ class TestNoise:
         _, _, _, received = draw_instance(desk_config(), 19)
         out = add_noise(received, math.inf, 1)
         assert out is received
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan], ids=["-inf", "nan"])
+    def test_only_plus_inf_is_noiseless(self, snr_db):
+        cfg = desk_config()
+        _, _, _, received = draw_instance(cfg, 19)
+        with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+            add_noise(received, snr_db, 1)
+        with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+            run_trial(cfg, "tucker", snr_db)
 
     def test_empirical_snr(self):
         rng = np.random.default_rng(20)

@@ -452,6 +452,32 @@ class TestBestRank1:
         s = np.linalg.svd(a, compute_uv=False)
         assert np.isclose(resid, np.sum(s[1:] ** 2), rtol=1e-10)
 
+    @staticmethod
+    def matrices():
+        rng = np.random.default_rng(13)
+        low = random_complex(rng, 8, 3) @ random_complex(rng, 3, 64)
+        return {"wide": random_complex(rng, 8, 64), "tall": random_complex(rng, 64, 8),
+                "rank1": np.outer(random_complex(rng, 8), random_complex(rng, 64)),
+                "deficient": low, "deficient_tall": low.T,
+                "zero": np.zeros((8, 64), dtype=complex)}
+
+    @pytest.mark.parametrize("name", ["wide", "tall", "rank1", "deficient",
+                                      "deficient_tall", "zero"])
+    def test_matches_the_svds_leading_triple(self, name):
+        # the triple comes from the smaller Gram's eigenpair, not an SVD
+        a = self.matrices()[name]
+        u, v, sigma = best_rank1(a)
+        us, s, vh = np.linalg.svd(a, full_matrices=False)
+        assert u.shape == (a.shape[0],) and v.shape == (a.shape[1],)
+        assert np.isclose(np.linalg.norm(u), 1.0, rtol=0, atol=1e-12)
+        assert np.isclose(np.linalg.norm(v), 1.0, rtol=0, atol=1e-12)
+        if name == "zero":
+            assert sigma == 0.0
+            return
+        assert abs(sigma - s[0]) <= 1e-12 * s[0]
+        leading = s[0] * np.outer(us[:, 0], vh[0])
+        assert np.linalg.norm(sigma * np.outer(u, v.conj()) - leading) <= 1e-12 * s[0]
+
 
 class TestSelectionMatrix:
     def test_l1(self):

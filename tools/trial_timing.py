@@ -13,12 +13,14 @@ same time and the first call's in ``svd512x32`` units (``cost``,
 ``first_call_cost``) and the mean and largest sweep counts, and the
 process's peak resident set size (``peak_rss_mb``, from ``ru_maxrss``).
 The unit is the benchmark's reference (``perfbench/child.py``): one
-SVD of a fixed 512 x 32 complex matrix, timed in blocks of ``REF_SVDS``
-right before and right after each block of trials (a reference between two
-blocks serves both).  Each block's times are divided by the mean of its two
-references (``svd_ms`` of that block), so host drift between runs cancels,
-and so does most drift within one run, which a single unit for the whole run
-left in: the same work read up to 12 % apart in two blocks of one run.
+SVD of a fixed 512 x 32 complex matrix, timed right before and right after
+each block of trials (a reference between two blocks serves both).  Each
+reference is the median over ``REF_SUBBLOCKS`` sub-blocks of ``REF_SVDS``
+SVDs, so one descheduled sub-block cannot move it.  Each block's times are
+divided by the mean of its two references (``svd_ms`` of that block), so
+host drift between runs cancels, and so does most drift within one run,
+which a single unit for the whole run left in: the same work read up to 12 %
+apart in two blocks of one run.
 
 The trials are timed twice.  First each receiver runs on its own, over all
 trial indices, so no call reuses the scenario of the one before: those
@@ -33,6 +35,7 @@ made; each receiver still contracts the data itself.
 import argparse
 import json
 import resource
+import statistics
 import sys
 import time
 
@@ -44,15 +47,20 @@ from bdris.receivers import RECEIVER_NAMES
 
 TRIALS = 40
 REF_SHAPE = (512, 32)
-REF_SVDS = 16
+REF_SUBBLOCKS = 8
+REF_SVDS = 2  # per sub-block
 
 
-def reference_ms(matrix) -> float:
-    """Milliseconds per SVD over one block of ``REF_SVDS`` SVDs of ``matrix``."""
-    start = time.perf_counter()
-    for _ in range(REF_SVDS):
-        np.linalg.svd(matrix, full_matrices=False)
-    return (time.perf_counter() - start) * 1e3 / REF_SVDS
+def reference_ms(matrix, clock=time.perf_counter) -> float:
+    """Milliseconds per SVD of ``matrix``: the median over ``REF_SUBBLOCKS``
+    sub-blocks of ``REF_SVDS`` SVDs each, timed by ``clock`` (seconds)."""
+    per_svd = []
+    for _ in range(REF_SUBBLOCKS):
+        start = clock()
+        for _ in range(REF_SVDS):
+            np.linalg.svd(matrix, full_matrices=False)
+        per_svd.append((clock() - start) * 1e3 / REF_SVDS)
+    return statistics.median(per_svd)
 
 
 def timing(ms, sweeps) -> dict:
@@ -108,8 +116,8 @@ def main(argv=None) -> int:
     refs.append(reference_ms(matrix))
     for receiver in RECEIVER_NAMES:
         in_units(out["shared"][receiver], refs[-2:])
-    out["reference"] = {"shape": REF_SHAPE, "svds_per_block": REF_SVDS,
-                        "svd_ms_blocks": refs}
+    out["reference"] = {"shape": REF_SHAPE, "subblocks": REF_SUBBLOCKS,
+                        "svds_per_subblock": REF_SVDS, "svd_ms_blocks": refs}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(out))
     return 0
