@@ -285,7 +285,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
         # sweep solves as it is when the loop keeps the candidate
         omega, gbar = factors
         scored[:] = gbar, _omega_system(zp, psi_gram, gbar)
-        return _gram_fit(omega, *scored[1][:2], znorm2)
+        rhs, gram, _ = scored[1]
+        return _gram_fit(omega, rhs, gram, znorm2)
 
     (omega, gbar), trajectory, converged = _extrapolated_als(
         sweep, fit_at, (None, gbar), solver, STEP_SCHEDULES["pakron"])
@@ -438,7 +439,8 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
 
     def fit_at(factors):
         f, x, gbar = factors
-        return _gram_fit(gbar, *_gbar_system(zp, psi_gram, kron(x, f))[:2], znorm2)
+        rhs, gram, _ = _gbar_system(zp, psi_gram, kron(x, f))
+        return _gram_fit(gbar, rhs, gram, znorm2)
 
     (f, x, gbar), trajectory, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, STEP_SCHEDULES["tucker"])

@@ -194,8 +194,7 @@ class TestStageOne:
     def test_ill_conditioned_psi_instance(self):
         # the property's hardest known instance: d = 2, blocks = 2 and
         # cond(psi) ≈ 490, where the data is fit exactly and the fit is all
-        # rounding (4.1e-12 from the explicit residual; 5.3e-12 with the Gram
-        # fit of the plain update)
+        # rounding (4.1e-12 from the explicit residual, within the slack)
         cfg = desk_config(tx_antennas=1, rx_antennas=2, ris_elements=2, groups=2,
                           slots=2, frames=1, blocks=2)
         design, _, _, received = draw_instance(cfg, 1158)
