@@ -8,7 +8,7 @@ Subcommands:
 * ``fixture``  - emit a deterministic noiseless instance as JSON
 
 Exit codes: 0 success, 2 config/usage error, 3 identifiability violation,
-4 I/O failure, 1 anything else.  Errors print one JSON line on stderr with a
+4 I/O failure, 5 numerical failure of a receiver, 1 anything else.  Errors print one JSON line on stderr with a
 machine-readable category.
 """
 
@@ -23,13 +23,14 @@ import numpy as np
 
 from . import experiments, fixtures
 from .config import ConfigError, load_config
-from .errors import IdentifiabilityError
+from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .identifiability import full_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IDENT = 3
 EXIT_IO = 4
+EXIT_NUMERICAL = 5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,6 +160,8 @@ def main(argv=None) -> int:
         return _fail("identifiability", err, EXIT_IDENT)
     except OSError as err:
         return _fail("io", err, EXIT_IO)
+    except (NumericalError, ScalingResolutionError) as err:
+        return _fail("numerical", err, EXIT_NUMERICAL)
     except ValueError as err:
         return _fail("invalid", err, EXIT_CONFIG)
 

@@ -55,7 +55,8 @@ def _store_ints(obj, names) -> None:
 class SolverOptions:
     """Knobs of the alternating-least-squares receivers."""
 
-    delta: float = 1e-6          # stop when the normalized fit improves by less
+    delta: float = 1e-6          # stop when the normalized fit moves by no more
+                                 # than this (or, for pakron, 1e-4 times the fit)
     max_iters: int = 500
     init_seed: int = 0
     structure_projection: bool = True  # pin the two-stage receiver's mixed factor

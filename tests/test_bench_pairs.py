@@ -74,7 +74,8 @@ def test_in_process_summary():
                 "reference": {"shape": [512, 32], "svd_ms": 2.0},
                 "tucker": {"ms_per_trial": ms, "cost": cost, "sweeps_mean": 30.0,
                            "sweeps_max": 50, "first_call_ms": first_ms,
-                           "first_call_cost": first_ms / 2.0},
+                           "first_call_cost": first_ms / 2.0, "nmse_h_median": 0.25,
+                           "nmse_g_median": 0.125, "ser_mean": 0.5},
                 "peak_rss_mb": rss}
 
     runs = [timing("parent", 12.0, 6.0, 40.0, 102.0),
@@ -98,6 +99,8 @@ def test_in_process_summary():
     assert tucker["parent"]["cost_median"] == 5.5
     assert tucker["change"]["cost_median"] == 3.5
     assert tucker["change"]["sweeps_mean"] == 30.0
+    assert (tucker["parent"]["nmse_h_median"], tucker["parent"]["nmse_g_median"],
+            tucker["parent"]["ser_mean"]) == (0.25, 0.125, 0.5)
     assert tucker["parent"]["first_call_ms"] == [40.0, 60.0, 50.0]
     assert tucker["parent"]["first_call_ms_median"] == 50.0
     assert tucker["change"]["first_call_cost_median"] == 12.5
@@ -139,6 +142,12 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     class Done:
         iterations = 3
 
+        def __init__(self, trial_index):
+            # the first call (trial 2) is timed, but not scored
+            self.nmse_h = (0.1, 0.3, 9.0)[trial_index]
+            self.nmse_g = (0.02, 0.01, 9.0)[trial_index]
+            self.ser = (0.0, 0.25, 9.0)[trial_index]
+
     class Clock:
         @staticmethod
         def perf_counter():
@@ -147,7 +156,7 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
     def fake_trial(cfg, receiver, snr_db, snr_index, trial_index):
         seen.append((snr_db, receiver, trial_index))
         clock[0] += 0.05 if trial_index == 2 else 0.001  # the first call is slow
-        return Done()
+        return Done(trial_index)
 
     blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])
     monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
@@ -172,6 +181,10 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
             assert timing["svd_ms"] == unit
             assert timing["cost"] == pytest.approx(1.0 / unit)
             assert timing["sweeps_mean"] == 3 and timing["sweeps_max"] == 3
+            # the accuracy of the trials timed: trials 0 and 1
+            assert timing["nmse_h_median"] == pytest.approx(0.2)
+            assert timing["nmse_g_median"] == pytest.approx(0.015)
+            assert timing["ser_mean"] == pytest.approx(0.125)
         # the first call is timed apart from the per-trial mean, in its block's unit
         assert out[receiver]["first_call_ms"] == pytest.approx(50.0)
         assert out[receiver]["first_call_cost"] == pytest.approx(50.0 / units[receiver][0])

@@ -9,7 +9,7 @@ import pytest
 
 import bdris
 from bdris import experiments
-from bdris.cli import EXIT_CONFIG, EXIT_IDENT, main
+from bdris.cli import EXIT_CONFIG, EXIT_IDENT, EXIT_NUMERICAL, main
 from bdris.config import (
     ConfigError,
     SolverOptions,
@@ -367,6 +367,24 @@ class TestFixture:
         assert out == ""
         failure = json.loads(err)
         assert failure["error"] == "invalid" and "non-finite" in failure["message"]
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    def test_zero_channel_fixture_is_a_numerical_failure(self, capsys, tmp_path,
+                                                          receiver):
+        # a zero surface-to-receiver channel passes the fixture checks and
+        # makes the received tensor zero: a named failure, not a traceback
+        fx = tmp_path / "fx.json"
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
+        doc = json.loads(fx.read_text())
+        doc["channels"]["ris_bs"]["data"] = [0.0] * len(doc["channels"]["ris_bs"]["data"])
+        fx.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *args, "simulate", "--receiver", receiver,
+                                 "--from-fixture", str(fx))
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "numerical" and "zero energy" in failure["message"]
 
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -228,7 +228,7 @@ class TestSweepSystems:
         build, solve = receivers._omega_system, receivers._solve_system
         loop = receivers._extrapolated_als
 
-        def logged_loop(sweep, fit_at, factors, solver, step):
+        def logged_loop(sweep, fit_at, factors, solver, step, rel_tol):
             def logged_sweep(factors):
                 events.append(("sweep", factors))
                 return sweep(factors)
@@ -236,7 +236,7 @@ class TestSweepSystems:
             def logged_fit_at(factors):
                 events.append(("fit_at", factors))
                 return fit_at(factors)
-            return loop(logged_sweep, logged_fit_at, factors, solver, step)
+            return loop(logged_sweep, logged_fit_at, factors, solver, step, rel_tol)
 
         monkeypatch.setattr(receivers, "_extrapolated_als", logged_loop)
         monkeypatch.setattr(receivers, "_omega_system",
@@ -646,21 +646,25 @@ class TestExtrapolatedALS:
     factor is a number, a sweep halves it and its fit is its square."""
 
     @staticmethod
-    def script(jump_fit=None, max_iters=20, delta=1e-9, receiver="pakron"):
+    def script(jump_fit=None, max_iters=20, delta=1e-9, receiver="pakron",
+               sweep_fit=None, rel_tol=None):
         log = []
 
         def sweep(factors):
             log.append(("sweep", factors))
             new = tuple(0.5 * f for f in factors)
-            return new, new[0] ** 2
+            return new, new[0] ** 2 if sweep_fit is None else sweep_fit(new)
 
         def fit_at(factors):
             log.append(("fit_at", factors))
             return factors[0] ** 2 if jump_fit is None else jump_fit(factors)
 
         solver = SolverOptions(delta=delta, max_iters=max_iters)
+        if rel_tol is None:
+            rel_tol = receivers.RELATIVE_TOLERANCES[receiver]
         return log, receivers._extrapolated_als(
-            sweep, fit_at, (1.0, 2.0), solver, receivers.STEP_SCHEDULES[receiver])
+            sweep, fit_at, (1.0, 2.0), solver, receivers.STEP_SCHEDULES[receiver],
+            rel_tol)
 
     @staticmethod
     def default_instances(snr_db):
@@ -716,13 +720,49 @@ class TestExtrapolatedALS:
             jump_fit=lambda _: np.inf, max_iters=60, delta=1e-12)
         assert len(trajectory) < 60 and converged
 
+    def test_stops_when_the_fit_moves_less_than_its_relative_tolerance(self):
+        # the fit creeps down to 0.5 by 1e-3 * 0.5^k at sweep k: by sweep 5
+        # that is within 1e-4 of the fit, though never within delta = 0
+        creep = dict(sweep_fit=lambda f: 0.5 + 1e-3 * f[0], jump_fit=lambda _: np.inf,
+                     delta=0.0)
+        _, (_, trajectory, converged) = self.script(rel_tol=1e-4, **creep)
+        assert len(trajectory) == 5 and converged
+        assert abs(trajectory[-1] - trajectory[-2]) <= 1e-4 * trajectory[-1]
+        assert abs(trajectory[-2] - trajectory[-3]) > 1e-4 * trajectory[-2]
+        _, (_, trajectory, converged) = self.script(rel_tol=0.0, **creep)
+        assert len(trajectory) == 20 and not converged
+
+    @staticmethod
+    def pakron_outputs(cfg, instances):
+        alphabet = signal.psk_alphabet(cfg.modulation_order)
+        return [pakron(received, design, alphabet, cfg.solver, seed)
+                for seed, (design, received) in enumerate(instances)]
+
+    @pytest.mark.parametrize("snr_db", [20.0, 30.0])
+    def test_pakron_at_high_snr_stops_where_delta_alone_does(self, monkeypatch, snr_db):
+        cfg, instances = self.default_instances(snr_db)
+        relative = self.pakron_outputs(cfg, instances)
+        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 0.0)
+        for a, b in zip(relative, self.pakron_outputs(cfg, instances)):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    def test_pakron_at_0db_takes_fewer_sweeps(self, monkeypatch):
+        cfg, instances = self.default_instances(0.0)
+        relative = self.pakron_outputs(cfg, instances)
+        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 0.0)
+        absolute = self.pakron_outputs(cfg, instances)
+        assert (sum(out.iterations for out in relative)
+                < sum(out.iterations for out in absolute))
+
     def test_tucker_takes_fewer_sweeps_than_plain_als(self, monkeypatch):
         cfg, instances = self.default_instances(0.0)
         extrapolated = self.total_tucker_sweeps(cfg, instances)
         driver = receivers._extrapolated_als
         monkeypatch.setattr(receivers, "_extrapolated_als",
-                            lambda sweep, fit_at, factors, solver, step:
-                            driver(sweep, lambda _: np.inf, factors, solver, step))
+                            lambda sweep, fit_at, factors, solver, step, rel_tol:
+                            driver(sweep, lambda _: np.inf, factors, solver, step,
+                                   rel_tol))
         assert extrapolated < self.total_tucker_sweeps(cfg, instances)
 
     def test_tucker_step_takes_fewer_sweeps_than_sqrt_step(self, monkeypatch):
@@ -978,6 +1018,19 @@ def test_non_finite_received_tensor_raises(receiver, bad):
     y[1, 2, 3, 0] = bad
     with pytest.raises(NumericalError, match="non-finite"):
         receiver(ReceivedTensor(y=y), design, symbols.alphabet, cfg.solver, 0)
+
+
+@pytest.mark.parametrize("receiver", [pakron, tucker])
+@pytest.mark.parametrize("scale", [0.0, 1e-170], ids=["zero-channel", "underflow"])
+def test_zero_energy_received_tensor_raises(receiver, scale):
+    # with a zero surface-to-receiver channel the received tensor is zero,
+    # and at 1e-170 its energy underflows to 0: every fit divides by it
+    cfg = desk_config()
+    design, channels, symbols, _ = draw_instance(cfg, 39)
+    channels = signal.ChannelSet(h=scale * channels.h, g=channels.g)
+    received = signal.synthesize_received(channels, design, symbols)
+    with pytest.raises(NumericalError, match="zero energy"):
+        receiver(received, design, symbols.alphabet, cfg.solver, 0)
 
 
 class TestZeroForcing:

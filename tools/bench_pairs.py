@@ -50,6 +50,8 @@ SIDES = ("parent", "change")
 IN_PROCESS_PAIRS = 4
 # per-receiver times of an in-process run, each summarized with its median
 TIMED = ("ms_per_trial", "cost", "first_call_ms", "first_call_cost")
+# seeded per-receiver figures of an in-process run, equal in every run of a side
+SEEDED = ("sweeps_mean", "sweeps_max", "nmse_h_median", "nmse_g_median", "ser_mean")
 SUITE = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -114,8 +116,9 @@ def summarize(runs, end_to_end) -> dict:
 def in_process_summary(runs) -> dict:
     """Per receiver and side, the raw ms and the ``svd512x32`` cost per trial
     of every run with their medians, the same for the receiver's first call
-    (``first_call_ms``, ``first_call_cost``) and the mean sweeps per trial
-    (seeded, so equal in every run of a side).  The runs' ``shared`` blocks,
+    (``first_call_ms``, ``first_call_cost``), and the figures that are seeded,
+    so equal in every run of a side (``SEEDED``: the mean and largest sweeps
+    per trial, the NMSE medians and the mean SER).  The runs' ``shared`` blocks,
     timed with every receiver on each trial index in turn, are summarized the
     same way under ``"shared"``, and each side's peak RSS of every run and
     its median under ``"peak_rss_mb"``."""
@@ -141,8 +144,7 @@ def _timing_summary(runs) -> dict:
         for receiver, timing in run.items():
             if isinstance(timing, dict) and "cost" in timing:
                 side = summary.setdefault(receiver, {}).setdefault(
-                    run["side"], {"sweeps_mean": timing["sweeps_mean"],
-                                  "sweeps_max": timing["sweeps_max"]})
+                    run["side"], {key: timing[key] for key in SEEDED if key in timing})
                 for key in TIMED:
                     if key in timing:
                         side.setdefault(key, []).append(timing[key])

@@ -10,7 +10,8 @@ use at these dimensions), then trials ``0 .. TRIALS-1``, all at the config's
 first ``snr_db`` entry (0 dB by default; ``--set snr_db=30`` times 30 dB).
 It prints one JSON line: per receiver the mean milliseconds per trial, the
 same time and the first call's in ``svd512x32`` units (``cost``,
-``first_call_cost``) and the mean and largest sweep counts, and the
+``first_call_cost``), the mean and largest sweep counts and the accuracy of
+the trials timed (median NMSE(H·S) and NMSE(Ḡ), mean SER), and the
 process's peak resident set size (``peak_rss_mb``, from ``ru_maxrss``).
 The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed right before and right after
@@ -63,11 +64,16 @@ def reference_ms(matrix, clock=time.perf_counter) -> float:
     return statistics.median(per_svd)
 
 
-def timing(ms, sweeps) -> dict:
-    """Mean milliseconds and sweeps per trial, and the largest sweep count,
-    of ``len(sweeps)`` trials that took ``ms`` in all."""
-    return {"ms_per_trial": ms / len(sweeps), "sweeps_mean": sum(sweeps) / len(sweeps),
-            "sweeps_max": max(sweeps)}
+def timing(ms, trials) -> dict:
+    """Mean milliseconds and sweeps per trial, the largest sweep count, the
+    median NMSE(H·S) and NMSE(Ḡ) and the mean SER of the ``TrialResult``s
+    ``trials``, which took ``ms`` in all."""
+    sweeps = [trial.iterations for trial in trials]
+    return {"ms_per_trial": ms / len(trials), "sweeps_mean": sum(sweeps) / len(trials),
+            "sweeps_max": max(sweeps),
+            "nmse_h_median": statistics.median(trial.nmse_h for trial in trials),
+            "nmse_g_median": statistics.median(trial.nmse_g for trial in trials),
+            "ser_mean": statistics.fmean(trial.ser for trial in trials)}
 
 
 def in_units(timing, refs) -> None:
@@ -96,22 +102,22 @@ def main(argv=None) -> int:
         start = time.perf_counter()
         run_trial(cfg, receiver, snr_db, 0, TRIALS)
         first_call_ms = (time.perf_counter() - start) * 1e3
-        sweeps = []
+        trials = []
         start = time.perf_counter()
         for t in range(TRIALS):
-            sweeps.append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
-        out[receiver] = timing((time.perf_counter() - start) * 1e3, sweeps)
+            trials.append(run_trial(cfg, receiver, snr_db, 0, t))
+        out[receiver] = timing((time.perf_counter() - start) * 1e3, trials)
         out[receiver]["first_call_ms"] = first_call_ms
         refs.append(reference_ms(matrix))
         in_units(out[receiver], refs[-2:])
     ms = dict.fromkeys(RECEIVER_NAMES, 0.0)
-    sweeps = {receiver: [] for receiver in RECEIVER_NAMES}
+    trials = {receiver: [] for receiver in RECEIVER_NAMES}
     for t in range(TRIALS):
         for receiver in RECEIVER_NAMES:
             start = time.perf_counter()
-            sweeps[receiver].append(run_trial(cfg, receiver, snr_db, 0, t).iterations)
+            trials[receiver].append(run_trial(cfg, receiver, snr_db, 0, t))
             ms[receiver] += (time.perf_counter() - start) * 1e3
-    out["shared"] = {receiver: timing(ms[receiver], sweeps[receiver])
+    out["shared"] = {receiver: timing(ms[receiver], trials[receiver])
                      for receiver in RECEIVER_NAMES}
     refs.append(reference_ms(matrix))
     for receiver in RECEIVER_NAMES:
