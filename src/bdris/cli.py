@@ -8,8 +8,8 @@ Subcommands:
 * ``fixture``  - emit a deterministic noiseless instance as JSON
 
 Exit codes: 0 success, 2 config/usage error, 3 identifiability violation,
-4 I/O failure, 5 numerical failure of a receiver, 1 anything else.  Errors print one JSON line on stderr with a
-machine-readable category.
+4 I/O failure, 5 numerical failure of a receiver, 1 anything else.  Errors
+print one JSON line on stderr with a machine-readable category.
 """
 
 import argparse

@@ -257,11 +257,12 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     ``gbar`` solve, ``(||z||^2 - Re<gbar, rhs>) / ||z||^2`` clamped at 0.  The
     sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``,
     with the ``sqrt(k)`` step, and stop when the fit changes by no more than
-    ``max(solver.delta, 1e-4 * fit)`` (``RELATIVE_TOLERANCES``): at low SNR
-    the fit settles near the noise share and then creeps, and those sweeps
-    do not move stage II's output.  A candidate is scored by the Gram fit of the
-    ``omega`` system at its ``gbar``, and when the loop keeps it, the next
-    sweep solves that system instead of building it again.
+    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps`` from
+    ``RELATIVE_TOLERANCES``: at low SNR the fit settles near the noise share
+    and then creeps, and those sweeps do not move stage II's output.  A
+    candidate is scored by the Gram fit of the ``omega`` system at its
+    ``gbar``, and when the loop keeps it, the next sweep solves that system
+    instead of building it again.
 
     ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
