@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .tensor_ops import DEFAULT_PINV_TOL
 
 CHANNEL_MODELS = ("rayleigh", "geometric")
 PHASE_DESIGNS = ("random", "dft")
@@ -60,13 +61,10 @@ class SolverOptions:
     max_iters: int = 500
     init_seed: int = 0
     structure_projection: bool = True  # pin the two-stage receiver's mixed factor
-    pinv_tol: float = 1e-12
+    pinv_tol: float = DEFAULT_PINV_TOL
 
     def __post_init__(self):
         _store_ints(self, ("max_iters", "init_seed"))
-        self.validate()
-
-    def validate(self):
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ConfigError("solver.delta must be finite and nonnegative")
         if not 0 <= self.pinv_tol < 1:  # also true for NaN
@@ -129,10 +127,6 @@ class SystemConfig:
             raise ConfigError(f"solver must be a SolverOptions, got {self.solver!r}")
 
     @property
-    def group_size(self) -> int:
-        return self.ris_elements // self.groups
-
-    @property
     def tx_ris_dim(self) -> int:
         """Length of the vectorized per-frame terminal-to-surface channel."""
         return self.tx_antennas * self.ris_elements
@@ -184,13 +178,13 @@ def _coerce(key, raw, typ):
             raise ConfigError("snr_db must contain at least one value")
         return tuple(vals)
     try:
-        if typ in ("int", int):
+        if typ is int:
             # a typed value is left to the constructor's integer check, so a
             # float is rejected, not truncated
             return int(raw.strip()) if isinstance(raw, str) else raw
-        if typ in ("float", float):
+        if typ is float:
             return float(raw)
-        if typ in ("bool", bool):
+        if typ is bool:
             if isinstance(raw, bool):
                 return raw
             s = str(raw).strip().lower()

@@ -74,14 +74,14 @@ def nmse_aligned(truth, estimate, mode="per-column") -> float:
 
 
 def ser(symbols: SymbolBlock, detected) -> float:
-    """Fraction of wrongly decided data symbols (reference row excluded);
-    NaN when the block holds no data symbol (``slots == 1``)."""
+    """Fraction of wrongly decided data symbols (the reference row 0
+    excluded); NaN when the block holds no data symbol (``slots == 1``)."""
     detected = np.asarray(detected)
     if detected.shape != symbols.x.shape:
         raise ValueError("detected matrix shape differs from transmitted block")
     wrong = (hard_decisions(symbols.x, symbols.alphabet)
              != hard_decisions(detected, symbols.alphabet))
-    data = wrong[np.arange(len(wrong)) != symbols.reference_row]
+    data = wrong[1:]
     return float(np.mean(data)) if data.size else math.nan
 
 

@@ -22,7 +22,6 @@ from .signal import (
     psk_alphabet,
     synthesize_received,
 )
-from .tensor_ops import khatri_rao
 
 FIXTURE_KIND = "bdris-fixture"
 FIXTURE_VERSION = 1
@@ -93,9 +92,9 @@ def _check_described(cfg: SystemConfig, arrays: dict) -> None:
 def load_fixture(obj_or_path):
     """Rebuild (cfg, design, channels, symbols, received, recorded_tensor);
     ``ValueError`` unless the config describes the arrays (their shapes and
-    the symbols' alphabet) and the design passes a drawn one's checks:
-    ``psi`` of full rank (``psi_spectrum``) and a unitary scattering
-    matrix."""
+    the symbols' alphabet), the design passes a drawn one's checks (full-rank
+    ``psi``, unitary scattering matrix) and neither channel nor the recorded
+    tensor is all zero, which would leave nothing to estimate."""
     if isinstance(obj_or_path, (str, bytes)) or hasattr(obj_or_path, "__fspath__"):
         with open(obj_or_path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -117,11 +116,13 @@ def load_fixture(obj_or_path):
         recorded = decode_array(obj["received_noiseless"])
     except (KeyError, TypeError, AttributeError) as err:
         raise ValueError(f"malformed fixture document: {err!r}") from err
-    _check_described(cfg, dict(scattering=s, rotation=p, coding=w, ris_bs=h, ut_ris=g,
-                               x=x, received_noiseless=recorded))
-    design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
-    if design.psi_spectrum[2] < min(design.psi.shape):
-        raise ValueError("fixture's combined rotation/coding matrix is rank deficient")
+    arrays = dict(scattering=s, rotation=p, coding=w, ris_bs=h, ut_ris=g, x=x,
+                  received_noiseless=recorded)
+    _check_described(cfg, arrays)
+    for name in ("ris_bs", "ut_ris", "received_noiseless"):
+        if not arrays[name].any():
+            raise ValueError(f"fixture's {name} array is all zero")
+    design = ScatteringDesign(s=s, p=p, w=w)
     if not is_unitary(s):
         raise ValueError("fixture's scattering matrix is not unitary")
     channels = ChannelSet(h=h, g=g)

@@ -41,9 +41,9 @@ only then.
 
 Both receivers start from the same preparation of one received tensor
 (``_contract``): the data contracted with ``conj(psi)``, ``psi``'s Gram and
-its condition number, and ``||z||^2``.  ``pakron`` and ``tucker`` take
-``psi``'s Gram and condition number from the design
-(``ScatteringDesign.psi_spectrum``), the decomposition the scenario draw made
+its condition number, and ``||z||^2``, which must be finite and positive.
+``pakron`` and ``tucker`` take ``psi``'s Gram and condition number from the
+design (``ScatteringDesign.psi_spectrum``), the decomposition the design made
 for its rank check, so every receiver on one design shares it.
 
 Both inherit the model's indeterminacies: a per-stream scale on the symbol
@@ -66,6 +66,7 @@ from .identifiability import require_feasible
 from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
+    DEFAULT_PINV_TOL,
     best_rank1,
     gram_spectrum,
     khatri_rao,
@@ -120,15 +121,6 @@ class StageOneResult:
     fit: float
 
 
-def _require_data(data):
-    """``NumericalError`` unless the received tensor is finite and its energy
-    ``||z||^2``, by which every fit is normalized, is positive."""
-    if not np.all(np.isfinite(data)):
-        raise NumericalError("received tensor has non-finite entries")
-    if not float(np.linalg.norm(data)) ** 2 > 0:
-        raise NumericalError("received tensor has zero energy")
-
-
 # Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
 # unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
 # with Khatri-Rao Grams as Hadamard products B ∘ psi_gram of factor Grams.
@@ -140,11 +132,17 @@ def _contract(z, psi, spectrum):
     ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s Gram
     ``psi^T conj(psi)``, ``||z||^2`` and the Gram's condition number; the Gram
     and its condition number are read off ``spectrum``, :func:`gram_spectrum`
-    of ``psi``.
+    of ``psi``.  ``NumericalError`` unless ``||z||^2``, by which every fit is
+    normalized, is finite (so is every entry) and positive.
     """
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        znorm2 = float(np.linalg.norm(z) ** 2)
+    if not math.isfinite(znorm2):
+        raise NumericalError("received tensor has non-finite entries or energy")
+    if not znorm2 > 0:
+        raise NumericalError("received tensor has zero energy")
     psi_gram, psi_cond, _ = spectrum
-    return (np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram,
-            float(np.linalg.norm(z) ** 2), psi_cond)
+    return np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram, znorm2, psi_cond
 
 
 def _contracted_bound(bound, x):
@@ -284,7 +282,6 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
         raise ValueError("factor shapes inconsistent with the data view")
     require_feasible("pakron", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
-    _require_data(z)
 
     gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
             else complex_normal(np.random.default_rng(init_seed), (frames, d)))
@@ -371,17 +368,14 @@ def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
 def _mixing(mode, factor, psi, gbar, n):
     """Mixing matrix ``V`` of mode 0 or 1 of the fourth-order view
     (``unfold(q4, 0) == F @ V``, ``unfold(q4, 1) == X @ V``), given the other
-    factor (``X`` or ``F``).  The structured core reduces mode 1's to a
-    product of ``F`` with ``khatri_rao(gbar, psi)``, whose rows
-    (frames·blocks) reshape to tx x ris matrices; columns run over (r, k, i)
-    with r fastest.  Mode 0's, which only ``tucker``'s F fallback builds,
-    keeps the three-operand einsum, so that fallback's bits are unchanged."""
-    mt = psi.shape[1] // n
+    factor (``X`` or ``F``).  The structured core reduces it to a product of
+    the factor with ``khatri_rao(gbar, psi)``, whose rows (frames·blocks)
+    reshape to tx x ris matrices (ris x tx for mode 0); columns run over
+    (other factor's row, k, i), first fastest."""
+    kr = khatri_rao(gbar, psi).reshape(-1, psi.shape[1] // n, n)
     if mode == 0:
-        slices = [np.reshape(a, (a.shape[0], n, mt), order="F") for a in (psi, gbar)]
-        return np.einsum("tm,knm,inm->ntki", factor, *slices).reshape(n, -1, order="F")
-    kr = khatri_rao(gbar, psi).reshape(-1, mt, n)
-    return (kr @ factor.T).transpose(1, 0, 2).reshape(mt, -1)
+        kr = kr.transpose(0, 2, 1)
+    return (kr @ factor.T).transpose(1, 0, 2).reshape(kr.shape[1], -1)
 
 
 def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
@@ -429,7 +423,6 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
     d = n * mt
     require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
-    _require_data(q4)
 
     rng = np.random.default_rng(init_seed)
     x = (np.array(x_init, dtype=complex) if x_init is not None
@@ -493,16 +486,15 @@ def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
 
 
 def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
-                   design: ScatteringDesign, pinv_tol=1e-12) -> np.ndarray:
+                   design: ScatteringDesign, pinv_tol=DEFAULT_PINV_TOL) -> np.ndarray:
     """Zero-forcing symbol estimate with perfect channel knowledge.
 
     Inverts the known mode-1 mixing of the fourth-order view:
     ``X = unfold(q4, 1) @ pinv(V)`` with ``V`` built from the true channels
     and the design.
     """
-    v2 = _mixing(1, channels.h @ design.s, design.psi, channels.gbar,
-                 design.s.shape[0])
-    return unfold(received.y, 1) @ pinv(v2, pinv_tol)
+    return _mode_pinv(received.y, 1, channels.h @ design.s, design.psi,
+                      channels.gbar, design.s.shape[0], pinv_tol)
 
 
 def hard_decisions(x, alphabet) -> np.ndarray:

@@ -39,20 +39,31 @@ def psk_alphabet(order: int) -> np.ndarray:
 class ScatteringDesign:
     """Known receive-side quantities: scattering, rotations, coding.
 
-    ``psi`` combines coding and rotations row-wise: row k is
-    ``kron(w_k, p_k)``, so its column count is tx_antennas * ris_elements.
+    A design refuses (``ValueError``) a rank-deficient ``psi``: its rank,
+    counted from the eigenvalues of its Gram ``psi^T conj(psi)`` above
+    ``max(blocks, d) * eps * lambda_max`` (:func:`bdris.tensor_ops.gram_spectrum`
+    says why), must be ``min(blocks, tx_antennas * ris_elements)``.
     """
 
     s: np.ndarray    # ris_elements x ris_elements, block-diagonal unitary
     p: np.ndarray    # blocks x ris_elements, unit-modulus rotations
     w: np.ndarray    # blocks x tx_antennas, coding matrix
-    psi: np.ndarray  # blocks x (tx_antennas * ris_elements)
+
+    def __post_init__(self):
+        if self.psi_spectrum[2] != min(self.psi.shape):
+            raise ValueError("combined rotation/coding matrix is rank deficient")
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        """blocks x (tx_antennas * ris_elements), coding and rotations
+        combined row-wise: row k is ``kron(w_k, p_k)``."""
+        return khatri_rao(self.w.T, self.p.T).T
 
     @cached_property
     def psi_spectrum(self) -> tuple:
         """``(gram, cond, rank)`` of ``psi`` (:func:`bdris.tensor_ops.gram_spectrum`),
-        decomposed once per design: the draw's rank check and every receiver
-        on this design read it.  The Gram is read-only, since they share it."""
+        decomposed once per design: the design's rank check and every receiver
+        on it read it.  The Gram is read-only, since they share it."""
         gram, cond, rank = gram_spectrum(self.psi)
         gram.flags.writeable = False
         return gram, cond, rank
@@ -73,9 +84,8 @@ class ChannelSet:
 
 @dataclass(frozen=True)
 class SymbolBlock:
-    x: np.ndarray          # slots x tx_antennas
+    x: np.ndarray          # slots x tx_antennas; row 0 is the known reference
     alphabet: np.ndarray
-    reference_row: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,16 +148,12 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
     """Draw the known surface/coding design for one scenario.
 
     The scattering matrix is block-diagonal with unitary DFT blocks of size
-    ``group_size``; it depends on the dimensions only, so every design with
-    the same ``(ris_elements, groups)`` shares one read-only array, checked
-    for unitarity when first built.  Rotations and coding entries are
-    unit-modulus with random phases (or deterministic DFT-style phases when
-    ``phase_design = dft``).  Every draw checks that ``psi`` has full rank
-    ``min(blocks, tx_antennas * ris_elements)``, counted from the eigenvalues
-    of its Gram ``psi^T conj(psi)`` above ``max(blocks, d) * eps *
-    lambda_max`` (:func:`bdris.tensor_ops.gram_spectrum`, which states why
-    that is the Gram's resolution).  The check reads the design's
-    ``psi_spectrum``, so the receivers on this design take the Gram and its
+    ``ris_elements // groups``; it depends on the dimensions only, so every
+    design with the same ``(ris_elements, groups)`` shares one read-only
+    array, checked for unitarity when first built.  Rotations and coding
+    entries are unit-modulus with random phases (or deterministic DFT-style
+    phases when ``phase_design = dft``).  The design checks its ``psi``'s
+    rank from ``psi_spectrum``, so the receivers on it take the Gram and its
     condition number from the same decomposition.
     """
     s = _block_dft(cfg.ris_elements, cfg.groups)
@@ -164,11 +170,7 @@ def design_scattering(cfg: SystemConfig, seed: int) -> ScatteringDesign:
         rng = np.random.default_rng(seed)
         p = np.exp(2j * np.pi * rng.random((k, n)))
         w = np.exp(2j * np.pi * rng.random((k, mt)))
-
-    design = ScatteringDesign(s=s, p=p, w=w, psi=khatri_rao(w.T, p.T).T)
-    if design.psi_spectrum[2] != min(k, mt * n):
-        raise AssertionError("combined rotation/coding matrix is rank deficient")
-    return design
+    return ScatteringDesign(s=s, p=p, w=w)
 
 
 def gen_channels(cfg: SystemConfig, seed: int) -> ChannelSet:

@@ -28,13 +28,8 @@ DEFAULT_PINV_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
 
-def vec(a):
-    """Stack the columns of a matrix (or flatten a tensor, first mode fastest)."""
-    return np.ravel(a, order="F")
-
-
 def unvec(v, rows, cols):
-    """Inverse of :func:`vec` for matrices."""
+    """The matrix whose stacked columns are ``v``."""
     return np.reshape(v, (rows, cols), order="F")
 
 

@@ -213,6 +213,16 @@ def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):
     assert got["wall_s"] >= 0.0
 
 
+def test_source_lines_count_the_package_modules_only(tmp_path):
+    package = tmp_path / "src" / "bdris"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("\n\n\nlast line without a newline")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 5  # what wc -l totals
+
+
 TIMING_SPEC = importlib.util.spec_from_file_location(
     "trial_timing", Path(__file__).resolve().parent.parent / "tools" / "trial_timing.py")
 trial_timing = importlib.util.module_from_spec(TIMING_SPEC)

@@ -9,7 +9,7 @@ import pytest
 
 import bdris
 from bdris import experiments
-from bdris.cli import EXIT_CONFIG, EXIT_IDENT, EXIT_NUMERICAL, main
+from bdris.cli import EXIT_CONFIG, EXIT_IDENT, main
 from bdris.config import (
     ConfigError,
     SolverOptions,
@@ -368,23 +368,27 @@ class TestFixture:
         failure = json.loads(err)
         assert failure["error"] == "invalid" and "non-finite" in failure["message"]
 
-    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
-    def test_zero_channel_fixture_is_a_numerical_failure(self, capsys, tmp_path,
-                                                          receiver):
-        # a zero surface-to-receiver channel passes the fixture checks and
-        # makes the received tensor zero: a named failure, not a traceback
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker", "zf-oracle"])
+    @pytest.mark.parametrize("array", ["ris_bs", "ut_ris", "received_noiseless"])
+    def test_all_zero_fixture_array_is_invalid(self, capsys, tmp_path, array,
+                                               receiver):
+        # a zero channel leaves nothing to estimate (the oracle would score
+        # NMSE 0) and a zero recorded tensor nothing to compare with: the
+        # fixture is refused where it is loaded, for every receiver
         fx = tmp_path / "fx.json"
         args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
         assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
         doc = json.loads(fx.read_text())
-        doc["channels"]["ris_bs"]["data"] = [0.0] * len(doc["channels"]["ris_bs"]["data"])
+        section = doc if array == "received_noiseless" else doc["channels"]
+        for encoded in (section[array] if array == "ut_ris" else [section[array]]):
+            encoded["data"] = [0.0] * len(encoded["data"])
         fx.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, *args, "simulate", "--receiver", receiver,
                                  "--from-fixture", str(fx))
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_CONFIG
         assert out == ""
         failure = json.loads(err)
-        assert failure["error"] == "numerical" and "zero energy" in failure["message"]
+        assert failure["error"] == "invalid" and array in failure["message"]
 
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -23,7 +23,7 @@ from bdris.receivers import (
 )
 from bdris.signal import (ReceivedTensor, add_noise, build_core, complex_normal,
                           reshape_views)
-from bdris.tensor_ops import khatri_rao, kron, nearest_kronecker, pinv, unfold, vec
+from bdris.tensor_ops import khatri_rao, kron, nearest_kronecker, pinv, unfold
 from util import (
     count_calls,
     desk_config,
@@ -34,6 +34,7 @@ from util import (
     tight_solver,
     tucker_mixing,
     tucker_tals_explicit,
+    vec,
 )
 
 
@@ -567,7 +568,7 @@ class TestTucker:
         solver = SolverOptions(max_iters=1)
         q4, (f, _, _, _, _) = run_tals(design, received, solver,
                                        x_init=symbols.x, gbar_init=gbar_init)
-        v1 = tucker_mixing(0, None, symbols.x, design.psi, gbar_init)
+        v1 = receivers._mixing(0, symbols.x, design.psi, gbar_init, cfg.ris_elements)
         assert np.array_equal(f, unfold(q4, 0) @ pinv(v1, solver.pinv_tol))
 
     def test_zero_x_init_takes_pinv_fallback(self):
@@ -1031,6 +1032,19 @@ def test_zero_energy_received_tensor_raises(receiver, scale):
     received = signal.synthesize_received(channels, design, symbols)
     with pytest.raises(NumericalError, match="zero energy"):
         receiver(received, design, symbols.alphabet, cfg.solver, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, 1e160])
+def test_contract_refuses_non_finite_or_zero_data(bad):
+    cfg = desk_config()
+    design, _, _, received = draw_instance(cfg, 39)
+    z = np.reshape(received.y, (-1, cfg.blocks, cfg.frames), order="F").copy()
+    if np.isfinite(bad):
+        z *= bad  # all zero, or finite entries whose ||z||^2 overflows
+    else:
+        z[1, 2, 0] = bad
+    with pytest.raises(NumericalError, match="zero energy" if bad == 0 else "non-finite"):
+        receivers._contract(z, design.psi, design.psi_spectrum)
 
 
 class TestZeroForcing:

@@ -11,6 +11,7 @@ from bdris.errors import ConfigError
 from bdris.experiments import run_trial
 from bdris.signal import (
     ReceivedTensor,
+    ScatteringDesign,
     add_noise,
     build_core,
     design_scattering,
@@ -51,7 +52,7 @@ class TestScatteringDesign:
     def test_per_block_scattering_stays_unitary(self):
         cfg = desk_config()
         design = design_scattering(cfg, 3)
-        nbar = cfg.group_size
+        nbar = cfg.ris_elements // cfg.groups
         for q in range(cfg.groups):
             sl = slice(q * nbar, (q + 1) * nbar)
             for k in range(cfg.blocks):
@@ -69,6 +70,10 @@ class TestScatteringDesign:
                               khatri_rao(design.w.T, design.p.T).T)
         for k in range(design.psi.shape[0]):
             assert np.array_equal(design.psi[k], np.kron(design.w[k], design.p[k]))
+        # psi is derived from the rotations and coding, never given
+        assert "psi" not in {f.name for f in dataclasses.fields(ScatteringDesign)}
+        again = ScatteringDesign(s=design.s, p=design.p, w=design.w)
+        assert np.array_equal(again.psi, khatri_rao(design.w.T, design.p.T).T)
 
     def test_psi_full_rank(self):
         cfg = desk_config(blocks=6)  # blocks < tx*ris: rank limited by blocks
@@ -128,8 +133,18 @@ class TestScatteringDesign:
 
         for construct in (repeated, low_rank):
             monkeypatch.setattr(signal, "khatri_rao", construct)
-            with pytest.raises(AssertionError, match="rank deficient"):
+            with pytest.raises(ValueError, match="rank deficient"):
                 design_scattering(SystemConfig(blocks=blocks), 3)
+
+    def test_design_refuses_rank_deficient_rotations_and_coding(self):
+        drawn = design_scattering(SystemConfig(), 3)
+        p, w = drawn.p.copy(), drawn.w.copy()
+        p[1], w[1] = p[0], w[0]  # two equal rows of psi, 32 blocks for d = 32
+        with pytest.raises(ValueError, match="rank deficient"):
+            ScatteringDesign(s=drawn.s, p=p, w=w)
+        w[:, 1] = w[:, 0]  # coding that cannot tell the two streams apart
+        with pytest.raises(ValueError, match="rank deficient"):
+            ScatteringDesign(s=drawn.s, p=drawn.p, w=w)
 
     def test_groups_must_divide_elements(self):
         with pytest.raises(ConfigError):
@@ -207,7 +222,6 @@ class TestSymbols:
         cfg = desk_config(modulation_order=8)
         sym = gen_symbols(cfg, 13)
         assert np.all(sym.x[0] == sym.alphabet[0])
-        assert sym.reference_row == 0
 
     def test_entries_are_alphabet_members(self):
         sym = gen_symbols(desk_config(), 14)

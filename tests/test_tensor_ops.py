@@ -20,7 +20,6 @@ from bdris.tensor_ops import (
     solve_gram,
     unfold,
     unvec,
-    vec,
 )
 from util import (
     count_calls,
@@ -33,6 +32,7 @@ from util import (
     solve_rows,
     trilinear_oracle,
     unfold_multi,
+    vec,
 )
 
 

@@ -31,11 +31,16 @@ def draw_instance(cfg: SystemConfig, seed: int):
     return draw_scenario(cfg, seed)
 
 
+def vec(a):
+    """Stack the columns of a matrix (or flatten a tensor, first mode fastest)."""
+    return np.ravel(a, order="F")
+
+
 def loop_oracle(cfg: SystemConfig, design, channels, symbols) -> np.ndarray:
     """Brute-force synthesis: explicit loop over (group, slot, block, frame)."""
     y = np.zeros((cfg.rx_antennas, cfg.slots, cfg.blocks, cfg.frames),
                  dtype=complex)
-    nbar = cfg.group_size
+    nbar = cfg.ris_elements // cfg.groups
     for q in range(cfg.groups):
         sl = slice(q * nbar, (q + 1) * nbar)
         hq = channels.h[:, sl]

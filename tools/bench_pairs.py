@@ -23,7 +23,7 @@ the ``trial-0db`` workload), where later receivers reuse the scenario and
 its preparation; both are summarized, with each receiver's first call and
 each run's peak RSS.
 Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
-recorded.
+recorded, beside each side's line count of ``src/bdris/*.py``.
 
 The output holds every record and result line the runs printed and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the medians, the
@@ -216,6 +216,12 @@ def suite_run(tree: Path) -> dict:
             "wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of ``tree``'s ``src/bdris/*.py``, as ``wc -l`` totals them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "bdris").glob("*.py"))
+
+
 def pair_order(pair: int):
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
@@ -244,12 +250,13 @@ def main(argv=None) -> int:
            "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "blas_threads": 1},
            "summary": {}, "runs": [], "trace_runs": [], "in_process": {},
-           "tier1": {}}
+           "tier1": {}, "src_lines": {}}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             trees[side].mkdir()
             out[side] = export(getattr(args, side), trees[side])
+            out["src_lines"][side] = src_lines(trees[side])
         seed = args.first_seed
         first_seeds = {}
         for workload, count in plan:
