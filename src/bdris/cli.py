@@ -13,7 +13,6 @@ print one JSON line on stderr with a machine-readable category.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -44,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key "
                         "(repeatable, applied after the file)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (overrides the config's seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="print identifiability report as JSON")
@@ -76,13 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fix = sub.add_parser("fixture", help="emit a deterministic noiseless instance")
     p_fix.add_argument("--out", default=None, help="file path (default: stdout)")
     return parser
-
-
-def _load(args):
-    cfg = load_config(args.config, args.overrides)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
 
 
 def cmd_check(cfg, args) -> int:
@@ -146,7 +136,7 @@ def _fail(category: str, err: Exception, code: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config, args.overrides)
         handler = {
             "check": cmd_check,
             "simulate": cmd_simulate,

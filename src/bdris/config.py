@@ -104,6 +104,8 @@ class SystemConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"snr_db must be a sequence of numbers, "
                               f"got {self.snr_db!r}") from None
+        if not self.snr_db:
+            raise ConfigError("snr_db must contain at least one value")
         if self.ris_elements % self.groups != 0:
             raise ConfigError(
                 f"groups ({self.groups}) must divide ris_elements ({self.ris_elements})"
@@ -133,16 +135,9 @@ class SystemConfig:
 
     def to_mapping(self) -> dict:
         """Flat, JSON-serializable snapshot; inverse of :meth:`from_mapping`."""
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if f.name == "solver":
-                for sf in dataclasses.fields(SolverOptions):
-                    out[f"solver.{sf.name}"] = getattr(v, sf.name)
-            elif f.name == "snr_db":
-                out[f.name] = list(v)
-            else:
-                out[f.name] = v
+        out = dataclasses.asdict(self)
+        out["snr_db"] = list(self.snr_db)
+        out.update((f"solver.{k}", v) for k, v in out.pop("solver").items())
         return out
 
     @classmethod
@@ -167,16 +162,11 @@ class SystemConfig:
 
 
 def _coerce(key, raw, typ):
-    """Parse a raw config value (string or already-typed) to the field type."""
+    """Parse a raw config value (string or already-typed) to the field type;
+    an ``snr_db`` string is only split, since the config converts and checks
+    its values."""
     if key == "snr_db":
-        if isinstance(raw, (list, tuple)):
-            vals = [float(x) for x in raw]
-        else:
-            parts = [p for p in str(raw).replace(",", " ").split() if p]
-            vals = [float(p) for p in parts]
-        if not vals:
-            raise ConfigError("snr_db must contain at least one value")
-        return tuple(vals)
+        return raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
     try:
         if typ is int:
             # a typed value is left to the constructor's integer check, so a

@@ -22,7 +22,8 @@ class IdentifiabilityError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """An SVD failed to converge, or a receiver got non-finite input."""
+    """An SVD failed to converge, or a received tensor has non-finite or
+    zero energy."""
 
 
 class ScalingResolutionError(RuntimeError):

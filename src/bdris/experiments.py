@@ -23,7 +23,7 @@ import functools
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,13 @@ TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
 
 
 def nmse_aligned(truth, estimate, mode="per-column") -> float:
-    """Normalized squared error after least-squares scale alignment.
-
-    ``per-column`` fits one complex scale per column, ``global`` a single
-    scale for the whole matrix, then returns
-    ``||truth - scale*estimate||_F^2 / ||truth||_F^2``.
+    """Normalized squared error after least-squares scale alignment: one
+    complex scale per column, then
+    ``||truth - scale*estimate||_F^2 / ||truth||_F^2``.  ``mode`` must be
+    ``"per-column"``, the only alignment.
     """
+    if mode != "per-column":
+        raise ValueError(f"unknown alignment mode: {mode}")
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     if truth.shape != estimate.shape:
@@ -59,18 +60,10 @@ def nmse_aligned(truth, estimate, mode="per-column") -> float:
     tnorm2 = float(np.linalg.norm(truth) ** 2)
     if tnorm2 == 0.0:
         raise ValueError("truth matrix has zero norm")
-    if mode == "per-column":
-        denom = np.sum(np.abs(estimate) ** 2, axis=0)
-        numer = np.sum(estimate.conj() * truth, axis=0)
-        alpha = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
-        aligned = estimate * alpha[None, :]
-    elif mode == "global":
-        denom = float(np.sum(np.abs(estimate) ** 2))
-        alpha = np.sum(estimate.conj() * truth) / denom if denom > 0 else 0.0
-        aligned = estimate * alpha
-    else:
-        raise ValueError(f"unknown alignment mode: {mode}")
-    return float(np.linalg.norm(truth - aligned) ** 2) / tnorm2
+    denom = np.sum(np.abs(estimate) ** 2, axis=0)
+    numer = np.sum(estimate.conj() * truth, axis=0)
+    alpha = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
+    return float(np.linalg.norm(truth - estimate * alpha[None, :]) ** 2) / tnorm2
 
 
 def ser(symbols: SymbolBlock, detected) -> float:
@@ -148,14 +141,7 @@ class SweepReport:
     cells: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "config": json_safe(self.config),
-            "receivers": list(self.receivers),
-            "runs": self.runs,
-            "master_seed": self.master_seed,
-            "noiseless": self.noiseless,
-            "cells": json_safe(self.cells),
-        }
+        return json_safe(asdict(self))
 
 
 def json_safe(obj):
@@ -209,24 +195,26 @@ def evaluate(receiver: str, received, design, channels, symbols,
 
 @functools.lru_cache(maxsize=1)
 def _noised_scenario(cfg: SystemConfig, snr_db: float, snr_index: int,
-                     trial_index: int, master: int, noiseless: bool):
+                     trial_index: int, master: int):
     """``(scenario_seed, design, channels, symbols, received)`` of one trial,
     a pure function of its arguments; the last one is kept for the next
-    receiver on the same trial."""
+    receiver on the same trial.  ``snr_db = inf`` leaves it noiseless."""
     scenario_seed = derive_seed(master, "scenario", snr_index, trial_index)
     design, channels, symbols, received = draw_scenario(cfg, scenario_seed)
-    if not noiseless:
-        received = add_noise(received, snr_db, derive_seed(scenario_seed, "noise"))
+    received = add_noise(received, snr_db, derive_seed(scenario_seed, "noise"))
     return scenario_seed, design, channels, symbols, received
 
 
 def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
               snr_index: int = 0, trial_index: int = 0,
               master_seed: int | None = None, noiseless: bool = False):
-    """One seeded end-to-end trial; returns a TrialResult."""
+    """One seeded end-to-end trial; returns a TrialResult.  ``noiseless``
+    sets ``snr_db = inf``."""
     master = cfg.seed if master_seed is None else master_seed
+    if noiseless:
+        snr_db = math.inf
     scenario_seed, design, channels, symbols, received = _noised_scenario(
-        cfg, snr_db, snr_index, trial_index, master, noiseless)
+        cfg, snr_db, snr_index, trial_index, master)
     init_seed = derive_seed(master, "init", receiver, snr_index, trial_index,
                             cfg.solver.init_seed)
     return TrialResult(scenario_seed, snr_db, receiver, **evaluate(
@@ -236,24 +224,21 @@ def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
 def _scenario_task(args):
     """Every requested receiver on one (SNR, trial) scenario, in order; a
     receiver's tolerated error becomes its own TrialFailure."""
-    cfg, receivers, snr_db, snr_index, trial_index, master_seed, noiseless = args
+    cfg, receivers, snr_db, snr_index, trial_index = args
     out = []
     for receiver in receivers:
         try:
-            out.append(run_trial(cfg, receiver, snr_db, snr_index, trial_index,
-                                 master_seed, noiseless))
+            out.append(run_trial(cfg, receiver, snr_db, snr_index, trial_index))
         except (ScalingResolutionError, NumericalError, IdentifiabilityError,
                 np.linalg.LinAlgError) as err:
-            seed = derive_seed(cfg.seed if master_seed is None else master_seed,
-                               "scenario", snr_index, trial_index)
+            seed = derive_seed(cfg.seed, "scenario", snr_index, trial_index)
             out.append(TrialFailure(seed=seed, snr_db=snr_db, receiver=receiver,
                                     error=f"{type(err).__name__}: {err}"))
     return out
 
 
 def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
-              noiseless: bool = False, force: bool = False,
-              master_seed: int | None = None):
+              noiseless: bool = False, force: bool = False):
     """Run the full (snr x receiver x trial) grid.
 
     Returns ``(trials, report)`` where ``trials`` is in (snr index, receiver,
@@ -281,7 +266,7 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
             check_feasible(cfg, rx)
     snrs = [math.inf] if noiseless else list(cfg.snr_db)
     tasks = [
-        (cfg, receivers, snr, si, r, master_seed, noiseless)
+        (cfg, receivers, snr, si, r)
         for si, snr in enumerate(snrs)
         for r in range(runs)
     ]
@@ -301,7 +286,7 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
         config=cfg.to_mapping(),
         receivers=receivers,
         runs=runs,
-        master_seed=cfg.seed if master_seed is None else master_seed,
+        master_seed=cfg.seed,
         noiseless=noiseless,
     )
     for si, snr in enumerate(snrs):

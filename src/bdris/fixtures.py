@@ -47,11 +47,10 @@ def decode_array(obj) -> np.ndarray:
     return flat.reshape(dims, order="F")
 
 
-def make_fixture(cfg: SystemConfig, master_seed: int | None = None) -> dict:
+def make_fixture(cfg: SystemConfig) -> dict:
     """Draw one noiseless instance and package truth plus received tensor."""
-    master = cfg.seed if master_seed is None else master_seed
     design, channels, symbols, received = draw_scenario(
-        cfg, derive_seed(master, "scenario", 0, 0))
+        cfg, derive_seed(cfg.seed, "scenario", 0, 0))
     return {
         "kind": FIXTURE_KIND,
         "version": FIXTURE_VERSION,

@@ -61,9 +61,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import SolverOptions
-from .errors import NumericalError, ScalingResolutionError
+from .errors import ScalingResolutionError
 from .identifiability import require_feasible
-from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal
+from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal, energy
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
     DEFAULT_PINV_TOL,
@@ -132,15 +132,10 @@ def _contract(z, psi, spectrum):
     ``psi``: ``zp = z^T @ conj(psi)`` (frames x rows x d), ``psi``'s Gram
     ``psi^T conj(psi)``, ``||z||^2`` and the Gram's condition number; the Gram
     and its condition number are read off ``spectrum``, :func:`gram_spectrum`
-    of ``psi``.  ``NumericalError`` unless ``||z||^2``, by which every fit is
-    normalized, is finite (so is every entry) and positive.
+    of ``psi``.  ``||z||^2``, by which every fit is normalized, is checked
+    by :func:`bdris.signal.energy` before the contraction.
     """
-    with np.errstate(over="ignore"):  # an overflow is refused just below
-        znorm2 = float(np.linalg.norm(z) ** 2)
-    if not math.isfinite(znorm2):
-        raise NumericalError("received tensor has non-finite entries or energy")
-    if not znorm2 > 0:
-        raise NumericalError("received tensor has zero energy")
+    znorm2 = energy(z)
     psi_gram, psi_cond, _ = spectrum
     return np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram, znorm2, psi_cond
 
@@ -342,14 +337,14 @@ def kron_factorize(omega, s, slots, rx_antennas):
 
 
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
-           solver: SolverOptions, init_seed: int, gbar_init=None) -> ReceiverOutput:
+           solver: SolverOptions, init_seed: int) -> ReceiverOutput:
     """Two-stage semi-blind receiver (alternating LS + Kronecker split)."""
     mr, slots, k, frames = received.y.shape
     z = np.reshape(received.y, (mr * slots, k, frames), order="F")
     n = design.s.shape[0]
     mt = design.psi.shape[1] // n
     stage1 = pakron_stage1(z, design.psi, (slots, mt), (mr, n), solver, init_seed,
-                           gbar_init=gbar_init, spectrum=design.psi_spectrum)
+                           spectrum=design.psi_spectrum)
     x_raw, h_hat = kron_factorize(stage1.omega, design.s, slots, mr)
     out = ReceiverOutput(
         h_hat=h_hat,
@@ -465,12 +460,11 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
-           solver: SolverOptions, init_seed: int,
-           x_init=None, gbar_init=None) -> ReceiverOutput:
+           solver: SolverOptions, init_seed: int) -> ReceiverOutput:
     """Single-stage semi-blind receiver (trilinear ALS on the 4-way view)."""
     f, x_raw, gbar, trajectory, converged = _tucker_als(
         received.y, design.s.shape[0], design.psi, design.psi_spectrum, solver,
-        init_seed, x_init, gbar_init)
+        init_seed)
     out = ReceiverOutput(
         h_hat=f @ design.s.conj().T,  # S is unitary, so this inverts it exactly
         hs_hat=f,

@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import SystemConfig, derive_seed
+from .errors import NumericalError
 from .tensor_ops import gram_spectrum, khatri_rao, kron
 
 
@@ -263,20 +264,33 @@ def draw_scenario(cfg: SystemConfig, scenario_seed: int):
     return design, channels, symbols, received
 
 
+def energy(y) -> float:
+    """``||y||_F^2`` of a received tensor or a view of it; ``NumericalError``
+    unless it is finite (so is every entry) and positive."""
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        total = float(np.linalg.norm(y) ** 2)
+    if not math.isfinite(total):
+        raise NumericalError("received tensor has non-finite entries or energy")
+    if not total > 0:
+        raise NumericalError("received tensor has zero energy")
+    return total
+
+
 def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTensor:
     """Add white circular Gaussian noise at the requested per-entry SNR.
 
     The noise variance is set from the Frobenius power of the noiseless
-    tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``.  The noisy
-    tensor is read-only, like the scenario it is added to.  ``snr_db = +inf``
-    returns ``received`` itself; ``-inf`` and NaN raise ``ValueError``.
+    tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``, which
+    :func:`energy` refuses when zero or not finite.  The noisy tensor is
+    read-only, like the scenario it is added to.  ``snr_db = +inf`` returns
+    ``received`` itself; ``-inf`` and NaN raise ``ValueError``.
     """
     if snr_db == math.inf:
         return received
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
     y0 = received.y
-    signal_power = float(np.linalg.norm(y0) ** 2)
+    signal_power = energy(y0)
     sigma2 = signal_power / (y0.size * 10.0 ** (snr_db / 10.0))
     rng = np.random.default_rng(seed)
     noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)

@@ -148,6 +148,9 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
             self.nmse_g = (0.02, 0.01, 9.0)[trial_index]
             self.ser = (0.0, 0.25, 9.0)[trial_index]
 
+        def astuple(self):
+            return (self.nmse_h, self.nmse_g, self.ser, self.iterations, 1.0)
+
     class Clock:
         @staticmethod
         def perf_counter():
@@ -247,3 +250,27 @@ def test_one_slow_reference_subblock_leaves_the_unit():
     trial_timing.in_units(timing, svd_ms)
     assert timing["svd_ms"] == pytest.approx(2.0, rel=1e-12)
     assert timing["cost"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_outputs_digest_leaves_out_wall_time_and_is_kept_per_side():
+    from bdris.experiments import TrialResult
+
+    a = TrialResult(1, 0.0, "tucker", 0.1, 0.2, 0.0, 5, 3.0)
+    b = TrialResult(2, 0.0, "tucker", 0.3, 0.4, 0.25, 7, 4.0)
+    slower = [TrialResult(*t.astuple()[:-1], 99.0) for t in (a, b)]
+    digest = trial_timing.timing(1.0, [a, b])["outputs_sha256"]
+    assert trial_timing.timing(5.0, slower)["outputs_sha256"] == digest
+    assert trial_timing.timing(1.0, [b, a])["outputs_sha256"] != digest  # trial order
+    other = trial_timing.timing(1.0, [a, TrialResult(2, 0.0, "tucker", 0.3, 0.4, 0.25,
+                                                     8, 4.0)])["outputs_sha256"]
+    assert other != digest
+
+    def run(side, cost, outputs):
+        return {"side": side, "tucker": {"ms_per_trial": cost, "cost": cost,
+                                         "outputs_sha256": outputs}}
+
+    summary = bench_pairs.in_process_summary(
+        [run("parent", 2.0, digest), run("change", 1.0, other),
+         run("change", 1.5, other), run("parent", 2.5, digest)])
+    assert summary["tucker"]["parent"]["outputs_sha256"] == digest
+    assert summary["tucker"]["change"]["outputs_sha256"] == other

@@ -120,6 +120,7 @@ class TestConfigParsing:
         dict(frames="2"),
         dict(snr_db=10.0),
         dict(snr_db=("ten",)),
+        dict(snr_db=()),  # a library run_sweep would run no trial
     ])
     def test_non_integral_dimensions_and_bad_snrs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -196,7 +197,7 @@ class TestCheck:
 class TestSimulate:
     def test_deterministic_json(self, capsys):
         args = ["--set", "ris_elements=4", "--set", "blocks=8",
-                "--set", "frames=4", "--set", "snr_db=15", "--seed", "42",
+                "--set", "frames=4", "--set", "snr_db=15", "--set", "seed=42",
                 "simulate", "--receiver", "tucker"]
         code1, out1, _ = run_cli(capsys, *args)
         code2, out2, _ = run_cli(capsys, *args)
@@ -217,12 +218,13 @@ class TestSimulate:
         assert result["snr_db"] == "inf"
 
 
-    @pytest.mark.parametrize("snr", ["nan", "-inf", "0, nan"])
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "0, nan", "abc"])
     def test_non_numeric_snr_is_config_error(self, capsys, snr):
         code, out, err = run_cli(capsys, "--set", f"snr_db={snr}", "simulate")
         assert code == EXIT_CONFIG
         assert out == ""
-        assert json.loads(err)["error"] == "config"
+        error = json.loads(err)
+        assert error["error"] == "config" and "snr_db" in error["message"]
 
 
 class TestSweep:
@@ -242,7 +244,7 @@ class TestSweep:
 
     def test_writes_outputs_deterministically(self, capsys, tmp_path):
         args = ["--set", "ris_elements=4", "--set", "blocks=8",
-                "--set", "frames=4", "--set", "snr_db=10,20", "--seed", "3",
+                "--set", "frames=4", "--set", "snr_db=10,20", "--set", "seed=3",
                 "sweep", "--receiver", "tucker", "--runs", "2"]
         code, _, _ = run_cli(capsys, *args, "--out", str(tmp_path / "a"))
         assert code == 0
@@ -309,7 +311,7 @@ class TestFixture:
         fx = tmp_path / "fx.json"
         args = ["--set", "ris_elements=4", "--set", "blocks=8",
                 "--set", "frames=4", "--set", "solver.delta=1e-13",
-                "--seed", "11"]
+                "--set", "seed=11"]
         code, _, _ = run_cli(capsys, *args, "fixture", "--out", str(fx))
         assert code == 0
         code, out, _ = run_cli(capsys, *args, "simulate",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bdris import signal
 from bdris.config import SystemConfig, derive_seed
-from bdris.errors import ConfigError
+from bdris.errors import ConfigError, NumericalError
 from bdris.experiments import run_trial
 from bdris.signal import (
     ReceivedTensor,
@@ -15,6 +16,7 @@ from bdris.signal import (
     add_noise,
     build_core,
     design_scattering,
+    draw_scenario,
     gen_channels,
     gen_symbols,
     psk_alphabet,
@@ -330,6 +332,18 @@ class TestNoise:
         _, _, _, received = draw_instance(desk_config(), 19)
         out = add_noise(received, math.inf, 1)
         assert out is received
+
+    @pytest.mark.parametrize("scale, message", [(0.0, "zero energy"),
+                                                (1e160, "non-finite entries or energy")],
+                             ids=["zero", "overflowing"])
+    def test_zero_or_overflowing_energy_is_refused(self, scale, message):
+        # the noise power is set from ||Y||^2, which must be finite and positive
+        received = draw_scenario(SystemConfig(), 1)[3]
+        scaled = ReceivedTensor(y=received.y * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                add_noise(scaled, 10.0, 1)
 
     @pytest.mark.parametrize("snr_db", [-math.inf, math.nan], ids=["-inf", "nan"])
     def test_only_plus_inf_is_noiseless(self, snr_db):

@@ -51,7 +51,8 @@ IN_PROCESS_PAIRS = 4
 # per-receiver times of an in-process run, each summarized with its median
 TIMED = ("ms_per_trial", "cost", "first_call_ms", "first_call_cost")
 # seeded per-receiver figures of an in-process run, equal in every run of a side
-SEEDED = ("sweeps_mean", "sweeps_max", "nmse_h_median", "nmse_g_median", "ser_mean")
+SEEDED = ("sweeps_mean", "sweeps_max", "nmse_h_median", "nmse_g_median", "ser_mean",
+          "outputs_sha256")
 SUITE = ("-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -118,10 +119,11 @@ def in_process_summary(runs) -> dict:
     of every run with their medians, the same for the receiver's first call
     (``first_call_ms``, ``first_call_cost``), and the figures that are seeded,
     so equal in every run of a side (``SEEDED``: the mean and largest sweeps
-    per trial, the NMSE medians and the mean SER).  The runs' ``shared`` blocks,
-    timed with every receiver on each trial index in turn, are summarized the
-    same way under ``"shared"``, and each side's peak RSS of every run and
-    its median under ``"peak_rss_mb"``."""
+    per trial, the NMSE medians, the mean SER and ``outputs_sha256``, equal
+    on both sides when the change keeps the trials' outputs bit-identical).
+    The runs' ``shared`` blocks, timed with every receiver on each trial
+    index in turn, are summarized the same way under ``"shared"``, and each
+    side's peak RSS of every run and its median under ``"peak_rss_mb"``."""
     summary = _timing_summary(runs)
     shared = _timing_summary([{"side": run["side"], **run["shared"]}
                               for run in runs if "shared" in run])

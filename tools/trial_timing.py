@@ -11,8 +11,9 @@ first ``snr_db`` entry (0 dB by default; ``--set snr_db=30`` times 30 dB).
 It prints one JSON line: per receiver the mean milliseconds per trial, the
 same time and the first call's in ``svd512x32`` units (``cost``,
 ``first_call_cost``), the mean and largest sweep counts and the accuracy of
-the trials timed (median NMSE(H·S) and NMSE(Ḡ), mean SER), and the
-process's peak resident set size (``peak_rss_mb``, from ``ru_maxrss``).
+the trials timed (median NMSE(H·S) and NMSE(Ḡ), mean SER), a sha256 of
+their seeded outputs (``outputs_sha256``), and the process's peak resident
+set size (``peak_rss_mb``, from ``ru_maxrss``).
 The unit is the benchmark's reference (``perfbench/child.py``): one
 SVD of a fixed 512 x 32 complex matrix, timed right before and right after
 each block of trials (a reference between two blocks serves both).  Each
@@ -34,6 +35,7 @@ made; each receiver still contracts the data itself.
 """
 
 import argparse
+import hashlib
 import json
 import resource
 import statistics
@@ -66,14 +68,21 @@ def reference_ms(matrix, clock=time.perf_counter) -> float:
 
 def timing(ms, trials) -> dict:
     """Mean milliseconds and sweeps per trial, the largest sweep count, the
-    median NMSE(H·S) and NMSE(Ḡ) and the mean SER of the ``TrialResult``s
-    ``trials``, which took ``ms`` in all."""
+    median NMSE(H·S) and NMSE(Ḡ), the mean SER and ``outputs_sha256`` of the
+    ``TrialResult``s ``trials``, which took ``ms`` in all.  The digest covers
+    the ``repr`` of each trial's ``astuple()`` without its last field,
+    ``wall_ms``, in trial order, so two trees with equal seeded outputs
+    give equal digests."""
     sweeps = [trial.iterations for trial in trials]
+    digest = hashlib.sha256()
+    for trial in trials:
+        digest.update(repr(trial.astuple()[:-1]).encode())
     return {"ms_per_trial": ms / len(trials), "sweeps_mean": sum(sweeps) / len(trials),
             "sweeps_max": max(sweeps),
             "nmse_h_median": statistics.median(trial.nmse_h for trial in trials),
             "nmse_g_median": statistics.median(trial.nmse_g for trial in trials),
-            "ser_mean": statistics.fmean(trial.ser for trial in trials)}
+            "ser_mean": statistics.fmean(trial.ser for trial in trials),
+            "outputs_sha256": digest.hexdigest()}
 
 
 def in_units(timing, refs) -> None:
