@@ -14,7 +14,6 @@ print one JSON line on stderr with a machine-readable category.
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -54,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "first snr_db entry")
     p_sim.add_argument("--receiver", default="tucker",
                        help="pakron | tucker | zf-oracle")
-    p_sim.add_argument("--noiseless", action="store_true")
     p_sim.add_argument("--from-fixture", metavar="PATH",
-                       help="replay a recorded fixture instead of drawing a scenario")
+                       help="replay a recorded fixture instead of drawing a "
+                            "scenario; --config and --set must equal its config")
 
     p_sweep = sub.add_parser("sweep", help="run the Monte-Carlo grid")
     p_sweep.add_argument("--receiver", action="append", default=None,
@@ -64,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "pakron and tucker)")
     p_sweep.add_argument("--runs", type=int, default=100)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--noiseless", action="store_true")
     p_sweep.add_argument("--force", action="store_true",
                          help="skip the identifiability gate")
     p_sweep.add_argument("--out", required=True,
@@ -83,19 +81,22 @@ def cmd_check(cfg, args) -> int:
 
 def cmd_simulate(cfg, args) -> int:
     if args.from_fixture:
-        cfg, design, channels, symbols, received, recorded = fixtures.load_fixture(
+        fixed, design, channels, symbols, received, recorded = fixtures.load_fixture(
             args.from_fixture)
+        if (args.config or args.overrides) and cfg != fixed:
+            ours, theirs = cfg.to_mapping(), fixed.to_mapping()
+            differ = ", ".join(k for k in ours if ours[k] != theirs[k])
+            raise ConfigError(f"--from-fixture replays the fixture's own config; "
+                              f"--config and --set differ from it in {differ}")
         result = experiments.evaluate(args.receiver, received, design, channels,
-                                      symbols, cfg.solver, cfg.solver.init_seed)
+                                      symbols, fixed.solver, fixed.solver.init_seed)
         result["receiver"] = args.receiver
         result["fixture_reconstruction_error"] = float(
             np.linalg.norm(received.y - recorded) / np.linalg.norm(recorded))
         print(json.dumps(experiments.json_safe(result), indent=2, sort_keys=True))
         return EXIT_OK
 
-    snr = math.inf if args.noiseless else cfg.snr_db[0]
-    trial = experiments.run_trial(cfg, args.receiver, snr,
-                                  noiseless=args.noiseless)
+    trial = experiments.run_trial(cfg, args.receiver, cfg.snr_db[0])
     print(json.dumps(experiments.trial_to_dict(trial), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -103,8 +104,7 @@ def cmd_simulate(cfg, args) -> int:
 def cmd_sweep(cfg, args) -> int:
     receivers = args.receiver or ["pakron", "tucker"]
     trials, report = experiments.run_sweep(
-        cfg, receivers, runs=args.runs, jobs=args.jobs,
-        noiseless=args.noiseless, force=args.force)
+        cfg, receivers, runs=args.runs, jobs=args.jobs, force=args.force)
     os.makedirs(args.out, exist_ok=True)
     experiments.write_trials_csv(os.path.join(args.out, "trials.csv"), trials)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ Dimension vocabulary (uplink, surface-assisted MIMO):
 import dataclasses
 import hashlib
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -39,17 +40,41 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def _store_ints(obj, names) -> None:
-    """Store each named field of a frozen dataclass as the ``int`` of
-    ``operator.index`` (numpy integers pass), else raise ``ConfigError``: equal
-    configs then have equal ``repr``s, so they derive equal seeds."""
-    for name in names:
+def snr_in_range(snr_db) -> bool:
+    """Whether ``snr_db`` is ``+inf`` (noiseless), or finite with a power
+    ratio ``10**(snr_db/10)`` that is a finite, nonzero float."""
+    try:
+        return snr_db == math.inf or 10.0 ** (float(snr_db) / 10.0) > 0.0
+    except OverflowError:
+        return False
+
+
+def _store_typed(obj, prefix="") -> None:
+    """Store each field of a frozen config as its declared type, else raise
+    ``ConfigError``: an ``int`` field takes what ``operator.index`` takes
+    (numpy integers pass), a ``float`` field any real number, neither takes
+    a bool, and any other field but ``snr_db`` takes an instance of its
+    type.  Equal configs then have equal ``repr``s, so they derive equal
+    seeds."""
+    for f in dataclasses.fields(obj):
+        if f.name == "snr_db":  # a sequence, converted by SystemConfig
+            continue
+        value = getattr(obj, f.name)
         try:
-            value = operator.index(getattr(obj, name))
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, "
-                              f"got {getattr(obj, name)!r}") from None
-        object.__setattr__(obj, name, value)
+            if isinstance(value, bool) and f.type is not bool:
+                raise TypeError
+            if f.type is int:
+                value = operator.index(value)
+            elif f.type is float and isinstance(value, numbers.Real):
+                value = float(value)
+            elif not isinstance(value, f.type):
+                raise TypeError
+        except (TypeError, OverflowError):
+            kind = {int: "an integer", float: "a real number"}.get(
+                f.type, f"a {f.type.__name__}")
+            raise ConfigError(f"{prefix}{f.name} must be {kind}, "
+                              f"got {value!r}") from None
+        object.__setattr__(obj, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -64,7 +89,7 @@ class SolverOptions:
     pinv_tol: float = DEFAULT_PINV_TOL
 
     def __post_init__(self):
-        _store_ints(self, ("max_iters", "init_seed"))
+        _store_typed(self, "solver.")
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ConfigError("solver.delta must be finite and nonnegative")
         if not 0 <= self.pinv_tol < 1:  # also true for NaN
@@ -91,12 +116,11 @@ class SystemConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        # stored normalised (int counts and seed, a tuple of float SNRs), so that
-        # a config is hashable and equal to its to_mapping/from_mapping round trip
-        dims = ("tx_antennas", "rx_antennas", "ris_elements", "groups",
-                "blocks", "slots", "frames")
-        _store_ints(self, dims + ("modulation_order", "paths", "seed"))
-        for name in dims:
+        # stored as the declared types (and a tuple of float SNRs), so that a
+        # config is hashable and equal to its to_mapping/from_mapping round trip
+        _store_typed(self)
+        for name in ("tx_antennas", "rx_antennas", "ris_elements", "groups",
+                     "blocks", "slots", "frames", "paths"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         try:
@@ -121,12 +145,9 @@ class SystemConfig:
             raise ConfigError(f"channel_model must be one of {CHANNEL_MODELS}")
         if self.phase_design not in PHASE_DESIGNS:
             raise ConfigError(f"phase_design must be one of {PHASE_DESIGNS}")
-        if self.paths < 1:
-            raise ConfigError("paths must be a positive integer")
-        if not all(math.isfinite(v) or v == math.inf for v in self.snr_db):
-            raise ConfigError("snr_db values must be finite or inf (noiseless)")
-        if not isinstance(self.solver, SolverOptions):
-            raise ConfigError(f"solver must be a SolverOptions, got {self.solver!r}")
+        if not all(map(snr_in_range, self.snr_db)):
+            raise ConfigError("snr_db values must be finite, with a finite nonzero "
+                              "power ratio 10**(snr_db/10), or inf (noiseless)")
 
     @property
     def tx_ris_dim(self) -> int:
@@ -143,49 +164,48 @@ class SystemConfig:
     @classmethod
     def from_mapping(cls, mapping) -> "SystemConfig":
         """Build a config from a flat string/value mapping, rejecting unknown keys."""
-        top = {f.name: f for f in dataclasses.fields(cls) if f.name != "solver"}
-        solver_fields = {f.name: f for f in dataclasses.fields(SolverOptions)}
-        kwargs = {}
-        solver_kwargs = {}
+        types = {f.name: f.type for f in dataclasses.fields(cls) if f.name != "solver"}
+        types.update((f"solver.{f.name}", f.type) for f in dataclasses.fields(SolverOptions))
+        kwargs, solver_kwargs = {}, {}
         for key, raw in mapping.items():
-            if key.startswith("solver."):
-                name = key[len("solver."):]
-                if name not in solver_fields:
-                    raise ConfigError(f"unknown config key: {key}")
-                solver_kwargs[name] = _coerce(key, raw, solver_fields[name].type)
-            elif key in top:
-                kwargs[key] = _coerce(key, raw, top[key].type)
-            else:
+            if key not in types:
                 raise ConfigError(f"unknown config key: {key}")
-        kwargs["solver"] = SolverOptions(**solver_kwargs)
-        return cls(**kwargs)
+            prefix, _, name = key.rpartition(".")
+            (solver_kwargs if prefix else kwargs)[name] = _coerce(key, raw, types[key])
+        return cls(**kwargs, solver=SolverOptions(**solver_kwargs))
 
 
 def _coerce(key, raw, typ):
-    """Parse a raw config value (string or already-typed) to the field type;
-    an ``snr_db`` string is only split, since the config converts and checks
-    its values."""
+    """Parse a string config value to its field's type; any other value goes
+    to the constructor as it is, which converts and checks it by the field's
+    declared type.  An ``snr_db`` string is only split."""
+    if not isinstance(raw, str):
+        return raw
     if key == "snr_db":
-        return raw if isinstance(raw, (list, tuple)) else str(raw).replace(",", " ").split()
+        return raw.replace(",", " ").split()
+    s = raw.strip()
     try:
         if typ is int:
-            # a typed value is left to the constructor's integer check, so a
-            # float is rejected, not truncated
-            return int(raw.strip()) if isinstance(raw, str) else raw
+            return int(s)
         if typ is float:
-            return float(raw)
+            return float(s)
         if typ is bool:
-            if isinstance(raw, bool):
-                return raw
-            s = str(raw).strip().lower()
-            if s in ("true", "1", "yes", "on"):
+            if s.lower() in ("true", "1", "yes", "on"):
                 return True
-            if s in ("false", "0", "no", "off"):
+            if s.lower() in ("false", "0", "no", "off"):
                 return False
             raise ValueError(s)
-        return str(raw).strip()
-    except (TypeError, ValueError) as err:
+        return s
+    except ValueError as err:
         raise ConfigError(f"bad value for {key}: {raw!r}") from err
+
+
+def _split(item, where) -> tuple:
+    """``(key, value)`` of one ``key = value`` item, both stripped."""
+    key, sep, value = item.partition("=")
+    if not sep or not key.strip():
+        raise ConfigError(f"{where}: expected 'key = value', got {item!r}")
+    return key.strip(), value.strip()
 
 
 def parse_config_file(path) -> dict:
@@ -197,32 +217,18 @@ def parse_config_file(path) -> dict:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if not key:
-                    raise ConfigError(f"{path}:{lineno}: empty key")
+                key, value = _split(line, f"{path}:{lineno}")
                 if key in mapping:
                     raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
-                mapping[key] = value.strip()
+                mapping[key] = value
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return mapping
 
 
-def apply_overrides(mapping, overrides) -> dict:
-    """Apply ``key=value`` override strings on top of a parsed mapping."""
-    out = dict(mapping)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def load_config(path=None, overrides=()) -> SystemConfig:
+    """The config of an optional ``key = value`` file, with each
+    ``key=value`` override string applied after it."""
     mapping = parse_config_file(path) if path else {}
-    mapping = apply_overrides(mapping, overrides)
+    mapping.update(_split(item, "override") for item in overrides)
     return SystemConfig.from_mapping(mapping)

@@ -107,13 +107,13 @@ class TrialResult:
     def astuple(self) -> tuple:
         return tuple(getattr(self, f) for f in TRIAL_FIELDS)
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # by the packed bytes, so a NaN SER equals itself
         if not isinstance(other, TrialResult):
             return NotImplemented
-        return self.astuple() == other.astuple()
+        return (self.receiver, self._numbers) == (other.receiver, other._numbers)
 
     def __hash__(self):
-        return hash(self.astuple())
+        return hash((self.receiver, self._numbers))
 
     def __repr__(self):
         return "TrialResult(" + ", ".join(
@@ -136,8 +136,6 @@ class SweepReport:
     config: dict
     receivers: list
     runs: int
-    master_seed: int
-    noiseless: bool
     cells: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -238,8 +236,8 @@ def _scenario_task(args):
 
 
 def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
-              noiseless: bool = False, force: bool = False):
-    """Run the full (snr x receiver x trial) grid.
+              force: bool = False):
+    """Run the full (``cfg.snr_db`` x receiver x trial) grid.
 
     Returns ``(trials, report)`` where ``trials`` is in (snr index, receiver,
     trial index) order and includes failures.  Receiver names are checked
@@ -264,10 +262,9 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
     if not force:
         for rx in receivers:
             check_feasible(cfg, rx)
-    snrs = [math.inf] if noiseless else list(cfg.snr_db)
     tasks = [
         (cfg, receivers, snr, si, r)
-        for si, snr in enumerate(snrs)
+        for si, snr in enumerate(cfg.snr_db)
         for r in range(runs)
     ]
     if jobs > 1:
@@ -278,18 +275,12 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
     else:
         done = [_scenario_task(t) for t in tasks]
     trials = [done[si * runs + r][ri]
-              for si in range(len(snrs))
+              for si in range(len(cfg.snr_db))
               for ri in range(len(receivers))
               for r in range(runs)]
 
-    report = SweepReport(
-        config=cfg.to_mapping(),
-        receivers=receivers,
-        runs=runs,
-        master_seed=cfg.seed,
-        noiseless=noiseless,
-    )
-    for si, snr in enumerate(snrs):
+    report = SweepReport(config=cfg.to_mapping(), receivers=receivers, runs=runs)
+    for si, snr in enumerate(cfg.snr_db):
         for ri, rx in enumerate(receivers):
             start = (si * len(receivers) + ri) * runs
             report.cells.append(_aggregate_cell(snr, rx, trials[start:start + runs]))

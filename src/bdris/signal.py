@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SystemConfig, derive_seed
+from .config import SystemConfig, derive_seed, snr_in_range
 from .errors import NumericalError
 from .tensor_ops import gram_spectrum, khatri_rao, kron
 
@@ -283,12 +283,14 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``, which
     :func:`energy` refuses when zero or not finite.  The noisy tensor is
     read-only, like the scenario it is added to.  ``snr_db = +inf`` returns
-    ``received`` itself; ``-inf`` and NaN raise ``ValueError``.
+    ``received`` itself; ``-inf``, NaN and an SNR whose power ratio
+    ``10**(snr/10)`` overflows or underflows to zero raise ``ValueError``.
     """
     if snr_db == math.inf:
         return received
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite or +inf, got {snr_db}")
+    if not snr_in_range(snr_db):
+        raise ValueError(f"snr_db must be finite or +inf, with a finite nonzero "
+                         f"power ratio 10**(snr_db/10), got {snr_db}")
     y0 = received.y
     signal_power = energy(y0)
     sigma2 = signal_power / (y0.size * 10.0 ** (snr_db / 10.0))

@@ -91,6 +91,8 @@ class TestConfigParsing:
         dict(solver=dict(pinv_tol=1.0)),
         dict(snr_db=(0.0, float("nan"))),
         dict(snr_db=(float("-inf"),)),
+        dict(snr_db=(4000.0,)),  # 10**(snr/10) overflows
+        dict(snr_db=(-4000.0,)),  # and here underflows to 0
     ])
     def test_validation_failures(self, kwargs):
         with pytest.raises(ConfigError):
@@ -161,6 +163,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="must be an integer"):
             SystemConfig.from_mapping({key: 32.7})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SolverOptions(delta="1e-6"), "solver.delta must be a real number"),
+        (lambda: SolverOptions(pinv_tol="0.1"), "solver.pinv_tol must be a real"),
+        (lambda: SolverOptions(structure_projection="false"),
+         "solver.structure_projection must be a bool"),
+        (lambda: SolverOptions(delta=True), "solver.delta must be a real number"),
+        (lambda: SystemConfig(seed=True), "seed must be an integer"),
+        (lambda: SystemConfig.from_mapping({"solver.delta": True}),
+         "solver.delta must be a real number"),
+    ], ids=["string-delta", "string-pinv-tol", "string-projection", "bool-delta",
+            "bool-seed", "bool-delta-in-a-mapping"])
+    def test_each_field_takes_its_declared_type(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
+
+    def test_readme_example_config_is_the_default(self, tmp_path):
+        # the README lists every key with its default; a new field must be
+        # documented there, and a changed default changed there too
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block, = [b.split("```", 1)[0] for b in readme.split("```ini\n")[1:]]
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == SystemConfig()
+
     def test_integer_solver_fields_are_stored_as_int(self):
         solver = SolverOptions(max_iters=np.int32(7), init_seed=np.uint8(3))
         assert type(solver.max_iters) is int and type(solver.init_seed) is int
@@ -211,7 +237,7 @@ class TestSimulate:
         code, out, _ = run_cli(
             capsys, "--set", "ris_elements=4", "--set", "blocks=8",
             "--set", "frames=4", "--set", "solver.delta=1e-14",
-            "simulate", "--receiver", "pakron", "--noiseless")
+            "--set", "snr_db=inf", "simulate", "--receiver", "pakron")
         assert code == 0
         result = json.loads(out)
         assert result["nmse_g"] <= 1e-8
@@ -391,6 +417,22 @@ class TestFixture:
         assert out == ""
         failure = json.loads(err)
         assert failure["error"] == "invalid" and array in failure["message"]
+
+    @pytest.mark.parametrize("setting", ["solver.max_iters=1", "blocks=3"])
+    def test_settings_that_differ_from_the_fixture_are_refused(self, capsys, tmp_path,
+                                                               setting):
+        fx = tmp_path / "fx.json"
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
+        code, out, err = run_cli(capsys, *args, "--set", setting, "simulate",
+                                 "--from-fixture", str(fx))
+        assert code == EXIT_CONFIG and out == ""
+        failure = json.loads(err)
+        assert failure["error"] == "config"
+        assert "--from-fixture" in failure["message"]
+        assert setting.split("=")[0] in failure["message"]
+        # with no setting given, the fixture's own config runs
+        assert run_cli(capsys, "simulate", "--from-fixture", str(fx))[0] == 0
 
     def test_array_encoding_roundtrip(self):
         rng = np.random.default_rng(0)

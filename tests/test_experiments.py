@@ -173,8 +173,8 @@ class TestRunSweep:
 
     def test_noiseless_semi_blind_accuracy(self):
         solver = SolverOptions(delta=1e-14, max_iters=300)
-        cfg = desk_config(snr_db=(0.0,), seed=8, solver=solver)
-        _, report = run_sweep(cfg, ["pakron", "tucker"], runs=3, noiseless=True)
+        cfg = desk_config(snr_db=(math.inf,), seed=8, solver=solver)
+        _, report = run_sweep(cfg, ["pakron", "tucker"], runs=3)
         for cell in report.cells:
             assert cell["nmse_g_mean"] <= 1e-8
 
@@ -337,6 +337,14 @@ def test_trial_result_keeps_exact_values():
         trial.error  # a TrialFailure field
 
 
+def test_trial_with_a_nan_ser_equals_itself():
+    # a one-slot frame holds only the reference row, so its SER is NaN
+    trial = TrialResult(seed=1, snr_db=10.0, receiver="zf-oracle", nmse_h=0.0,
+                        nmse_g=0.0, ser=math.nan, iterations=0, wall_ms=0.5)
+    again = pickle.loads(pickle.dumps(trial))
+    assert trial == trial and again == trial and again in {trial}
+
+
 def test_parallel_matches_serial():
     cfg = desk_config(snr_db=(10.0,), seed=13)
     t1, _ = run_sweep(cfg, ["tucker"], runs=3, jobs=1)
@@ -352,12 +360,12 @@ def test_parallel_matches_serial():
        extra_blocks=st.integers(0, 2),
        receivers=st.lists(st.sampled_from(RECEIVER_NAMES), min_size=1,
                           max_size=3, unique=True),
-       snrs=st.lists(st.sampled_from([0.0, 10.0, 30.0]), min_size=1, max_size=2),
-       runs=st.integers(1, 3), noiseless=st.booleans(),
-       seed=st.integers(0, 2**16))
+       snrs=st.one_of(st.lists(st.sampled_from([0.0, 10.0, 30.0]), min_size=1,
+                               max_size=2), st.just([math.inf])),
+       runs=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
                                                extra_blocks, receivers, snrs,
-                                               runs, noiseless, seed):
+                                               runs, seed):
     slots = tx + extra_slots
     d = tx * ris
     blocks = max(-(-d // frames), -(-d // (slots * rx)), -(-ris // (frames * slots)),
@@ -367,17 +375,16 @@ def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
                       snr_db=tuple(snrs), seed=seed,
                       solver=SolverOptions(max_iters=60))
     expected = []
-    for si, snr in enumerate([math.inf] if noiseless else snrs):
+    for si, snr in enumerate(snrs):
         for receiver in receivers:
             for r in range(runs):
                 try:
-                    expected.append(scores(run_trial(cfg, receiver, snr, si, r,
-                                                     noiseless=noiseless)))
+                    expected.append(scores(run_trial(cfg, receiver, snr, si, r)))
                 except TOLERATED as err:
                     expected.append((experiments.derive_seed(seed, "scenario", si, r),
                                      snr, receiver, f"{type(err).__name__}: {err}"))
     # compared by repr, which is exact for floats and equal for the NaN SER
     # of a one-slot frame (it holds only the reference row)
     for jobs in (1, 2):
-        trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs, noiseless=noiseless)
+        trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs)
         assert [repr(scores(t)) for t in trials] == [repr(e) for e in expected]

@@ -345,7 +345,8 @@ class TestNoise:
             with pytest.raises(NumericalError, match=message):
                 add_noise(scaled, 10.0, 1)
 
-    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan], ids=["-inf", "nan"])
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan, 4000.0, -4000.0],
+                             ids=["-inf", "nan", "ratio-overflows", "ratio-underflows"])
     def test_only_plus_inf_is_noiseless(self, snr_db):
         cfg = desk_config()
         _, _, _, received = draw_instance(cfg, 19)
