@@ -82,7 +82,7 @@ class SolverOptions:
     """Knobs of the alternating-least-squares receivers."""
 
     delta: float = 1e-6          # stop when the normalized fit moves by no more
-                                 # than this (or, for pakron, 1e-4 times the fit)
+                                 # than this (or, for pakron, 1e-3 times the fit)
     max_iters: int = 500
     init_seed: int = 0
     structure_projection: bool = True  # pin the two-stage receiver's mixed factor
@@ -124,7 +124,10 @@ class SystemConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         try:
-            object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+            values = tuple(self.snr_db)
+            if any(isinstance(v, bool) for v in values):
+                raise TypeError
+            object.__setattr__(self, "snr_db", tuple(map(float, values)))
         except (TypeError, ValueError):
             raise ConfigError(f"snr_db must be a sequence of numbers, "
                               f"got {self.snr_db!r}") from None

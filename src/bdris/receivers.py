@@ -23,7 +23,7 @@ The step's length comes from the receiver (``STEP_SCHEDULES``): ``pakron``'s
 bilinear stage I takes ``sqrt(k)`` at sweep ``k``, ``tucker``'s trilinear
 sweeps the shorter ``k ** (1/3)``.  The loop stops when the fit changes by
 no more than ``max(solver.delta, eps * fit)``, with the receiver's ``eps``
-from ``RELATIVE_TOLERANCES``: 1e-4 for ``pakron``, whose fit creeps near the
+from ``RELATIVE_TOLERANCES``: 1e-3 for ``pakron``, whose fit creeps near the
 noise share at low SNR, and 0 for ``tucker``.  A sweep's fit comes from its
 last solve (``_solved_fit``); a candidate's from the Gram of one system at it
 (``_gram_fit``).  ``pakron`` scores its candidate on the ``omega`` system at
@@ -90,12 +90,13 @@ STEP_SCHEDULES = {"pakron": math.sqrt, "tucker": lambda k: k ** (1 / 3)}
 # Relative stopping tolerance eps per ALS receiver: a sweep loop also stops
 # when the fit changes by no more than eps * fit (Tensor Toolbox's cp_als
 # stops on the change of its fit).  At 0 dB pakron's fit settles near the
-# noise share and then creeps: eps = 1e-4 cut its mean sweeps 44 -> 26 at the
-# default config with NMSE medians at most 0.5 % higher, and below a fit of
-# delta / eps = 1e-2 (20-30 dB) it stops where delta alone does.  tucker keeps
-# the absolute rule (eps = 0) while perfbench reads peak RSS after a fixed
-# run time, which grows with every trial a faster receiver completes.
-RELATIVE_TOLERANCES = {"pakron": 1e-4, "tucker": 0.0}
+# noise share and then creeps: eps = 1e-3 cut its mean sweeps 44 -> 15 at the
+# default config with NMSE medians at most 0.7 % higher, and below a fit of
+# delta / eps = 1e-3 (30 dB and noiseless) it stops where delta alone does.
+# tucker keeps the absolute rule (eps = 0) while perfbench reads peak RSS
+# after a fixed run time, which grows with every trial a faster receiver
+# completes.
+RELATIVE_TOLERANCES = {"pakron": 1e-3, "tucker": 0.0}
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     ``gbar`` solve, ``(||z||^2 - Re<gbar, rhs>) / ||z||^2`` clamped at 0.  The
     sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``,
     with the ``sqrt(k)`` step, and stop when the fit changes by no more than
-    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps`` from
+    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps = 1e-3`` from
     ``RELATIVE_TOLERANCES``: at low SNR the fit settles near the noise share
     and then creeps, and those sweeps do not move stage II's output.  A
     candidate is scored by the Gram fit of the ``omega`` system at its

@@ -283,8 +283,10 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     tensor: ``sigma2 = ||Y||_F^2 / (numel * 10**(snr/10))``, which
     :func:`energy` refuses when zero or not finite.  The noisy tensor is
     read-only, like the scenario it is added to.  ``snr_db = +inf`` returns
-    ``received`` itself; ``-inf``, NaN and an SNR whose power ratio
-    ``10**(snr/10)`` overflows or underflows to zero raise ``ValueError``.
+    ``received`` itself; ``-inf``, NaN, an SNR whose power ratio
+    ``10**(snr/10)`` overflows or underflows to zero, and one at which this
+    tensor's noise variance or noise energy is not finite and positive
+    raise ``ValueError``.
     """
     if snr_db == math.inf:
         return received
@@ -294,9 +296,16 @@ def add_noise(received: ReceivedTensor, snr_db: float, seed: int) -> ReceivedTen
     y0 = received.y
     signal_power = energy(y0)
     sigma2 = signal_power / (y0.size * 10.0 ** (snr_db / 10.0))
-    rng = np.random.default_rng(seed)
-    noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)
-    achieved = 10.0 * math.log10(signal_power / float(np.linalg.norm(noise) ** 2))
+    noise_power = 0.0
+    if math.isfinite(sigma2):
+        rng = np.random.default_rng(seed)
+        noise = complex_normal(rng, y0.shape) * math.sqrt(sigma2)
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            noise_power = float(np.linalg.norm(noise) ** 2)
+    if not 0 < noise_power < math.inf:
+        raise ValueError(f"snr_db must be finite or +inf, with a finite nonzero "
+                         f"noise energy on this tensor, got {snr_db}")
+    achieved = 10.0 * math.log10(signal_power / noise_power)
     y = y0 + noise
     _read_only(y)
     return ReceivedTensor(y=y, achieved_snr_db=achieved)

@@ -17,11 +17,11 @@ END_TO_END = [{"name": "cost", "better": "lower", "bound": 0.25},
               {"name": "completed_ratio", "better": "higher", "bound": 0.01}]
 
 
-def run(workload, pair, side, cost, completed=1.0):
+def run(workload, pair, side, cost, completed=1.0, attempted=100):
     metrics = {"cost": {"value": cost, "unit": "svd512x32"},
                "completed_ratio": {"value": completed, "unit": "ratio"}}
     return {"workload": workload, "pair": pair, "side": side,
-            "result": {"correct": True, "metrics": metrics}}
+            "result": {"correct": True, "attempted": attempted, "metrics": metrics}}
 
 
 def test_medians_quartiles_and_pairs_won():
@@ -61,6 +61,21 @@ def test_incomplete_pairs_and_workloads_are_kept_apart():
     assert summary["a"]["pairs"] == 1 and summary["b"]["pairs"] == 1
     assert summary["a"]["metrics"]["cost"]["parent_quartiles"] == [2.0, 2.0, 2.0]
     assert summary["b"]["metrics"]["cost"]["change_better_pairs"] == 0
+
+
+def test_attempted_trials_are_kept_per_side_beside_the_metrics():
+    # a side that completes more trials in a run of fixed length reads a
+    # higher peak RSS; its attempted trials tell that from a memory regression
+    runs = [run("w", 0, "parent", 2.0, attempted=900),
+            run("w", 0, "change", 1.0, attempted=1300),
+            run("w", 1, "change", 1.0, attempted=1250),
+            run("w", 1, "parent", 2.0, attempted=1000),
+            run("w", 2, "parent", 2.0, attempted=950),
+            run("w", 2, "change", 1.0, attempted=1400),
+            run("w", 3, "parent", 2.0, attempted=5000)]  # no change side
+    attempted = bench_pairs.summarize(runs, END_TO_END)["w"]["attempted"]
+    assert attempted == {"parent": [900, 1000, 950], "change": [1300, 1250, 1400],
+                         "parent_median": 950, "change_median": 1300}
 
 
 def test_sides_alternate_which_runs_first():

@@ -172,8 +172,13 @@ class TestConfigParsing:
         (lambda: SystemConfig(seed=True), "seed must be an integer"),
         (lambda: SystemConfig.from_mapping({"solver.delta": True}),
          "solver.delta must be a real number"),
+        # float(True) is 1.0, so a bool entry would load as a 1 dB grid
+        (lambda: SystemConfig(snr_db=[True]), "snr_db must be a sequence of numbers"),
+        (lambda: SystemConfig.from_mapping(json.loads('{"snr_db": [0, true]}')),
+         "snr_db must be a sequence of numbers"),
     ], ids=["string-delta", "string-pinv-tol", "string-projection", "bool-delta",
-            "bool-seed", "bool-delta-in-a-mapping"])
+            "bool-seed", "bool-delta-in-a-mapping", "bool-snr",
+            "bool-snr-in-a-json-mapping"])
     def test_each_field_takes_its_declared_type(self, build, message):
         with pytest.raises(ConfigError, match=message):
             build()

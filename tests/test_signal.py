@@ -355,6 +355,20 @@ class TestNoise:
         with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
             run_trial(cfg, "tucker", snr_db)
 
+    @pytest.mark.parametrize("scale, snr_db", [(1.0, -3100.0), (1.0, -3060.0),
+                                               (1e-150, 3000.0)],
+                             ids=["variance-overflows", "noise-energy-overflows",
+                                  "noise-energy-underflows"])
+    def test_snr_with_no_finite_nonzero_noise_energy_is_refused(self, scale, snr_db):
+        # snr_in_range accepts each SNR, but on this tensor the noise variance
+        # or the noise energy is infinite or zero
+        received = draw_scenario(SystemConfig(), 1)[3]
+        scaled = ReceivedTensor(y=received.y * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="snr_db must be finite or [+]inf"):
+                add_noise(scaled, snr_db, 1)
+
     def test_empirical_snr(self):
         rng = np.random.default_rng(20)
         y = rng.standard_normal((10, 10, 100, 100)) + \

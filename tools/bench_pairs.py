@@ -28,7 +28,8 @@ recorded, beside each side's line count of ``src/bdris/*.py``.
 The output holds every record and result line the runs printed and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the medians, the
 inclusive quartiles and the number of pairs the change won, in the metric's
-direction.
+direction; per workload, too, each side's trials attempted per run and their
+median, by which to read ``peak_rss_mb``.
 """
 
 import argparse
@@ -75,7 +76,10 @@ def summarize(runs, end_to_end) -> dict:
     and the run's ``result`` line; ``end_to_end`` is ``BENCHMARK.json``'s
     list of ``{"name", "better", "bound"}``.  Only pairs in which both sides
     completed count.  The change wins a pair when its value is strictly
-    better in the metric's direction.
+    better in the metric's direction.  Each workload also keeps every side's
+    ``attempted`` trials and their median: ``peak_rss_mb`` grows with the
+    trials a run of fixed length completes, so a faster side reads higher
+    without using more memory per trial.
     """
     by_pair = {}
     for run in runs:
@@ -85,13 +89,19 @@ def summarize(runs, end_to_end) -> dict:
     for (workload, _), sides in sorted(by_pair.items()):
         if set(sides) != set(SIDES):
             continue
-        cell = summary.setdefault(workload, {"pairs": 0, "metrics": {}})
+        cell = summary.setdefault(workload, {"pairs": 0, "metrics": {},
+                                             "attempted": {s: [] for s in SIDES}})
         cell["pairs"] += 1
+        for side in SIDES:
+            cell["attempted"][side].append(sides[side]["result"]["attempted"])
         for metric in end_to_end:
             values = cell["metrics"].setdefault(metric["name"], {s: [] for s in SIDES})
             for side in SIDES:
                 values[side].append(sides[side]["result"]["metrics"][metric["name"]]["value"])
     for cell in summary.values():
+        attempted = cell["attempted"]
+        for side in SIDES:
+            attempted[side + "_median"] = statistics.median(attempted[side])
         for metric in end_to_end:
             values = cell["metrics"][metric["name"]]
             parent, change = values["parent"], values["change"]
