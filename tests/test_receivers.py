@@ -740,8 +740,9 @@ class TestExtrapolatedALS:
         return [pakron(received, design, alphabet, cfg.solver, seed)
                 for seed, (design, received) in enumerate(instances)]
 
-    # only where the premise below holds: at 20 dB the fit (about 4.4e-3) is
-    # above delta / eps = 1e-3, so the relative rule stops some instances first
+    # only where the premise below holds: at 20 dB the stopping fits (4.1e-3
+    # to 5.0e-3) are above delta / eps = 1e-3, so the relative rule can stop
+    # first
     @pytest.mark.parametrize("snr_db", [30.0])
     def test_pakron_at_high_snr_stops_where_delta_alone_does(self, monkeypatch, snr_db):
         cfg, instances = self.default_instances(snr_db)
