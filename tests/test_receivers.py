@@ -735,47 +735,67 @@ class TestExtrapolatedALS:
         assert len(trajectory) == 20 and not converged
 
     @staticmethod
-    def pakron_outputs(cfg, instances):
+    def outputs(receiver, cfg, instances):
         alphabet = signal.psk_alphabet(cfg.modulation_order)
-        return [pakron(received, design, alphabet, cfg.solver, seed)
+        run = pakron if receiver == "pakron" else tucker
+        return [run(received, design, alphabet, cfg.solver, seed)
                 for seed, (design, received) in enumerate(instances)]
 
-    # only where the premise below holds: at 20 dB the stopping fits (4.1e-3
+    def check_stops_where_delta_alone_does(self, monkeypatch, receiver, snr_db):
+        cfg, instances = self.default_instances(snr_db)
+        relative = self.outputs(receiver, cfg, instances)
+        # the premise: each stopping fit is below delta / eps, where eps * fit
+        # cannot exceed delta
+        eps = receivers.RELATIVE_TOLERANCES[receiver]
+        assert all(out.residual_trajectory[-1] < cfg.solver.delta / eps
+                   for out in relative)
+        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, receiver, 0.0)
+        for a, b in zip(relative, self.outputs(receiver, cfg, instances)):
+            for field in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+
+    # only where the premise holds: at 20 dB pakron's stopping fits (4.1e-3
     # to 5.0e-3) are above delta / eps = 1e-3, so the relative rule can stop
     # first
     @pytest.mark.parametrize("snr_db", [30.0])
     def test_pakron_at_high_snr_stops_where_delta_alone_does(self, monkeypatch, snr_db):
-        cfg, instances = self.default_instances(snr_db)
-        relative = self.pakron_outputs(cfg, instances)
-        # the premise: each stopping fit is below delta / eps, where eps * fit
-        # cannot exceed delta
-        eps = receivers.RELATIVE_TOLERANCES["pakron"]
-        assert all(out.residual_trajectory[-1] < cfg.solver.delta / eps
-                   for out in relative)
-        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 0.0)
-        for a, b in zip(relative, self.pakron_outputs(cfg, instances)):
-            for field in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        self.check_stops_where_delta_alone_does(monkeypatch, "pakron", snr_db)
 
-    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
-    def test_pakron_relative_rule_saves_sweeps_at_no_worse_nmse(self, monkeypatch,
-                                                              snr_db):
-        # 40 seeded default-config trials against the absolute rule (eps = 0):
-        # fewer sweeps in total, and neither NMSE median more than 2 % higher
-        cfg = SystemConfig()
+    @pytest.mark.parametrize("snr_db", [30.0])
+    def test_tucker_at_high_snr_stops_where_delta_alone_does(self, monkeypatch, snr_db):
+        self.check_stops_where_delta_alone_does(monkeypatch, "tucker", snr_db)
 
+    @staticmethod
+    def check_relative_rule_saves_sweeps(monkeypatch, receiver, cfg, snr_db):
+        # 40 seeded trials against the absolute rule (eps = 0): fewer sweeps
+        # in total, neither NMSE median more than 2 % higher and the mean SER
+        # no higher
         def trials():
-            return [run_trial(cfg, "pakron", snr_db, cfg.snr_db.index(snr_db), t)
+            return [run_trial(cfg, receiver, snr_db, cfg.snr_db.index(snr_db), t)
                     for t in range(40)]
 
         relative = trials()
-        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 0.0)
+        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, receiver, 0.0)
         absolute = trials()
         assert (sum(t.iterations for t in relative)
                 < sum(t.iterations for t in absolute))
         for name in ("nmse_h", "nmse_g"):
             assert (statistics.median(getattr(t, name) for t in relative)
                     <= 1.02 * statistics.median(getattr(t, name) for t in absolute))
+        assert sum(t.ser for t in relative) <= sum(t.ser for t in absolute)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 20.0])
+    def test_pakron_relative_rule_saves_sweeps_at_no_worse_nmse(self, monkeypatch,
+                                                              snr_db):
+        self.check_relative_rule_saves_sweeps(monkeypatch, "pakron", SystemConfig(),
+                                              snr_db)
+
+    # blocks = 16 (< d = 32) is where tucker's fit creeps longest
+    @pytest.mark.parametrize("blocks, snr_db", [(32, 0.0), (32, 20.0), (16, 0.0)])
+    def test_tucker_relative_rule_saves_sweeps_at_no_worse_nmse(self, monkeypatch,
+                                                              blocks, snr_db):
+        self.check_relative_rule_saves_sweeps(monkeypatch, "tucker",
+                                              SystemConfig(blocks=blocks), snr_db)
 
     def test_tucker_takes_fewer_sweeps_than_plain_als(self, monkeypatch):
         cfg, instances = self.default_instances(0.0)

@@ -7,6 +7,7 @@ import numpy as np
 
 from bdris.config import SolverOptions, SystemConfig
 from bdris.experiments import TrialFailure, TrialResult
+from bdris.receivers import RELATIVE_TOLERANCES
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
 from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
                               solve_gram, unfold, unvec)
@@ -133,8 +134,10 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     ``gbar`` in turn and takes the residual explicitly.  From sweep 3 on it
     also scores ``old + sweep ** (1/3) * (new - old)`` of all three factors by
     its explicit residual and keeps that point when it is strictly lower.
-    Same initial draws, stopping rule and return tuple as
-    ``receivers.tucker_tals``."""
+    It stops when the residual moves by no more than ``max(solver.delta, eps
+    * residual)``, with ``tucker``'s ``eps`` from
+    ``receivers.RELATIVE_TOLERANCES``.  Same initial draws, stopping rule and
+    return tuple as ``receivers.tucker_tals``."""
     q4 = np.asarray(q4)
     slots, frames = q4.shape[1], q4.shape[3]
     d, mt = psi.shape[1], tx_antennas
@@ -152,6 +155,7 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     x = np.array(x_init, dtype=complex) if x_init is not None else cn((slots, mt))
     gbar = np.array(gbar_init, dtype=complex) if gbar_init is not None else cn((frames, d))
     tol = solver.pinv_tol
+    eps = RELATIVE_TOLERANCES["tucker"]
     trajectory = []
     prev = np.inf
     converged = False
@@ -170,7 +174,7 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
                 (f_new, x_new, gbar_new), err = jump, err_jump
         f, x, gbar = f_new, x_new, gbar_new
         trajectory.append(err)
-        if abs(err - prev) <= solver.delta:
+        if abs(err - prev) <= max(solver.delta, eps * err):
             converged = True
             break
         prev = err
