@@ -7,7 +7,8 @@ Both receivers read the received tensor ``y`` through its third-order view
   on the third-order view to estimate the mixed factor
   ``omega = kron(X, H @ S)`` together with the stacked per-frame channel; its
   updates and fit work on the data contracted with the known coding and
-  rotation matrix ``psi``.
+  rotation matrix ``psi``.  When ``psi`` has full column rank it starts from
+  the closed-form Khatri-Rao factorization of the contracted data.
   With the structure projection on, stage I ends by re-solving the stacked
   channel at the nearest Kronecker product to ``omega`` and then ``omega``,
   on the same systems.  Stage II splits ``omega`` into ``X`` and ``H`` by the
@@ -23,7 +24,7 @@ The step's length comes from the receiver (``STEP_SCHEDULES``): ``pakron``'s
 bilinear stage I takes ``sqrt(k)`` at sweep ``k``, ``tucker``'s trilinear
 sweeps the shorter ``k ** (1/3)``.  The loop stops when the fit changes by
 no more than ``max(solver.delta, eps * fit)``, with the receiver's ``eps``
-from ``RELATIVE_TOLERANCES`` (1e-3 for ``pakron``, 3e-4 for ``tucker``): at
+from ``RELATIVE_TOLERANCES`` (3e-3 for ``pakron``, 3e-4 for ``tucker``): at
 low SNR both fits settle near the noise share and then creep.  A sweep's fit
 comes from its last solve (``_solved_fit``); a candidate's from the Gram of
 one system at it (``_gram_fit``).  ``pakron`` scores its candidate on the
@@ -90,11 +91,13 @@ STEP_SCHEDULES = {"pakron": math.sqrt, "tucker": lambda k: k ** (1 / 3)}
 # Relative stopping tolerance eps per ALS receiver: a sweep loop also stops
 # when the fit changes by no more than eps * fit (Tensor Toolbox's cp_als
 # stops on the change of its fit).  At 0 dB both fits settle near the noise
-# share and then creep: eps = 1e-3 cut pakron's mean sweeps 44 -> 15 and
-# 3e-4 tucker's 10.3 -> 7.0 (40.8 -> 19.1 at blocks = 16) with NMSE medians at
-# most 0.7 % higher and mean SER no higher; tucker's 1e-3 raised its SER at
-# blocks = 16.  Below a fit of delta / eps it stops where delta alone does.
-RELATIVE_TOLERANCES = {"pakron": 1e-3, "tucker": 3e-4}
+# share and then creep.  pakron's 3e-3, from its closed-form start, took
+# 12.7 mean sweeps at 0 dB against 15.1 from a random start at 1e-3, with
+# NMSE medians at most 2 % higher and mean SER no higher (5e-3: +4 %);
+# tucker's 3e-4 cut its 10.3 -> 7.0 (40.8 -> 19.1 at blocks = 16), and 1e-3
+# raised its SER at blocks = 16.  Below a fit of delta / eps it stops where
+# delta alone does.
+RELATIVE_TOLERANCES = {"pakron": 3e-3, "tucker": 3e-4}
 
 
 @dataclass(frozen=True)
@@ -249,12 +252,18 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     ``gbar`` solve, ``(||z||^2 - Re<gbar, rhs>) / ||z||^2`` clamped at 0.  The
     sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``,
     with the ``sqrt(k)`` step, and stop when the fit changes by no more than
-    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps = 1e-3`` from
+    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps = 3e-3`` from
     ``RELATIVE_TOLERANCES``: at low SNR the fit settles near the noise share
     and then creeps, and those sweeps do not move stage II's output.  A
     candidate is scored by the Gram fit of the ``omega`` system at its
     ``gbar``, and when the loop keeps it, the next sweep solves that system
     instead of building it again.
+
+    Without ``gbar_init``, column ``r`` of ``gbar`` starts as the top
+    eigenvector of ``T_r T_r^H`` for the least-squares ``T = zp @
+    inv(psi_gram)`` (the Khatri-Rao factorization of de Araujo et al., IEEE
+    JSTSP 2021) when ``blocks >= d`` and ``psi_gram`` is trusted, else it is
+    drawn from ``init_seed``.
 
     ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
@@ -277,10 +286,16 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     require_feasible("pakron", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
 
-    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
-            else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     tol = solver.pinv_tol
     zp, psi_gram, znorm2, psi_cond = _contract(z, psi, spectrum or gram_spectrum(psi))
+    # the Khatri-Rao factorization: zp = T @ psi_gram, T[f, a, r] = gbar[f, r] * omega[a, r]
+    t = (solve_gram(zp.reshape(-1, d), psi_gram, tol, psi_cond)
+         if gbar_init is None and k >= d else None)
+    if t is not None:
+        t = t.reshape(frames, -1, d).transpose(2, 0, 1)
+        gbar_init = np.linalg.eigh(t @ t.conj().transpose(0, 2, 1))[1][:, :, -1].T
+    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
+            else complex_normal(np.random.default_rng(init_seed), (frames, d)))
     # the gbar of the last candidate scored and its omega system
     scored = [None, None]
 
