@@ -643,6 +643,22 @@ class TestTucker:
         assert a.residual_trajectory == b.residual_trajectory
 
 
+def forty_trials(cfg, receiver, snr_db):
+    """``run_trial`` trial indices 0-39 at ``snr_db``."""
+    return [run_trial(cfg, receiver, snr_db, cfg.snr_db.index(snr_db), t)
+            for t in range(40)]
+
+
+def assert_saves_sweeps(trials, baseline):
+    """Fewer sweeps in total than on the same ``baseline`` trials, neither
+    NMSE median more than 2 % higher and the total SER no higher."""
+    assert sum(t.iterations for t in trials) < sum(t.iterations for t in baseline)
+    for name in ("nmse_h", "nmse_g"):
+        assert (statistics.median(getattr(t, name) for t in trials)
+                <= 1.02 * statistics.median(getattr(t, name) for t in baseline))
+    assert sum(t.ser for t in trials) <= sum(t.ser for t in baseline)
+
+
 class TestExtrapolatedALS:
     """The one sweep loop both receivers run, on scripted sweeps: each
     factor is a number, a sweep halves it and its fit is its square."""
@@ -767,22 +783,10 @@ class TestExtrapolatedALS:
 
     @staticmethod
     def check_relative_rule_saves_sweeps(monkeypatch, receiver, cfg, snr_db):
-        # 40 seeded trials against the absolute rule (eps = 0): fewer sweeps
-        # in total, neither NMSE median more than 2 % higher and the mean SER
-        # no higher
-        def trials():
-            return [run_trial(cfg, receiver, snr_db, cfg.snr_db.index(snr_db), t)
-                    for t in range(40)]
-
-        relative = trials()
+        # against the absolute rule (eps = 0)
+        relative = forty_trials(cfg, receiver, snr_db)
         monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, receiver, 0.0)
-        absolute = trials()
-        assert (sum(t.iterations for t in relative)
-                < sum(t.iterations for t in absolute))
-        for name in ("nmse_h", "nmse_g"):
-            assert (statistics.median(getattr(t, name) for t in relative)
-                    <= 1.02 * statistics.median(getattr(t, name) for t in absolute))
-        assert sum(t.ser for t in relative) <= sum(t.ser for t in absolute)
+        assert_saves_sweeps(relative, forty_trials(cfg, receiver, snr_db))
 
     @pytest.mark.parametrize("snr_db", [0.0, 20.0])
     def test_pakron_relative_rule_saves_sweeps_at_no_worse_nmse(self, monkeypatch,
@@ -1076,14 +1080,8 @@ class TestKhatriRaoStart:
                                              (ACCEPTANCE_CFG, 30.0)],
                              ids=["default-0dB", "acceptance-30dB"])
     def test_start_saves_sweeps_at_no_worse_nmse_or_ser(self, monkeypatch, cfg, snr_db):
-        # 40 seeded trials against the seeded random start at eps = 1e-3:
-        # fewer sweeps in total, neither NMSE median more than 2 % higher
-        # and the total SER no higher
-        def trials():
-            return [run_trial(cfg, "pakron", snr_db, cfg.snr_db.index(snr_db), t)
-                    for t in range(40)]
-
-        started = trials()
+        # against the seeded random start at eps = 1e-3
+        started = forty_trials(cfg, "pakron", snr_db)
         stage_one = receivers.pakron_stage1
 
         def random_start(z, psi, left_shape, right_shape, solver, init_seed,
@@ -1094,13 +1092,7 @@ class TestKhatriRaoStart:
 
         monkeypatch.setattr(receivers, "pakron_stage1", random_start)
         monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 1e-3)
-        drawn = trials()
-        assert (sum(t.iterations for t in started)
-                < sum(t.iterations for t in drawn))
-        for name in ("nmse_h", "nmse_g"):
-            assert (statistics.median(getattr(t, name) for t in started)
-                    <= 1.02 * statistics.median(getattr(t, name) for t in drawn))
-        assert sum(t.ser for t in started) <= sum(t.ser for t in drawn)
+        assert_saves_sweeps(started, forty_trials(cfg, "pakron", snr_db))
 
 
 class TestTrialPathBuildsNoCore:
