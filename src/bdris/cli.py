@@ -23,12 +23,15 @@ from . import experiments, fixtures
 from .config import ConfigError, load_config
 from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .identifiability import full_report
+from .receivers import RECEIVERS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IDENT = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
+
+SWEEP_DEFAULT = tuple(name for name, entry in RECEIVERS.items() if entry.inequalities)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,16 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run one seeded trial at the "
                            "first snr_db entry")
-    p_sim.add_argument("--receiver", default="tucker",
-                       help="pakron | tucker | zf-oracle")
+    p_sim.add_argument("--receiver", default="tucker", help=" | ".join(RECEIVERS))
     p_sim.add_argument("--from-fixture", metavar="PATH",
                        help="replay a recorded fixture instead of drawing a "
                             "scenario; --config and --set must equal its config")
 
     p_sweep = sub.add_parser("sweep", help="run the Monte-Carlo grid")
     p_sweep.add_argument("--receiver", action="append", default=None,
-                         help="receiver to evaluate (repeatable; default: "
-                              "pakron and tucker)")
+                         help=f"receiver to evaluate, {' | '.join(RECEIVERS)} "
+                              f"(repeatable; default: {' and '.join(SWEEP_DEFAULT)})")
     p_sweep.add_argument("--runs", type=int, default=100)
     p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--force", action="store_true",
@@ -102,7 +104,7 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_sweep(cfg, args) -> int:
-    receivers = args.receiver or ["pakron", "tucker"]
+    receivers = args.receiver or SWEEP_DEFAULT
     trials, report = experiments.run_sweep(
         cfg, receivers, runs=args.runs, jobs=args.jobs, force=args.force)
     os.makedirs(args.out, exist_ok=True)

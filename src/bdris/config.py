@@ -84,7 +84,7 @@ class SolverOptions:
     delta: float = 1e-6          # stop when the normalized fit moves by no more
                                  # than this or eps * fit (pakron 3e-3, tucker 3e-4)
     max_iters: int = 500
-    init_seed: int = 0           # tucker's start; pakron's only when blocks < d
+    init_seed: int = 0           # tucker's start, and pakron's without a closed-form one
     structure_projection: bool = True  # pin the two-stage receiver's mixed factor
     pinv_tol: float = DEFAULT_PINV_TOL
 

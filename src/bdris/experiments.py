@@ -30,14 +30,7 @@ import numpy as np
 from .config import SystemConfig, derive_seed
 from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .identifiability import check_feasible
-from .receivers import (
-    RECEIVER_NAMES,
-    ReceiverOutput,
-    hard_decisions,
-    pakron,
-    tucker,
-    zf_perfect_csi,
-)
+from .receivers import find_receiver, hard_decisions
 from .signal import SymbolBlock, add_noise, draw_scenario
 
 # the columns of TrialResult.astuple(), then the error text of a TrialFailure
@@ -157,34 +150,24 @@ def json_safe(obj):
     return obj
 
 
-def _require_receiver(receiver: str) -> None:
-    if receiver not in RECEIVER_NAMES:
-        raise ValueError(f"unknown receiver {receiver!r}; choose from {RECEIVER_NAMES}")
-
-
 def evaluate(receiver: str, received, design, channels, symbols,
              solver, init_seed: int) -> dict:
     """Run ``receiver`` on one received tensor and score it against the truth.
 
     Returns ``nmse_h``, ``nmse_g``, ``ser``, ``iterations`` and ``wall_ms``,
-    the time of the receiver call alone, without scoring.  The oracle is
-    given the true channels, so its NMSEs are 0 and its time is that of the
-    zero-forcing solve.
+    the time of the receiver's run alone, hard decisions included, without
+    scoring.  Only the oracle reads the true channels: its channel estimates
+    are ``None``, the truth itself, scored 0.0.
     """
-    _require_receiver(receiver)
+    run = find_receiver(receiver).run
     t0 = time.perf_counter()
-    if receiver == "zf-oracle":
-        x_hat = zf_perfect_csi(received, channels, design, solver.pinv_tol)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-        detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
-        return dict(nmse_h=0.0, nmse_g=0.0, ser=ser(symbols, detected),
-                    iterations=0, wall_ms=wall_ms)
-    run = pakron if receiver == "pakron" else tucker
-    out: ReceiverOutput = run(received, design, symbols.alphabet, solver, init_seed)
+    out = run(received, design, symbols.alphabet, solver, init_seed, channels)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return dict(
-        nmse_h=nmse_aligned(channels.h @ design.s, out.hs_hat, "per-column"),
-        nmse_g=nmse_aligned(channels.gbar, out.gbar_hat, "per-column"),
+        nmse_h=(0.0 if out.hs_hat is None else
+                nmse_aligned(channels.h @ design.s, out.hs_hat, "per-column")),
+        nmse_g=(0.0 if out.gbar_hat is None else
+                nmse_aligned(channels.gbar, out.gbar_hat, "per-column")),
         ser=ser(symbols, out.x_detected),
         iterations=out.iterations,
         wall_ms=wall_ms,
@@ -258,7 +241,7 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
     if len(set(receivers)) != len(receivers):
         raise ValueError("duplicate receiver names")
     for rx in receivers:
-        _require_receiver(rx)
+        find_receiver(rx)  # ValueError for an unknown name
     if not force:
         for rx in receivers:
             check_feasible(cfg, rx)

@@ -37,8 +37,12 @@ def encode_array(arr) -> dict:
 
 
 def decode_array(obj) -> np.ndarray:
-    dims = tuple(int(d) for d in obj["dims"])
-    data = np.asarray(obj["data"], dtype=float)
+    dims, data = obj["dims"], obj["data"]
+    if not all(type(d) is int and d >= 0 for d in dims):
+        raise ValueError("fixture array dims must be non-negative integers")
+    if not all(type(v) in (int, float) for v in data):
+        raise ValueError("fixture array data must be one flat list of numbers")
+    data = np.asarray(data, dtype=float)
     if data.size != 2 * int(np.prod(dims)):
         raise ValueError("interleaved data length does not match dims")
     if not np.all(np.isfinite(data)):

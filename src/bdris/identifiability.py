@@ -12,22 +12,10 @@ sufficient uniqueness condition for the two-stage receiver's trilinear stage
 is also evaluated in its parameterized form.
 """
 
-import math
 from dataclasses import asdict, dataclass, field
 
 from .config import SystemConfig
-from .errors import IdentifiabilityError
-
-# Per receiver, the (lhs, rhs) products of system dimensions whose
-# ``lhs >= rhs`` makes each alternating update's mixing matrix full rank.
-# Every left-hand side holds ``blocks`` once, which gives the kmin bounds.
-INEQUALITIES = {
-    "pakron": (("frames*blocks", "tx_antennas*ris_elements"),
-               ("blocks*slots*rx_antennas", "tx_antennas*ris_elements")),
-    "tucker": (("frames*blocks*slots", "ris_elements"),
-               ("frames*blocks*rx_antennas", "tx_antennas"),
-               ("blocks*slots*rx_antennas", "tx_antennas*ris_elements")),
-}
+from .receivers import RECEIVERS, dims_product, require_feasible
 
 
 @dataclass
@@ -46,38 +34,21 @@ class IdentReport:
         return asdict(self)
 
 
-def _product(expr: str, dims: dict) -> int:
-    return math.prod(dims[name] for name in expr.split("*"))
-
-
-def dims_of(cfg: SystemConfig) -> dict:
-    """The system dimensions the inequalities name, read from ``cfg``."""
-    return {name: getattr(cfg, name) for name in ("tx_antennas", "rx_antennas",
-            "ris_elements", "blocks", "slots", "frames")}
-
-
-def require_feasible(receiver: str, dims: dict) -> None:
-    """Raise IdentifiabilityError for the first of the receiver's inequalities
-    that ``dims`` violates; receivers without any pass."""
-    for lhs, rhs in INEQUALITIES.get(receiver, ()):
-        left, right = _product(lhs, dims), _product(rhs, dims)
-        if left < right:
-            raise IdentifiabilityError(f"{lhs} >= {rhs}", left, right)
-
-
 def kmin_bounds(cfg: SystemConfig, report: IdentReport | None = None) -> IdentReport:
     """Minimum number of blocks for LS-unique updates, per receiver."""
     report = report or IdentReport()
-    dims = dims_of(cfg)
-    for receiver, table in INEQUALITIES.items():
+    dims = vars(cfg)  # the inequalities name fields of cfg
+    for entry in RECEIVERS.values():
+        if not entry.inequalities:
+            continue
         kmin = 0
-        for lhs, rhs in table:
-            left, right = _product(lhs, dims), _product(rhs, dims)
+        for lhs, rhs in entry.inequalities:
+            left, right = dims_product(lhs, dims), dims_product(rhs, dims)
             # left is blocks times the rest: blocks >= ceil(right / rest)
             kmin = max(kmin, -(-right * dims["blocks"] // left))
-            report.inequalities[f"{receiver}: {lhs} >= {rhs}"] = {
+            report.inequalities[f"{entry.name}: {lhs} >= {rhs}"] = {
                 "lhs": left, "rhs": right, "ok": left >= right}
-        setattr(report, f"kmin_{receiver}", kmin)
+        setattr(report, f"kmin_{entry.name}", kmin)
     return report
 
 
@@ -136,4 +107,4 @@ def full_report(cfg: SystemConfig, rank_h: int | None = None) -> IdentReport:
 
 def check_feasible(cfg: SystemConfig, receiver: str) -> None:
     """Raise IdentifiabilityError when the receiver's LS bounds fail."""
-    require_feasible(receiver, dims_of(cfg))
+    require_feasible(receiver, vars(cfg))

@@ -19,15 +19,11 @@ Both receivers read the received tensor ``y`` through its third-order view
   Kronecker factors of ``omega``; its channel update and fit are stage I's.
 
 Both run their sweeps through one loop, ``_extrapolated_als``, which also
-tries an extrapolated step per sweep and keeps it when it lowers the fit.
-The step's length comes from the receiver (``STEP_SCHEDULES``): ``pakron``'s
-bilinear stage I takes ``sqrt(k)`` at sweep ``k``, ``tucker``'s trilinear
-sweeps the shorter ``k ** (1/3)``.  The loop stops when the fit changes by
-no more than ``max(solver.delta, eps * fit)``, with the receiver's ``eps``
-from ``RELATIVE_TOLERANCES`` (3e-3 for ``pakron``, 3e-4 for ``tucker``): at
-low SNR both fits settle near the noise share and then creep.  A sweep's fit
-comes from its last solve (``_solved_fit``); a candidate's from the Gram of
-one system at it (``_gram_fit``).  ``pakron`` scores its candidate on the
+tries an extrapolated step per sweep and keeps it when it lowers the fit;
+the step's length and the relative stopping tolerance ``eps`` of the loop
+are the receiver's ``step`` and ``rel_tol`` in :data:`RECEIVERS`.  A sweep's
+fit comes from its last solve (``_solved_fit``); a candidate's from the Gram
+of one system at it (``_gram_fit``).  ``pakron`` scores its candidate on the
 ``omega`` system at the candidate's ``gbar``, the next sweep's first system
 when the candidate is kept, so that sweep solves it as it is.
 
@@ -53,17 +49,18 @@ per-element column scale on ``H @ S`` compensated inside the stacked channel
 (left to evaluation-time column alignment).
 
 A zero-forcing oracle with perfect channel knowledge is included as a symbol
-detection baseline.
+detection baseline.  Every other module reads the receivers from
+:data:`RECEIVERS`, one record each, so a new receiver is one entry there.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SolverOptions
-from .errors import ScalingResolutionError
-from .identifiability import require_feasible
+from .errors import IdentifiabilityError, ScalingResolutionError
 from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal, energy
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
@@ -78,27 +75,6 @@ from .tensor_ops import (  # noqa: F401
     solve_gram,
     unfold,
 )
-
-RECEIVER_NAMES = ("pakron", "tucker", "zf-oracle")
-
-# Length of the extrapolated step at sweep k (Bro 1998, §4.6) per ALS
-# receiver.  sqrt(k) overshoots tucker's trilinear problem: at 10-30 dB it
-# kept 4-12 % of its candidates, against 35-46 % with k^(1/3), which cut its
-# mean sweeps from 8.2-8.5 to 7.1-7.4; pakron's stage I takes more sweeps
-# with the shorter step (36.6 -> 43.6 at 0 dB, d = 16).
-STEP_SCHEDULES = {"pakron": math.sqrt, "tucker": lambda k: k ** (1 / 3)}
-
-# Relative stopping tolerance eps per ALS receiver: a sweep loop also stops
-# when the fit changes by no more than eps * fit (Tensor Toolbox's cp_als
-# stops on the change of its fit).  At 0 dB both fits settle near the noise
-# share and then creep.  pakron's 3e-3, from its closed-form start, took
-# 12.7 mean sweeps at 0 dB against 15.1 from a random start at 1e-3, with
-# NMSE medians at most 2 % higher and mean SER no higher (5e-3: +4 %);
-# tucker's 3e-4 cut its 10.3 -> 7.0 (40.8 -> 19.1 at blocks = 16), and 1e-3
-# raised its SER at blocks = 16.  Below a fit of delta / eps it stops where
-# delta alone does.
-RELATIVE_TOLERANCES = {"pakron": 3e-3, "tucker": 3e-4}
-
 
 @dataclass(frozen=True)
 class ReceiverOutput:
@@ -213,12 +189,11 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step, rel_t
 
     ``sweep(factors)`` returns the updated factors and their fit.  From sweep
     3 on, every factor is also tried at ``old + step(k) * (new - old)`` at
-    sweep ``k`` (Bro 1998, §4.6), with the calling receiver's schedule from
-    ``STEP_SCHEDULES``, and that point is kept when ``fit_at`` of it is
-    strictly lower, so a sweep never ends above the plain update's fit.  The
-    loop stops (converged) when the fit changes by no more than the larger of
-    ``solver.delta`` and ``rel_tol`` times the fit, the calling receiver's
-    entry of ``RELATIVE_TOLERANCES``, or after ``solver.max_iters`` sweeps.
+    sweep ``k`` (Bro 1998, §4.6) with the calling receiver's ``step``, and
+    that point is kept when ``fit_at`` of it is strictly lower, so a sweep
+    never ends above the plain update's fit.  The loop stops (converged) when
+    the fit changes by no more than the larger of ``solver.delta`` and the
+    receiver's ``rel_tol`` times the fit, or after ``solver.max_iters`` sweeps.
 
     Returns ``(factors, trajectory, converged)`` with the fit of every sweep.
     """
@@ -250,14 +225,12 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     the ``psi``-contracted data (``_omega_system``, ``_gbar_system``), with a
     ``pinv`` fallback on an untrusted Gram.  A sweep's fit is read off its
     ``gbar`` solve, ``(||z||^2 - Re<gbar, rhs>) / ||z||^2`` clamped at 0.  The
-    sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``,
-    with the ``sqrt(k)`` step, and stop when the fit changes by no more than
-    ``max(solver.delta, eps * fit)`` with ``pakron``'s ``eps = 3e-3`` from
-    ``RELATIVE_TOLERANCES``: at low SNR the fit settles near the noise share
-    and then creeps, and those sweeps do not move stage II's output.  A
-    candidate is scored by the Gram fit of the ``omega`` system at its
-    ``gbar``, and when the loop keeps it, the next sweep solves that system
-    instead of building it again.
+    sweeps run in :func:`_extrapolated_als` on the factors ``(omega, gbar)``
+    with ``pakron``'s step and ``eps``; the sweeps in which the fit creeps
+    near the noise share do not move stage II's output.  A candidate is
+    scored by the Gram fit of the ``omega`` system at its ``gbar``, and when
+    the loop keeps it, the next sweep solves that system instead of building
+    it again.
 
     Without ``gbar_init``, column ``r`` of ``gbar`` starts as the top
     eigenvector of ``T_r T_r^H`` for the least-squares ``T = zp @
@@ -317,8 +290,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
         return _gram_fit(omega, rhs, gram, znorm2)
 
     (omega, gbar), trajectory, converged = _extrapolated_als(
-        sweep, fit_at, (None, gbar), solver, STEP_SCHEDULES["pakron"],
-        RELATIVE_TOLERANCES["pakron"])
+        sweep, fit_at, (None, gbar), solver, RECEIVERS["pakron"].step,
+        RECEIVERS["pakron"].rel_tol)
     fit = trajectory[-1]
 
     if solver.structure_projection:
@@ -351,7 +324,7 @@ def kron_factorize(omega, s, slots, rx_antennas):
 
 
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
-           solver: SolverOptions, init_seed: int) -> ReceiverOutput:
+           solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
     """Two-stage semi-blind receiver (alternating LS + Kronecker split)."""
     mr, slots, k, frames = received.y.shape
     z = np.reshape(received.y, (mr * slots, k, frames), order="F")
@@ -421,12 +394,8 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
     right-hand side and Gram; the ``gbar`` update and the clamped Gram fit
     are its ``gbar`` system.  A mode whose Gram is not trusted falls back to
     ``pinv`` of its explicit mixing matrix.  The sweeps run in
-    :func:`_extrapolated_als` on the factors ``(F, X, gbar)``, with the
-    ``k ** (1/3)`` step, shorter than ``pakron``'s ``sqrt(k)``: the longer step
-    overshoots the trilinear problem, so most of its candidates were refused.
-    They stop when the fit changes by no more than ``max(solver.delta, eps *
-    fit)``, with ``tucker``'s ``eps = 3e-4`` from ``RELATIVE_TOLERANCES``.
-    ``spectrum`` is ``psi``'s :func:`gram_spectrum`.
+    :func:`_extrapolated_als` on the factors ``(F, X, gbar)`` with
+    ``tucker``'s step and ``eps``.  ``spectrum`` is ``psi``'s :func:`gram_spectrum`.
     """
     q4 = np.asarray(q4)
     mr, slots, k, frames = q4.shape
@@ -470,13 +439,13 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
         return _gram_fit(gbar, rhs, gram, znorm2)
 
     (f, x, gbar), trajectory, converged = _extrapolated_als(
-        sweep, fit_at, (None, x, gbar), solver, STEP_SCHEDULES["tucker"],
-        RELATIVE_TOLERANCES["tucker"])
+        sweep, fit_at, (None, x, gbar), solver, RECEIVERS["tucker"].step,
+        RECEIVERS["tucker"].rel_tol)
     return f, x, gbar, trajectory, converged
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
-           solver: SolverOptions, init_seed: int) -> ReceiverOutput:
+           solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
     """Single-stage semi-blind receiver (trilinear ALS on the 4-way view)."""
     f, x_raw, gbar, trajectory, converged = _tucker_als(
         received.y, design.s.shape[0], design.psi, design.psi_spectrum, solver,
@@ -507,6 +476,17 @@ def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
                       channels.gbar, design.s.shape[0], pinv_tol)
 
 
+def zf_oracle(received: ReceivedTensor, design: ScatteringDesign, alphabet,
+              solver: SolverOptions, init_seed: int, channels) -> ReceiverOutput:
+    """:func:`zf_perfect_csi` with the true ``channels``, hard-decided without
+    the reference-row rescale; its channel estimates are the truth, ``None``."""
+    x_hat = zf_perfect_csi(received, channels, design, solver.pinv_tol)
+    return ReceiverOutput(
+        h_hat=None, hs_hat=None, gbar_hat=None, x_hat=x_hat,
+        x_detected=np.asarray(alphabet)[hard_decisions(x_hat, alphabet)],
+        iterations=0, residual_trajectory=(), converged=True, final_fit=math.nan)
+
+
 def hard_decisions(x, alphabet) -> np.ndarray:
     """Indices of the nearest constellation points (ties to the lower index)."""
     dist = np.abs(np.asarray(x)[..., None] - np.asarray(alphabet))
@@ -533,3 +513,63 @@ def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
     detected = np.asarray(alphabet)[hard_decisions(x_res, alphabet)]
     detected[0, :] = ref
     return replace(out, x_hat=x_res, x_detected=detected)
+
+
+@dataclass(frozen=True)
+class Receiver:
+    """One receiver: ``run(received, design, alphabet, solver, init_seed,
+    channels)`` returns its output; only the oracle's reads the channels."""
+    name: str
+    run: Callable[..., ReceiverOutput]
+    # an ALS receiver's extrapolated step length at sweep k (Bro 1998, §4.6)
+    step: Callable[[int], float] | None = None
+    # an ALS receiver's relative stopping tolerance eps: its sweeps also stop
+    # when the fit moves by no more than eps * fit (as Tensor Toolbox's cp_als
+    # does), since at low SNR the fit settles near the noise share and then
+    # creeps; below a fit of delta / eps they stop where delta alone does
+    rel_tol: float | None = None
+    # the (lhs, rhs) products of system dimensions whose lhs >= rhs makes
+    # each alternating update's mixing matrix full rank; every lhs holds
+    # blocks once, which gives the kmin bounds
+    inequalities: tuple = ()
+
+
+RECEIVERS = {entry.name: entry for entry in (
+    # pakron's 3e-3, from its closed-form start, took 12.7 mean sweeps at 0 dB
+    # against 15.1 from a random start at 1e-3, with NMSE medians at most 2 %
+    # higher and mean SER no higher (5e-3: +4 %).  Its stage I takes more
+    # sweeps with tucker's shorter step (36.6 -> 43.6 at 0 dB, d = 16).
+    Receiver("pakron", pakron, step=math.sqrt, rel_tol=3e-3,
+             inequalities=(("frames*blocks", "tx_antennas*ris_elements"),
+                           ("blocks*slots*rx_antennas", "tx_antennas*ris_elements"))),
+    # sqrt(k) overshoots tucker's trilinear problem: at 10-30 dB it kept 4-12 %
+    # of its candidates, against 35-46 % with k^(1/3), which cut its mean
+    # sweeps from 8.2-8.5 to 7.1-7.4.  Its 3e-4 cut them 10.3 -> 7.0 (40.8 ->
+    # 19.1 at blocks = 16), and 1e-3 raised its SER at blocks = 16.
+    Receiver("tucker", tucker, step=lambda k: k ** (1 / 3), rel_tol=3e-4,
+             inequalities=(("frames*blocks*slots", "ris_elements"),
+                           ("frames*blocks*rx_antennas", "tx_antennas"),
+                           ("blocks*slots*rx_antennas", "tx_antennas*ris_elements"))),
+    Receiver("zf-oracle", zf_oracle),
+)}
+
+
+def find_receiver(name: str) -> Receiver:
+    """``RECEIVERS[name]``; ``ValueError`` for an unknown name."""
+    if name not in RECEIVERS:
+        raise ValueError(f"unknown receiver {name!r}; choose from {tuple(RECEIVERS)}")
+    return RECEIVERS[name]
+
+
+def dims_product(expr: str, dims: dict) -> int:
+    """The product of the dimensions ``expr`` names, such as ``"frames*blocks"``."""
+    return math.prod(dims[name] for name in expr.split("*"))
+
+
+def require_feasible(receiver: str, dims: dict) -> None:
+    """Raise IdentifiabilityError for the first of the receiver's inequalities
+    that ``dims`` violates; receivers without any pass."""
+    for lhs, rhs in find_receiver(receiver).inequalities:
+        left, right = dims_product(lhs, dims), dims_product(rhs, dims)
+        if left < right:
+            raise IdentifiabilityError(f"{lhs} >= {rhs}", left, right)

@@ -19,6 +19,7 @@ from bdris.config import (
 )
 from bdris.experiments import run_trial
 from bdris.fixtures import decode_array, encode_array
+from bdris.receivers import RECEIVERS
 
 REFERENCE_ARGS = ["--set", "ris_elements=16", "--set", "blocks=32",
               "--set", "groups=2", "--set", "frames=2"]
@@ -225,6 +226,15 @@ class TestCheck:
         assert json.loads(err)["error"] == "invalid"
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_help_names_every_receiver(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # so that no name is wrapped at its hyphen
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert [name for name in RECEIVERS if name not in out] == []
+
+
 class TestSimulate:
     def test_deterministic_json(self, capsys):
         args = ["--set", "ris_elements=4", "--set", "blocks=8",
@@ -337,6 +347,14 @@ def edit_design(doc, **edits):
     return doc
 
 
+def edit_symbols(doc, **edits):
+    """``doc`` with each named entry (``dims``, ``data``) of its symbol array
+    replaced by ``edit(entry)``."""
+    for key, edit in edits.items():
+        doc["symbols"]["x"][key] = edit(doc["symbols"]["x"][key])
+    return doc
+
+
 class TestFixture:
     def test_roundtrip(self, capsys, tmp_path):
         fx = tmp_path / "fx.json"
@@ -363,21 +381,29 @@ class TestFixture:
         assert out == ""
         assert json.loads(err)["error"] == "invalid"
 
-    @pytest.mark.parametrize("mangle", [
-        lambda doc: [doc],
-        lambda doc: {k: v for k, v in doc.items() if k != "symbols"},
-        lambda doc: {**doc, "version": 99},
-        lambda doc: {**doc, "config": []},
-        lambda doc: edit_design(doc, rotation=lambda p: p[[0] * len(p)],
-                                coding=lambda w: w[[0] * len(w)]),
-        lambda doc: edit_design(doc, scattering=lambda s: 3 * s),
-        lambda doc: {**doc, "config": {**doc["config"], "ris_elements": 8, "blocks": 64}},
-        lambda doc: {**doc, "config": {**doc["config"], "modulation_order": 8}},
+    # bool-dims has one transmit antenna, so that x's dims [slots, True]
+    # describe the shape its config gives x
+    @pytest.mark.parametrize("tx, mangle", [
+        (2, lambda doc: [doc]),
+        (2, lambda doc: {k: v for k, v in doc.items() if k != "symbols"}),
+        (2, lambda doc: {**doc, "version": 99}),
+        (2, lambda doc: {**doc, "config": []}),
+        (2, lambda doc: edit_design(doc, rotation=lambda p: p[[0] * len(p)],
+                                    coding=lambda w: w[[0] * len(w)])),
+        (2, lambda doc: edit_design(doc, scattering=lambda s: 3 * s)),
+        (2, lambda doc: {**doc, "config": {**doc["config"], "ris_elements": 8,
+                                           "blocks": 64}}),
+        (2, lambda doc: {**doc, "config": {**doc["config"], "modulation_order": 8}}),
+        (2, lambda doc: edit_symbols(doc, data=lambda data: [
+            data[i:i + 2] for i in range(0, len(data), 2)])),
+        (1, lambda doc: edit_symbols(doc, dims=lambda dims: [dims[0], True])),
     ], ids=["array", "no-symbols", "version-99", "config-array", "rank-1-psi",
-            "non-unitary-s", "config-of-other-dims", "symbols-off-alphabet"])
-    def test_malformed_fixture_is_invalid(self, capsys, tmp_path, mangle):
+            "non-unitary-s", "config-of-other-dims", "symbols-off-alphabet",
+            "nested-data", "bool-dims"])
+    def test_malformed_fixture_is_invalid(self, capsys, tmp_path, tx, mangle):
         fx = tmp_path / "fx.json"
-        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4"]
+        args = ["--set", "ris_elements=4", "--set", "blocks=8", "--set", "frames=4",
+                "--set", f"tx_antennas={tx}"]
         assert run_cli(capsys, *args, "fixture", "--out", str(fx))[0] == 0
         fx.write_text(json.dumps(mangle(json.loads(fx.read_text()))))
         code, out, err = run_cli(capsys, *args, "simulate", "--receiver", "tucker",

@@ -23,8 +23,8 @@ from bdris.experiments import (
     trial_to_dict,
     write_trials_csv,
 )
-from bdris.receivers import RECEIVER_NAMES
-from util import desk_config, draw_instance, read_trials_csv
+from bdris.receivers import RECEIVERS
+from util import desk_config, draw_instance, patch_entry, read_trials_csv
 
 TOLERATED = (ScalingResolutionError, NumericalError, IdentifiabilityError,
              np.linalg.LinAlgError)
@@ -144,7 +144,7 @@ class TestRunTrial:
                                      SystemConfig(channel_model="geometric")],
                              ids=["default", "sweep", "blocks16", "geometric"])
     def test_receivers_run_on_one_read_only_scenario(self, cfg, fresh_scenarios):
-        trials = [run_trial(cfg, rx, 10.0, 0, 1) for rx in RECEIVER_NAMES]
+        trials = [run_trial(cfg, rx, 10.0, 0, 1) for rx in RECEIVERS]
         assert experiments._noised_scenario.cache_info().hits == 2
         _, design, channels, symbols, received = experiments._noised_scenario(
             cfg, 10.0, 0, 1, cfg.seed)
@@ -198,7 +198,7 @@ class TestRunSweep:
         def boom(*args, **kwargs):
             raise NumericalError("synthetic failure")
 
-        monkeypatch.setattr(experiments, "pakron", boom)
+        patch_entry(monkeypatch, "pakron", run=boom)
         cfg = desk_config(snr_db=(10.0,), seed=10)
         trials, report = run_sweep(cfg, ["pakron"], runs=2)
         assert all(isinstance(t, TrialFailure) for t in trials)
@@ -223,7 +223,7 @@ class TestRunSweep:
 
     def test_csv_writes_failed_trials_as_rows(self, monkeypatch, tmp_path):
         calls = []
-        tucker = experiments.tucker
+        tucker = RECEIVERS["tucker"].run
 
         def second_call_fails(*args, **kwargs):
             calls.append(args)
@@ -231,7 +231,7 @@ class TestRunSweep:
                 raise NumericalError("synthetic failure")
             return tucker(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "tucker", second_call_fails)
+        patch_entry(monkeypatch, "tucker", run=second_call_fails)
         cfg = desk_config(snr_db=(10.0,), seed=14)
         trials, report = run_sweep(cfg, ["tucker"], runs=3)
         assert [type(t) for t in trials] == [TrialResult, TrialFailure, TrialResult]
@@ -287,7 +287,7 @@ class TestRunSweep:
     def test_one_receivers_failure_spares_the_other(self, monkeypatch,
                                                     fresh_scenarios):
         calls = []
-        pakron = experiments.pakron
+        pakron = RECEIVERS["pakron"].run
 
         def first_call_fails(*args, **kwargs):
             calls.append(args)
@@ -295,7 +295,7 @@ class TestRunSweep:
                 raise NumericalError("synthetic failure")
             return pakron(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "pakron", first_call_fails)
+        patch_entry(monkeypatch, "pakron", run=first_call_fails)
         cfg = desk_config(snr_db=(10.0,), seed=22)
         trials, report = run_sweep(cfg, ["pakron", "tucker"], runs=2)
         assert [type(t) for t in trials] == [TrialFailure, TrialResult,
@@ -358,7 +358,7 @@ def test_parallel_matches_serial():
 @given(tx=st.integers(1, 2), rx=st.integers(1, 3), ris=st.sampled_from([2, 4]),
        extra_slots=st.integers(0, 1), frames=st.integers(1, 3),
        extra_blocks=st.integers(0, 2),
-       receivers=st.lists(st.sampled_from(RECEIVER_NAMES), min_size=1,
+       receivers=st.lists(st.sampled_from(tuple(RECEIVERS)), min_size=1,
                           max_size=3, unique=True),
        snrs=st.one_of(st.lists(st.sampled_from([0.0, 10.0, 30.0]), min_size=1,
                                max_size=2), st.just([math.inf])),

@@ -7,14 +7,13 @@ import pytest
 from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import IdentifiabilityError
 from bdris.identifiability import (
-    INEQUALITIES,
     check_feasible,
     complexity_dominant,
     full_report,
     kmin_bounds,
     kruskal_check,
 )
-from bdris.receivers import pakron_stage1, tucker_tals
+from bdris.receivers import RECEIVERS, pakron_stage1, tucker_tals
 from bdris.signal import build_core
 from bdris.tensor_ops import khatri_rao, kron, unfold
 from util import desk_config, draw_instance
@@ -152,6 +151,14 @@ class TestFeasibilityGate:
         cfg = desk_config(**{**REFERENCE_DIMS, "blocks": 1})
         check_feasible(cfg, "zf-oracle")
 
+    def test_every_receiver_with_inequalities_is_reported(self):
+        report = full_report(desk_config(**REFERENCE_DIMS)).to_dict()
+        for entry in RECEIVERS.values():
+            if entry.inequalities:
+                assert f"kmin_{entry.name}" in report
+                assert all(f"{entry.name}: {lhs} >= {rhs}" in report["inequalities"]
+                           for lhs, rhs in entry.inequalities)
+
     def test_full_report_shape(self):
         report = full_report(desk_config(**REFERENCE_DIMS)).to_dict()
         assert {"kmin_pakron", "kmin_tucker", "kruskal_lhs", "kruskal_rhs",
@@ -207,5 +214,6 @@ class TestInequalityTable:
                     y, build_core(n, mt), psi, solver, 0))
             assert got == expected, cfg
             seen.add(got[0])
-        assert seen == {f"{lhs} >= {rhs}" for lhs, rhs in INEQUALITIES[receiver]}
+        assert seen == {f"{lhs} >= {rhs}"
+                        for lhs, rhs in RECEIVERS[receiver].inequalities}
 

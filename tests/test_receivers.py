@@ -14,6 +14,7 @@ from bdris.errors import (ConfigError, IdentifiabilityError, NumericalError,
                           ScalingResolutionError)
 from bdris.experiments import TrialResult, nmse_aligned, run_sweep, run_trial, ser
 from bdris.receivers import (
+    hard_decisions,
     kron_factorize,
     pakron,
     pakron_stage1,
@@ -30,6 +31,7 @@ from util import (
     desk_config,
     draw_instance,
     kron_split_explicit,
+    patch_entry,
     rel_err,
     solve_rows,
     tight_solver,
@@ -678,11 +680,11 @@ class TestExtrapolatedALS:
             return factors[0] ** 2 if jump_fit is None else jump_fit(factors)
 
         solver = SolverOptions(delta=delta, max_iters=max_iters)
+        entry = receivers.RECEIVERS[receiver]
         if rel_tol is None:
-            rel_tol = receivers.RELATIVE_TOLERANCES[receiver]
+            rel_tol = entry.rel_tol
         return log, receivers._extrapolated_als(
-            sweep, fit_at, (1.0, 2.0), solver, receivers.STEP_SCHEDULES[receiver],
-            rel_tol)
+            sweep, fit_at, (1.0, 2.0), solver, entry.step, rel_tol)
 
     @staticmethod
     def default_instances(snr_db):
@@ -753,7 +755,7 @@ class TestExtrapolatedALS:
     @staticmethod
     def outputs(receiver, cfg, instances):
         alphabet = signal.psk_alphabet(cfg.modulation_order)
-        run = pakron if receiver == "pakron" else tucker
+        run = receivers.RECEIVERS[receiver].run
         return [run(received, design, alphabet, cfg.solver, seed)
                 for seed, (design, received) in enumerate(instances)]
 
@@ -762,10 +764,10 @@ class TestExtrapolatedALS:
         relative = self.outputs(receiver, cfg, instances)
         # the premise: each stopping fit is below delta / eps, where eps * fit
         # cannot exceed delta
-        eps = receivers.RELATIVE_TOLERANCES[receiver]
+        eps = receivers.RECEIVERS[receiver].rel_tol
         assert all(out.residual_trajectory[-1] < cfg.solver.delta / eps
                    for out in relative)
-        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, receiver, 0.0)
+        patch_entry(monkeypatch, receiver, rel_tol=0.0)
         for a, b in zip(relative, self.outputs(receiver, cfg, instances)):
             for field in dataclasses.fields(a):
                 assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
@@ -785,7 +787,7 @@ class TestExtrapolatedALS:
     def check_relative_rule_saves_sweeps(monkeypatch, receiver, cfg, snr_db):
         # against the absolute rule (eps = 0)
         relative = forty_trials(cfg, receiver, snr_db)
-        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, receiver, 0.0)
+        patch_entry(monkeypatch, receiver, rel_tol=0.0)
         assert_saves_sweeps(relative, forty_trials(cfg, receiver, snr_db))
 
     @pytest.mark.parametrize("snr_db", [0.0, 20.0])
@@ -814,7 +816,7 @@ class TestExtrapolatedALS:
     def test_tucker_step_takes_fewer_sweeps_than_sqrt_step(self, monkeypatch):
         cfg, instances = self.default_instances(20.0)
         own_step = self.total_tucker_sweeps(cfg, instances)
-        monkeypatch.setitem(receivers.STEP_SCHEDULES, "tucker", math.sqrt)
+        patch_entry(monkeypatch, "tucker", step=math.sqrt)
         assert own_step < self.total_tucker_sweeps(cfg, instances)
 
 
@@ -1091,8 +1093,41 @@ class TestKhatriRaoStart:
                              draw, spectrum)
 
         monkeypatch.setattr(receivers, "pakron_stage1", random_start)
-        monkeypatch.setitem(receivers.RELATIVE_TOLERANCES, "pakron", 1e-3)
+        patch_entry(monkeypatch, "pakron", rel_tol=1e-3)
         assert_saves_sweeps(started, forty_trials(cfg, "pakron", snr_db))
+
+
+class TestReceiverTable:
+    """Every trial runs its receiver's entry of ``receivers.RECEIVERS``, with
+    one signature; only the oracle reads the true channels."""
+
+    @staticmethod
+    def scenario():
+        cfg = desk_config()
+        design, channels, symbols, received = draw_instance(cfg, 31)
+        return cfg, design, channels, symbols, add_noise(received, 10.0, 32)
+
+    @pytest.mark.parametrize("receiver",
+                             [name for name in receivers.RECEIVERS if name != "zf-oracle"])
+    def test_semi_blind_entries_run_with_the_channels_withheld(self, receiver):
+        cfg, design, channels, symbols, received = self.scenario()
+        run = receivers.RECEIVERS[receiver].run
+        given = run(received, design, symbols.alphabet, cfg.solver, 7, channels)
+        withheld = run(received, design, symbols.alphabet, cfg.solver, 7, None)
+        for field in dataclasses.fields(given):
+            assert np.array_equal(getattr(given, field.name),
+                                  getattr(withheld, field.name)), field.name
+
+    def test_oracle_scores_exactly_zero_nmse(self):
+        cfg, design, channels, symbols, received = self.scenario()
+        scores = experiments.evaluate("zf-oracle", received, design, channels,
+                                      symbols, cfg.solver, 0)
+        assert scores["nmse_h"] == scores["nmse_g"] == 0.0
+        # plain hard decisions of the zero-forcing estimate, no rescale
+        x_hat = zf_perfect_csi(received, channels, design, cfg.solver.pinv_tol)
+        detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
+        assert scores["ser"] == ser(symbols, detected)
+        assert scores["iterations"] == 0
 
 
 class TestTrialPathBuildsNoCore:
@@ -1111,13 +1146,13 @@ class TestTrialPathBuildsNoCore:
         yield
         clear_preparations()
 
-    @pytest.mark.parametrize("receiver", receivers.RECEIVER_NAMES)
+    @pytest.mark.parametrize("receiver", list(receivers.RECEIVERS))
     def test_run_trial(self, no_core, receiver):
         assert run_trial(desk_config(), receiver, 10.0, 0, 0).iterations >= 0
 
     def test_serial_sweep(self, no_core):
         trials, _ = run_sweep(desk_config(snr_db=(0.0, 30.0)),
-                              list(receivers.RECEIVER_NAMES), runs=2)
+                              list(receivers.RECEIVERS), runs=2)
         assert len(trials) == 12 and all(isinstance(t, TrialResult) for t in trials)
 
     def test_first_trials_allocate_far_less_than_a_core(self):

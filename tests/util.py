@@ -2,12 +2,13 @@
 tensor, signal and CSV helpers that only tests use."""
 
 import csv
+import dataclasses
 
 import numpy as np
 
 from bdris.config import SolverOptions, SystemConfig
 from bdris.experiments import TrialFailure, TrialResult
-from bdris.receivers import RELATIVE_TOLERANCES
+from bdris.receivers import RECEIVERS
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
 from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
                               solve_gram, unfold, unvec)
@@ -81,6 +82,12 @@ def count_calls(mp, module, name):
     return calls
 
 
+def patch_entry(mp, receiver, **fields):
+    """Replace fields of ``receiver``'s entry of ``receivers.RECEIVERS`` (with
+    the monkeypatch ``mp``)."""
+    mp.setitem(RECEIVERS, receiver, dataclasses.replace(RECEIVERS[receiver], **fields))
+
+
 def rel_err(actual, expected) -> float:
     denom = np.linalg.norm(expected)
     if denom == 0:
@@ -135,8 +142,8 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     also scores ``old + sweep ** (1/3) * (new - old)`` of all three factors by
     its explicit residual and keeps that point when it is strictly lower.
     It stops when the residual moves by no more than ``max(solver.delta, eps
-    * residual)``, with ``tucker``'s ``eps`` from
-    ``receivers.RELATIVE_TOLERANCES``.  Same initial draws, stopping rule and
+    * residual)``, with ``tucker``'s ``rel_tol`` in ``receivers.RECEIVERS``
+    as ``eps``.  Same initial draws, stopping rule and
     return tuple as ``receivers.tucker_tals``."""
     q4 = np.asarray(q4)
     slots, frames = q4.shape[1], q4.shape[3]
@@ -155,7 +162,7 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     x = np.array(x_init, dtype=complex) if x_init is not None else cn((slots, mt))
     gbar = np.array(gbar_init, dtype=complex) if gbar_init is not None else cn((frames, d))
     tol = solver.pinv_tol
-    eps = RELATIVE_TOLERANCES["tucker"]
+    eps = RECEIVERS["tucker"].rel_tol
     trajectory = []
     prev = np.inf
     converged = False

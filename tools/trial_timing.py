@@ -28,7 +28,7 @@ The trials are timed twice.  First each receiver runs on its own, over all
 trial indices, so no call reuses the scenario of the one before: those
 times include drawing and noising every scenario and preparing it for the
 receiver.  Then (under ``"shared"``) every receiver runs on each trial
-index in turn, in ``RECEIVER_NAMES`` order as on the benchmark's
+index in turn, in ``RECEIVERS`` order as on the benchmark's
 ``trial-0db`` workload, so each one after the first reuses the trial's
 scenario, and with its design the decomposition of ``psi`` that the draw
 made; each receiver still contracts the data itself.
@@ -46,7 +46,7 @@ import numpy as np
 
 from bdris.config import load_config
 from bdris.experiments import run_trial
-from bdris.receivers import RECEIVER_NAMES
+from bdris.receivers import RECEIVERS
 
 TRIALS = 40
 REF_SHAPE = (512, 32)
@@ -107,7 +107,7 @@ def main(argv=None) -> int:
     matrix = rng.standard_normal(REF_SHAPE) + 1j * rng.standard_normal(REF_SHAPE)
     out = {"overrides": args.overrides, "snr_db": snr_db, "trials": TRIALS}
     refs = [reference_ms(matrix)]
-    for receiver in RECEIVER_NAMES:
+    for receiver in RECEIVERS:
         start = time.perf_counter()
         run_trial(cfg, receiver, snr_db, 0, TRIALS)
         first_call_ms = (time.perf_counter() - start) * 1e3
@@ -119,17 +119,17 @@ def main(argv=None) -> int:
         out[receiver]["first_call_ms"] = first_call_ms
         refs.append(reference_ms(matrix))
         in_units(out[receiver], refs[-2:])
-    ms = dict.fromkeys(RECEIVER_NAMES, 0.0)
-    trials = {receiver: [] for receiver in RECEIVER_NAMES}
+    ms = dict.fromkeys(RECEIVERS, 0.0)
+    trials = {receiver: [] for receiver in RECEIVERS}
     for t in range(TRIALS):
-        for receiver in RECEIVER_NAMES:
+        for receiver in RECEIVERS:
             start = time.perf_counter()
             trials[receiver].append(run_trial(cfg, receiver, snr_db, 0, t))
             ms[receiver] += (time.perf_counter() - start) * 1e3
     out["shared"] = {receiver: timing(ms[receiver], trials[receiver])
-                     for receiver in RECEIVER_NAMES}
+                     for receiver in RECEIVERS}
     refs.append(reference_ms(matrix))
-    for receiver in RECEIVER_NAMES:
+    for receiver in RECEIVERS:
         in_units(out["shared"][receiver], refs[-2:])
     out["reference"] = {"shape": REF_SHAPE, "subblocks": REF_SUBBLOCKS,
                         "svds_per_subblock": REF_SVDS, "svd_ms_blocks": refs}
