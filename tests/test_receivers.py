@@ -1123,9 +1123,14 @@ class TestReceiverTable:
         scores = experiments.evaluate("zf-oracle", received, design, channels,
                                       symbols, cfg.solver, 0)
         assert scores["nmse_h"] == scores["nmse_g"] == 0.0
-        # plain hard decisions of the zero-forcing estimate, no rescale
+        # the zero-forcing estimate and its plain hard decisions, no rescale
         x_hat = zf_perfect_csi(received, channels, design, cfg.solver.pinv_tol)
         detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
+        out = receivers.RECEIVERS["zf-oracle"].run(received, design, symbols.alphabet,
+                                                   cfg.solver, 0, channels)
+        assert np.array_equal(out.x_hat, x_hat)
+        assert np.array_equal(out.x_detected, detected)
+        assert (out.hs_hat, out.gbar_hat) == (None, None)
         assert scores["ser"] == ser(symbols, detected)
         assert scores["iterations"] == 0
 

@@ -143,8 +143,8 @@ def tucker_tals_explicit(q4, psi, tx_antennas, solver: SolverOptions,
     its explicit residual and keeps that point when it is strictly lower.
     It stops when the residual moves by no more than ``max(solver.delta, eps
     * residual)``, with ``tucker``'s ``rel_tol`` in ``receivers.RECEIVERS``
-    as ``eps``.  Same initial draws, stopping rule and
-    return tuple as ``receivers.tucker_tals``."""
+    as ``eps``.  Same initial draws, stopping rule and return tuple as
+    ``receivers.tucker_tals``."""
     q4 = np.asarray(q4)
     slots, frames = q4.shape[1], q4.shape[3]
     d, mt = psi.shape[1], tx_antennas
