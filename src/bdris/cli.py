@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                               f"(repeatable; default: {' and '.join(SWEEP_DEFAULT)})")
     p_sweep.add_argument("--runs", type=int, default=100)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--force", action="store_true",
-                         help="skip the identifiability gate")
     p_sweep.add_argument("--out", required=True,
                          help="output directory for trials.csv and report.json")
 
@@ -76,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_check(cfg, args) -> int:
-    report = full_report(cfg, rank_h=args.rank_h).to_dict()
+    report = full_report(cfg, rank_h=args.rank_h)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -106,7 +104,7 @@ def cmd_simulate(cfg, args) -> int:
 def cmd_sweep(cfg, args) -> int:
     receivers = args.receiver or SWEEP_DEFAULT
     trials, report = experiments.run_sweep(
-        cfg, receivers, runs=args.runs, jobs=args.jobs, force=args.force)
+        cfg, receivers, runs=args.runs, jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     experiments.write_trials_csv(os.path.join(args.out, "trials.csv"), trials)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:

@@ -218,14 +218,12 @@ def _scenario_task(args):
     return out
 
 
-def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
-              force: bool = False):
+def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
     """Run the full (``cfg.snr_db`` x receiver x trial) grid.
 
     Returns ``(trials, report)`` where ``trials`` is in (snr index, receiver,
-    trial index) order and includes failures.  Receiver names are checked
-    before any trial runs; identifiability is checked up front for every
-    requested receiver unless ``force``.
+    trial index) order and includes failures.  Receiver names, then every
+    requested receiver's identifiability, are checked before any trial runs.
 
     The grid runs with receivers innermost: one task per (snr, trial), serial
     or in ``jobs`` processes (``chunksize`` 8), runs every receiver on that
@@ -242,9 +240,8 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1,
         raise ValueError("duplicate receiver names")
     for rx in receivers:
         find_receiver(rx)  # ValueError for an unknown name
-    if not force:
-        for rx in receivers:
-            check_feasible(cfg, rx)
+    for rx in receivers:
+        check_feasible(cfg, rx)
     tasks = [
         (cfg, receivers, snr, si, r)
         for si, snr in enumerate(cfg.snr_db)

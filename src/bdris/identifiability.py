@@ -12,31 +12,16 @@ sufficient uniqueness condition for the two-stage receiver's trilinear stage
 is also evaluated in its parameterized form.
 """
 
-from dataclasses import asdict, dataclass, field
+import operator
 
 from .config import SystemConfig
 from .receivers import RECEIVERS, dims_product, require_feasible
 
 
-@dataclass
-class IdentReport:
-    kmin_pakron: int = 0
-    kmin_tucker: int = 0
-    kruskal_lhs: int = 0
-    kruskal_rhs: int = 0
-    kruskal_ok: bool = False
-    # set when a deficient static-channel rank plus enough frames makes the
-    # trilinear stage unique even though the additive bound alone fails
-    rank_deficient_override: bool = False
-    inequalities: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def kmin_bounds(cfg: SystemConfig, report: IdentReport | None = None) -> IdentReport:
-    """Minimum number of blocks for LS-unique updates, per receiver."""
-    report = report or IdentReport()
+def kmin_bounds(cfg: SystemConfig) -> dict:
+    """Minimum number of blocks for LS-unique updates, ``kmin_<name>`` per
+    receiver with inequalities, and their rows under ``"inequalities"``."""
+    report = {"inequalities": {}}
     dims = vars(cfg)  # the inequalities name fields of cfg
     for entry in RECEIVERS.values():
         if not entry.inequalities:
@@ -46,45 +31,46 @@ def kmin_bounds(cfg: SystemConfig, report: IdentReport | None = None) -> IdentRe
             left, right = dims_product(lhs, dims), dims_product(rhs, dims)
             # left is blocks times the rest: blocks >= ceil(right / rest)
             kmin = max(kmin, -(-right * dims["blocks"] // left))
-            report.inequalities[f"{entry.name}: {lhs} >= {rhs}"] = {
+            report["inequalities"][f"{entry.name}: {lhs} >= {rhs}"] = {
                 "lhs": left, "rhs": right, "ok": left >= right}
-        setattr(report, f"kmin_{entry.name}", kmin)
+        report[f"kmin_{entry.name}"] = kmin
     return report
 
 
-def kruskal_check(cfg: SystemConfig, rank_h: int | None = None,
-                  report: IdentReport | None = None) -> IdentReport:
+def kruskal_check(cfg: SystemConfig, rank_h: int | None = None) -> dict:
     """Sufficient uniqueness condition for the two-stage receiver's stage I.
 
-    Evaluates ``K + slots*rank(H) + min(frames, d) >= 2d + 2`` with
-    ``d = tx_antennas*ris_elements`` and ``rank(H) = min(rx_antennas,
-    ris_elements)`` for generic fading; a deficient ``rank_h`` (e.g. 1 under
-    pure line of sight) replaces that term.  In the deficient case with
-    ``frames >= d`` the stacked per-frame factor has full column rank, which
-    restores uniqueness regardless of the additive bound; this is reported
-    via ``rank_deficient_override``.  A ``rank_h`` outside ``1 ..
+    Returns ``kruskal_ok`` for ``kruskal_lhs = K + slots*rank(H) + min(frames,
+    d) >= kruskal_rhs = 2d + 2``, with ``d = tx_antennas*ris_elements`` and
+    ``rank(H) = min(rx_antennas, ris_elements)`` for generic fading (a
+    deficient ``rank_h``, e.g. 1 under pure line of sight, replaces that
+    term), and the condition's row under ``"inequalities"``.  In the
+    deficient case with ``frames >= d`` the stacked per-frame factor has full
+    column rank, which restores uniqueness regardless of the additive bound;
+    this is reported via ``rank_deficient_override``.  A ``rank_h`` that
+    ``operator.index`` refuses, a bool, or one outside ``1 ..
     min(rx_antennas, ris_elements)`` raises ``ValueError``.
     """
-    report = report or IdentReport()
     mt, mr, n = cfg.tx_antennas, cfg.rx_antennas, cfg.ris_elements
     t, ni, k = cfg.slots, cfg.frames, cfg.blocks
     d = mt * n
     full = min(mr, n)
-    rank = full if rank_h is None else int(rank_h)
-    if not 1 <= rank <= full:
+    try:
+        rank = full if rank_h is None else operator.index(rank_h)
+    except TypeError:
+        rank = None
+    if isinstance(rank_h, bool) or rank is None or not 1 <= rank <= full:
         raise ValueError(f"rank_h must be in 1..{full} = min(rx_antennas, "
-                         f"ris_elements), got {rank}")
-    report.kruskal_lhs = k + t * rank + min(ni, d)
-    report.kruskal_rhs = 2 * d + 2
-    report.kruskal_ok = report.kruskal_lhs >= report.kruskal_rhs
-    if rank < full and ni >= d and not report.kruskal_ok:
-        report.kruskal_ok = True
-        report.rank_deficient_override = True
-    report.inequalities["kruskal sum >= 2*tx_antennas*ris_elements + 2"] = {
-        "lhs": report.kruskal_lhs, "rhs": report.kruskal_rhs,
-        "ok": report.kruskal_ok,
-    }
-    return report
+                         f"ris_elements), got {rank_h!r}")
+    lhs, rhs = k + t * rank + min(ni, d), 2 * d + 2
+    # a deficient static-channel rank plus enough frames makes the trilinear
+    # stage unique even though the additive bound alone fails
+    override = rank < full and ni >= d and lhs < rhs
+    ok = lhs >= rhs or override
+    return {"kruskal_lhs": lhs, "kruskal_rhs": rhs, "kruskal_ok": ok,
+            "rank_deficient_override": override,
+            "inequalities": {"kruskal sum >= 2*tx_antennas*ris_elements + 2": {
+                "lhs": lhs, "rhs": rhs, "ok": ok}}}
 
 
 def complexity_dominant(cfg: SystemConfig) -> dict:
@@ -100,9 +86,12 @@ def complexity_dominant(cfg: SystemConfig) -> dict:
     }
 
 
-def full_report(cfg: SystemConfig, rank_h: int | None = None) -> IdentReport:
-    report = kmin_bounds(cfg)
-    return kruskal_check(cfg, rank_h=rank_h, report=report)
+def full_report(cfg: SystemConfig, rank_h: int | None = None) -> dict:
+    """``check``'s report: :func:`kmin_bounds` and :func:`kruskal_check`, with
+    the rows of both under ``"inequalities"``."""
+    bounds, kruskal = kmin_bounds(cfg), kruskal_check(cfg, rank_h)
+    return {**bounds, **kruskal,
+            "inequalities": {**bounds["inequalities"], **kruskal["inequalities"]}}
 
 
 def check_feasible(cfg: SystemConfig, receiver: str) -> None:

@@ -244,8 +244,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     final sweep re-solves ``gbar`` at the nearest separable matrix to the
     converged ``omega``, then ``omega``, on the same systems.  That pins the
     per-column scale indeterminacy to a separable one without degrading the
-    noiseless fit, and the reported fit is then the explicit residual of the
-    returned factors.
+    noiseless fit, and the reported fit is then read off that last ``omega``
+    solve, as a sweep's is off its ``gbar`` solve.
 
     ``spectrum`` is ``psi``'s :func:`gram_spectrum`, such as a design's
     ``psi_spectrum``; without it, ``psi`` is decomposed here, to the same bits.
@@ -298,10 +298,9 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
         omega_p = kron(*nearest_kronecker(omega, left_shape, right_shape))
         gbar = _solve_system(_gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
                              _gbar_pinv, z, psi, omega_p)
-        omega = _solve_system(_omega_system(zp, psi_gram, gbar), psi_cond, tol,
-                              _omega_pinv, z, psi, gbar)
-        residual = unfold(z, 0) - omega @ khatri_rao(gbar, psi).T
-        fit = float(np.linalg.norm(residual) ** 2) / znorm2
+        system = _omega_system(zp, psi_gram, gbar)
+        omega = _solve_system(system, psi_cond, tol, _omega_pinv, z, psi, gbar)
+        fit = _solved_fit(omega, system[0], znorm2)
 
     return StageOneResult(omega=omega, gbar=gbar, trajectory=trajectory,
                           iterations=len(trajectory), converged=converged, fit=fit)

@@ -202,12 +202,12 @@ def test_criterion_7_identifiability_arithmetic(capsys):
                              groups=2, blocks=32, slots=4, frames=2,
                              snr_db=(0.0,))
     report = full_report(reference_cfg)
-    kmin_ok = report.kmin_pakron == 16 and report.kmin_tucker == 2
+    kmin_ok = report["kmin_pakron"] == 16 and report["kmin_tucker"] == 2
 
     kruskal_cfg = desk_config(tx_antennas=2, ris_elements=4, slots=4,
                               rx_antennas=4, frames=2, groups=2, blocks=8)
     kr = kruskal_check(kruskal_cfg)
-    kruskal_ok = (kr.kruskal_lhs, kr.kruskal_rhs, kr.kruskal_ok) == (26, 18, True)
+    kruskal_ok = (kr["kruskal_lhs"], kr["kruskal_rhs"], kr["kruskal_ok"]) == (26, 18, True)
 
     short_cfg = SystemConfig(tx_antennas=2, rx_antennas=4, ris_elements=16,
                              groups=2, blocks=15, slots=4, frames=2,
@@ -223,7 +223,7 @@ def test_criterion_7_identifiability_arithmetic(capsys):
         named_error = True
         inequality = err.inequality
     ok = kmin_ok and kruskal_ok and deficient and named_error
-    announce(capsys, 7, ok, f"kmins {report.kmin_pakron}/{report.kmin_tucker}, "
+    announce(capsys, 7, ok, f"kmins {report['kmin_pakron']}/{report['kmin_tucker']}, "
                     f"kruskal 26>=18 {kruskal_ok}, mixing rank-deficient "
                     f"{deficient}, raised '{inequality}'")
     assert kmin_ok and kruskal_ok and deficient and named_error

@@ -231,6 +231,46 @@ def test_tier1_suite_is_timed_on_the_trees_own_package(monkeypatch, tmp_path):
     assert got["wall_s"] >= 0.0
 
 
+def test_a_late_failure_keeps_every_finished_run(monkeypatch, tmp_path):
+    # the in-process timing fails on both sides after the paired and traced
+    # runs, and then the tier-1 suite crashes the tool
+    names = [m["name"] for m in json.loads(
+        (bench_pairs.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    class Finished:
+        def __init__(self, returncode, stdout="", stderr=""):
+            self.returncode, self.stdout, self.stderr = returncode, stdout, stderr
+
+    def fake_run(cmd, **kwargs):
+        if "perfbench/run.py" in cmd:
+            seed = int(cmd[cmd.index("--seed") + 1])
+            result = {"correct": True, "attempted": 10,
+                      "metrics": {name: {"value": float(seed)} for name in names}}
+            return Finished(0, f'{{"seed": {seed}}}\n{json.dumps(result)}\n')
+        if str(bench_pairs.TIMING) in cmd:
+            return Finished(1, stderr="ImportError: cannot import name 'RECEIVERS'\n")
+        raise RuntimeError("the suite crashed")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+    path = tmp_path / "BENCH.json"
+    with pytest.raises(RuntimeError, match="crashed"):
+        bench_pairs.main(["p", "c", "--out", str(path), "--pairs", "trial-0db=2",
+                          "--in-process", "blocks=16"])
+    bench = json.loads(path.read_text())
+    assert [(r["pair"], r["side"]) for r in bench["runs"]] == [
+        (0, "parent"), (0, "change"), (1, "change"), (1, "parent")]
+    assert bench["summary"]["trial-0db"]["pairs"] == 2
+    assert [r["side"] for r in bench["trace_runs"]] == ["parent", "change"]
+    timing = bench["in_process"]["blocks=16"]
+    assert len(timing["runs"]) == 2 * bench_pairs.IN_PROCESS_PAIRS
+    assert all(r["returncode"] == 1 and "ImportError" in r["stderr"]
+               for r in timing["runs"])
+    assert timing["summary"] == {}  # a failed run times nothing
+    assert bench["tier1"] == {}
+    assert [p.name for p in tmp_path.iterdir()] == ["BENCH.json"]
+
+
 def test_source_lines_count_the_package_modules_only(tmp_path):
     package = tmp_path / "src" / "bdris"
     package.mkdir(parents=True)

@@ -199,6 +199,138 @@ class TestConfigParsing:
         assert solver == SolverOptions(max_iters=7, init_seed=3)
 
 
+# `check`'s output, byte for byte, at three configs; the last sets
+# rank_deficient_override
+CHECK_DEFAULT = """\
+{
+  "inequalities": {
+    "kruskal sum >= 2*tx_antennas*ris_elements + 2": {
+      "lhs": 50,
+      "ok": false,
+      "rhs": 66
+    },
+    "pakron: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 512,
+      "ok": true,
+      "rhs": 32
+    },
+    "pakron: frames*blocks >= tx_antennas*ris_elements": {
+      "lhs": 64,
+      "ok": true,
+      "rhs": 32
+    },
+    "tucker: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 512,
+      "ok": true,
+      "rhs": 32
+    },
+    "tucker: frames*blocks*rx_antennas >= tx_antennas": {
+      "lhs": 256,
+      "ok": true,
+      "rhs": 2
+    },
+    "tucker: frames*blocks*slots >= ris_elements": {
+      "lhs": 256,
+      "ok": true,
+      "rhs": 16
+    }
+  },
+  "kmin_pakron": 16,
+  "kmin_tucker": 2,
+  "kruskal_lhs": 50,
+  "kruskal_ok": false,
+  "kruskal_rhs": 66,
+  "rank_deficient_override": false
+}
+"""
+
+CHECK_BLOCKS_15_RANK_1 = """\
+{
+  "inequalities": {
+    "kruskal sum >= 2*tx_antennas*ris_elements + 2": {
+      "lhs": 21,
+      "ok": false,
+      "rhs": 66
+    },
+    "pakron: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 240,
+      "ok": true,
+      "rhs": 32
+    },
+    "pakron: frames*blocks >= tx_antennas*ris_elements": {
+      "lhs": 30,
+      "ok": false,
+      "rhs": 32
+    },
+    "tucker: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 240,
+      "ok": true,
+      "rhs": 32
+    },
+    "tucker: frames*blocks*rx_antennas >= tx_antennas": {
+      "lhs": 120,
+      "ok": true,
+      "rhs": 2
+    },
+    "tucker: frames*blocks*slots >= ris_elements": {
+      "lhs": 120,
+      "ok": true,
+      "rhs": 16
+    }
+  },
+  "kmin_pakron": 16,
+  "kmin_tucker": 2,
+  "kruskal_lhs": 21,
+  "kruskal_ok": false,
+  "kruskal_rhs": 66,
+  "rank_deficient_override": false
+}
+"""
+
+CHECK_OVERRIDE = """\
+{
+  "inequalities": {
+    "kruskal sum >= 2*tx_antennas*ris_elements + 2": {
+      "lhs": 52,
+      "ok": true,
+      "rhs": 66
+    },
+    "pakron: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 256,
+      "ok": true,
+      "rhs": 32
+    },
+    "pakron: frames*blocks >= tx_antennas*ris_elements": {
+      "lhs": 640,
+      "ok": true,
+      "rhs": 32
+    },
+    "tucker: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {
+      "lhs": 256,
+      "ok": true,
+      "rhs": 32
+    },
+    "tucker: frames*blocks*rx_antennas >= tx_antennas": {
+      "lhs": 2560,
+      "ok": true,
+      "rhs": 2
+    },
+    "tucker: frames*blocks*slots >= ris_elements": {
+      "lhs": 2560,
+      "ok": true,
+      "rhs": 16
+    }
+  },
+  "kmin_pakron": 2,
+  "kmin_tucker": 2,
+  "kruskal_lhs": 52,
+  "kruskal_ok": true,
+  "kruskal_rhs": 66,
+  "rank_deficient_override": true
+}
+"""
+
+
 class TestCheck:
     def test_reference_configuration(self, capsys):
         code, out, _ = run_cli(capsys, *REFERENCE_ARGS, "check")
@@ -207,6 +339,15 @@ class TestCheck:
         assert report["kmin_pakron"] == 16
         assert report["kmin_tucker"] == 2
         assert "complexity" not in report
+
+    @pytest.mark.parametrize("args, expected", [
+        (["check"], CHECK_DEFAULT),
+        (["--set", "blocks=15", "check", "--rank-h", "1"], CHECK_BLOCKS_15_RANK_1),
+        (["--set", "frames=40", "--set", "blocks=16", "check", "--rank-h", "1"],
+         CHECK_OVERRIDE),
+    ], ids=["default", "blocks-15-rank-1", "rank-deficient-override"])
+    def test_output_bytes(self, capsys, args, expected):
+        assert run_cli(capsys, *args) == (0, expected, "")
 
     def test_rank_h_option(self, capsys):
         code, out, _ = run_cli(capsys, *REFERENCE_ARGS, "check", "--rank-h", "1")

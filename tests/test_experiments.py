@@ -183,10 +183,6 @@ class TestRunSweep:
                           snr_db=(10.0,))
         with pytest.raises(IdentifiabilityError):
             run_sweep(cfg, ["pakron"], runs=1)
-        # explicit override: the per-trial gate still fires, recorded as failure
-        trials, report = run_sweep(cfg, ["pakron"], runs=1, force=True)
-        assert isinstance(trials[0], TrialFailure)
-        assert report.cells[0]["failures"] == 1
 
     def test_deterministic_reports(self):
         cfg = desk_config(snr_db=(5.0, 15.0), seed=9)
@@ -248,8 +244,7 @@ class TestRunSweep:
         assert rows[0]["error"] == rows[2]["error"] == ""
         assert read_trials_csv(path) == trials
 
-    @pytest.mark.parametrize("force", [False, True])
-    def test_unknown_receiver_rejected_before_any_trial(self, monkeypatch, force):
+    def test_unknown_receiver_rejected_before_any_trial(self, monkeypatch):
         calls = []
 
         def counting(*args, **kwargs):
@@ -258,8 +253,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(experiments, "run_trial", counting)
         with pytest.raises(ValueError, match="bogus"):
-            run_sweep(desk_config(snr_db=(10.0,)), ["tucker", "bogus"], runs=3,
-                      force=force)
+            run_sweep(desk_config(snr_db=(10.0,)), ["tucker", "bogus"], runs=3)
         assert calls == []
 
     @pytest.mark.parametrize("runs, jobs", [(0, 1), (-3, 1), (2, 0), (2, -4)])

@@ -13,7 +13,7 @@ from bdris.identifiability import (
     kmin_bounds,
     kruskal_check,
 )
-from bdris.receivers import RECEIVERS, pakron_stage1, tucker_tals
+from bdris.receivers import RECEIVERS, Receiver, pakron_stage1, tucker_tals
 from bdris.signal import build_core
 from bdris.tensor_ops import khatri_rao, kron, unfold
 from util import desk_config, draw_instance
@@ -26,14 +26,14 @@ REFERENCE_DIMS = dict(tx_antennas=2, rx_antennas=4, ris_elements=16, groups=2,
 class TestKminBounds:
     def test_reference_configuration(self):
         report = kmin_bounds(desk_config(**REFERENCE_DIMS))
-        assert report.kmin_pakron == 16
-        assert report.kmin_tucker == 2
+        assert report["kmin_pakron"] == 16
+        assert report["kmin_tucker"] == 2
 
     def test_matching_kmins_when_frames_large(self):
         cfg = desk_config(tx_antennas=2, ris_elements=8, slots=2,
                           rx_antennas=2, frames=8, groups=2, blocks=4)
         report = kmin_bounds(cfg)
-        assert report.kmin_pakron == report.kmin_tucker == 4
+        assert report["kmin_pakron"] == report["kmin_tucker"] == 4
 
     def test_monotonicity(self):
         base_kwargs = dict(tx_antennas=2, rx_antennas=3, ris_elements=8,
@@ -42,13 +42,13 @@ class TestKminBounds:
         grow_relax = [dict(frames=6), dict(slots=10), dict(rx_antennas=6)]
         for change in grow_relax:
             rep = kmin_bounds(desk_config(**{**base_kwargs, **change}))
-            assert rep.kmin_pakron <= ref.kmin_pakron
-            assert rep.kmin_tucker <= ref.kmin_tucker
+            assert rep["kmin_pakron"] <= ref["kmin_pakron"]
+            assert rep["kmin_tucker"] <= ref["kmin_tucker"]
         grow_tighten = [dict(ris_elements=16), dict(tx_antennas=4)]
         for change in grow_tighten:
             rep = kmin_bounds(desk_config(**{**base_kwargs, **change}))
-            assert rep.kmin_pakron >= ref.kmin_pakron
-            assert rep.kmin_tucker >= ref.kmin_tucker
+            assert rep["kmin_pakron"] >= ref["kmin_pakron"]
+            assert rep["kmin_tucker"] >= ref["kmin_tucker"]
 
 
 class TestKruskal:
@@ -56,42 +56,43 @@ class TestKruskal:
         cfg = desk_config(tx_antennas=2, ris_elements=4, slots=4,
                           rx_antennas=4, frames=2, groups=2, blocks=8)
         report = kruskal_check(cfg)
-        assert (report.kruskal_lhs, report.kruskal_rhs) == (26, 18)
-        assert report.kruskal_ok
+        assert (report["kruskal_lhs"], report["kruskal_rhs"]) == (26, 18)
+        assert report["kruskal_ok"]
 
     def test_violated_example(self):
         cfg = desk_config(tx_antennas=2, ris_elements=8, slots=2,
                           rx_antennas=1, frames=1, groups=2, blocks=2)
         report = kruskal_check(cfg)
-        assert (report.kruskal_lhs, report.kruskal_rhs) == (5, 34)
-        assert not report.kruskal_ok
+        assert (report["kruskal_lhs"], report["kruskal_rhs"]) == (5, 34)
+        assert not report["kruskal_ok"]
 
     def test_rank_one_with_many_frames_always_holds(self):
         cfg = desk_config(tx_antennas=2, ris_elements=4, slots=2,
                           rx_antennas=2, frames=8, groups=2, blocks=2)
         report = kruskal_check(cfg, rank_h=1)
-        assert report.kruskal_ok
-        assert report.rank_deficient_override
+        assert report["kruskal_ok"]
+        assert report["rank_deficient_override"]
 
     def test_rank_one_with_few_frames_uses_sum(self):
         cfg = desk_config(tx_antennas=2, ris_elements=8, slots=2,
                           rx_antennas=2, frames=2, groups=2, blocks=4)
         report = kruskal_check(cfg, rank_h=1)
         # 4 + 2 + 2 = 8 < 34
-        assert report.kruskal_lhs == 8
-        assert not report.kruskal_ok
+        assert report["kruskal_lhs"] == 8
+        assert not report["kruskal_ok"]
 
 
-    @pytest.mark.parametrize("rank_h", [0, -3, 5, 99])
+    @pytest.mark.parametrize("rank_h", [0, -3, 5, 99, True, 2.7, "3"])
     def test_impossible_rank_rejected(self, rank_h):
-        # rank(H) <= min(rx_antennas, ris_elements) = 4 at the defaults
+        # rank(H) <= min(rx_antennas, ris_elements) = 4 at the defaults, and
+        # a rank is an integer: neither a bool nor a float or a string of one
         with pytest.raises(ValueError, match="rank_h"):
             kruskal_check(SystemConfig(frames=40), rank_h)
 
     def test_rank_range_ends_accepted(self):
         cfg = SystemConfig()
-        assert kruskal_check(cfg, 1).kruskal_lhs == 32 + 4 + 2
-        assert kruskal_check(cfg, 4).kruskal_lhs == kruskal_check(cfg).kruskal_lhs
+        assert kruskal_check(cfg, 1)["kruskal_lhs"] == 32 + 4 + 2
+        assert kruskal_check(cfg, 4) == kruskal_check(cfg)
 
 
 class TestComplexity:
@@ -110,7 +111,7 @@ class TestComplexity:
 class TestEmpiricalRankDeficiency:
     def test_pakron_mixing_deficient_below_kmin(self):
         cfg = desk_config(**{**REFERENCE_DIMS, "blocks": 15})
-        assert cfg.blocks == kmin_bounds(cfg).kmin_pakron - 1
+        assert cfg.blocks == kmin_bounds(cfg)["kmin_pakron"] - 1
         design, channels, _, _ = draw_instance(cfg, 0)
         mix = khatri_rao(channels.gbar, design.psi)
         assert np.linalg.matrix_rank(mix) < cfg.tx_ris_dim
@@ -118,7 +119,7 @@ class TestEmpiricalRankDeficiency:
     def test_tucker_mixing_deficient_below_kmin(self):
         cfg = desk_config(tx_antennas=2, rx_antennas=2, ris_elements=8,
                           groups=2, blocks=3, slots=2, frames=4)
-        assert cfg.blocks == kmin_bounds(cfg).kmin_tucker - 1
+        assert cfg.blocks == kmin_bounds(cfg)["kmin_tucker"] - 1
         design, channels, symbols, _ = draw_instance(cfg, 1)
         core = build_core(cfg.ris_elements, cfg.tx_antennas)
         hs = channels.h @ design.s
@@ -151,16 +152,26 @@ class TestFeasibilityGate:
         cfg = desk_config(**{**REFERENCE_DIMS, "blocks": 1})
         check_feasible(cfg, "zf-oracle")
 
-    def test_every_receiver_with_inequalities_is_reported(self):
-        report = full_report(desk_config(**REFERENCE_DIMS)).to_dict()
+    @pytest.mark.parametrize("table", ["real", "patched"])
+    def test_every_receiver_with_inequalities_is_reported(self, monkeypatch, table):
+        if table == "patched":
+            # a new entry with inequalities needs no edit to identifiability
+            monkeypatch.setitem(RECEIVERS, "probe", Receiver(
+                "probe", RECEIVERS["tucker"].run,
+                inequalities=(("frames*blocks*slots", "ris_elements"),)))
+        report = full_report(desk_config(**REFERENCE_DIMS))
+        assert len(report["inequalities"]) == 1 + sum(
+            len(entry.inequalities) for entry in RECEIVERS.values())
         for entry in RECEIVERS.values():
             if entry.inequalities:
                 assert f"kmin_{entry.name}" in report
                 assert all(f"{entry.name}: {lhs} >= {rhs}" in report["inequalities"]
                            for lhs, rhs in entry.inequalities)
+        if table == "patched":
+            assert report["kmin_probe"] == 2  # ceil(16 / (frames*slots))
 
     def test_full_report_shape(self):
-        report = full_report(desk_config(**REFERENCE_DIMS)).to_dict()
+        report = full_report(desk_config(**REFERENCE_DIMS))
         assert {"kmin_pakron", "kmin_tucker", "kruskal_lhs", "kruskal_rhs",
                 "kruskal_ok", "inequalities"} <= set(report)
         assert len(report["inequalities"]) == 6
@@ -187,7 +198,7 @@ class TestInequalityTable:
     @pytest.mark.parametrize("receiver", SEMI_BLIND)
     def test_kmin_is_smallest_feasible_blocks(self, receiver):
         for cfg in small_configs():
-            kmin = getattr(kmin_bounds(cfg), f"kmin_{receiver}")
+            kmin = kmin_bounds(cfg)[f"kmin_{receiver}"]
             blocks = 1
             while violation(lambda: check_feasible(
                     dataclasses.replace(cfg, blocks=blocks), receiver)):

@@ -24,6 +24,9 @@ its preparation; both are summarized, with each receiver's first call and
 each run's peak RSS.
 Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
 recorded, beside each side's line count of ``src/bdris/*.py``.
+The output file is rewritten after every run, so a run that fails later, or
+a crash, leaves every finished run on disk; a failed in-process run is kept
+as its return code and the tail of its stderr.
 
 The output holds every record and result line the runs printed and, per
 workload and end-to-end metric of ``BENCHMARK.json``, the medians, the
@@ -133,7 +136,8 @@ def in_process_summary(runs) -> dict:
     on both sides when the change keeps the trials' outputs bit-identical).
     The runs' ``shared`` blocks, timed with every receiver on each trial
     index in turn, are summarized the same way under ``"shared"``, and each
-    side's peak RSS of every run and its median under ``"peak_rss_mb"``."""
+    side's peak RSS of every run and its median under ``"peak_rss_mb"``.  A
+    failed run holds only its return code and stderr, so it adds nothing."""
     summary = _timing_summary(runs)
     shared = _timing_summary([{"side": run["side"], **run["shared"]}
                               for run in runs if "shared" in run])
@@ -206,12 +210,15 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 
 def timing_run(tree: Path, overrides: str) -> dict:
-    """``tools/trial_timing.py`` on ``tree``'s package, in a fresh process."""
+    """``tools/trial_timing.py`` on ``tree``'s package, in a fresh process; a
+    failed run gives its return code and the tail of its stderr."""
     cmd = [sys.executable, str(TIMING)]
     for item in overrides.split(","):
         cmd += ["--set", item]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=True,
+    proc = subprocess.run(cmd, capture_output=True, text=True,
                           env=pinned_env(tree / "src"))
+    if proc.returncode != 0:
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -263,6 +270,15 @@ def main(argv=None) -> int:
                     "blas_threads": 1},
            "summary": {}, "runs": [], "trace_runs": [], "in_process": {},
            "tier1": {}, "src_lines": {}}
+
+    def save():
+        # after every run, so that a later failure keeps the finished runs;
+        # through a temporary file, so that the file is always whole
+        out["summary"] = summarize(out["runs"], benchmark["end_to_end"])
+        tmp = Path(args.out + ".tmp")
+        tmp.write_text(json.dumps(out, indent=1) + "\n")
+        os.replace(tmp, args.out)
+
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
@@ -277,6 +293,7 @@ def main(argv=None) -> int:
                 for side in pair_order(pair):
                     run = bench_run(trees[side], workload, seed, seconds, 0)
                     out["runs"].append({"pair": pair, "side": side, **run})
+                    save()
                     status = run["result"]["correct"] if run["result"] else run["returncode"]
                     print(f"{workload} pair {pair} {side} seed {seed}: {status}",
                           file=sys.stderr, flush=True)
@@ -285,18 +302,19 @@ def main(argv=None) -> int:
             for side in SIDES:
                 run = bench_run(trees[side], workload, first, seconds, 1)
                 out["trace_runs"].append({"side": side, **run})
+                save()
         for overrides in args.in_process:
             runs = []
             for pair in range(IN_PROCESS_PAIRS):
                 for side in pair_order(pair):
                     runs.append({"pair": pair, "side": side,
                                  **timing_run(trees[side], overrides)})
-            out["in_process"][overrides] = {"summary": in_process_summary(runs),
-                                            "runs": runs}
+                    out["in_process"][overrides] = {
+                        "summary": in_process_summary(runs), "runs": runs}
+                    save()
         for side in SIDES:
             out["tier1"][side] = suite_run(trees[side])
-    out["summary"] = summarize(out["runs"], benchmark["end_to_end"])
-    Path(args.out).write_text(json.dumps(out, indent=1) + "\n")
+            save()
     return 0
 
 
