@@ -88,8 +88,10 @@ def cmd_simulate(cfg, args) -> int:
             differ = ", ".join(k for k in ours if ours[k] != theirs[k])
             raise ConfigError(f"--from-fixture replays the fixture's own config; "
                               f"--config and --set differ from it in {differ}")
-        result = experiments.evaluate(args.receiver, received, design, channels,
-                                      symbols, fixed.solver, fixed.solver.init_seed)
+        (result,) = experiments.evaluate(args.receiver, [(design, channels, symbols,
+                                         received)], fixed.solver, [fixed.solver.init_seed])
+        if isinstance(result, Exception):
+            raise result
         result["receiver"] = args.receiver
         result["fixture_reconstruction_error"] = float(
             np.linalg.norm(received.y - recorded) / np.linalg.norm(recorded))

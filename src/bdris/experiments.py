@@ -13,29 +13,35 @@ same data; receiver-specific randomness (iterate initialization) also mixes
 in the receiver name.  Since a noised scenario is a pure function of that
 key, it is drawn once and shared: :func:`run_trial` keeps the last one in a
 one-entry cache, so consecutive calls for different receivers on the same
-(config, SNR, trial) reuse it, and :func:`run_sweep` runs the receivers of a
-trial one after another to make that the common case.  Its arrays are
+(config, SNR, trial) reuse it, and :func:`run_sweep` draws a block of trials'
+scenarios once and runs every receiver on the whole block.  Its arrays are
 read-only, so no receiver can change what the next one sees.
+
+A receiver runs a block of trials in lockstep (``Receiver.run``), and each
+trial's outcome has the bits it has alone: :func:`run_trial` is a block of
+one.  A trial's ``wall_ms`` is its share of its block's receiver time.
 """
 
 import csv
 import functools
 import math
 import struct
-import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .config import SystemConfig, derive_seed
-from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .identifiability import check_feasible
-from .receivers import find_receiver, hard_decisions
+from .receivers import TOLERATED, find_receiver, hard_decisions
 from .signal import SymbolBlock, add_noise, draw_scenario
 
 # the columns of TrialResult.astuple(), then the error text of a TrialFailure
 TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
                     "iters", "wall_ms", "error")
+# the most bytes of contracted data (frames x rx*slots x d complex per trial)
+# that a sweep task stacks to run its trials in lockstep: past it the stacks
+# leave the caches, and a trial cost more at 64 default-dims trials than at 16
+BLOCK_BYTES = 2 ** 18
 
 
 def nmse_aligned(truth, estimate, mode="per-column") -> float:
@@ -150,28 +156,32 @@ def json_safe(obj):
     return obj
 
 
-def evaluate(receiver: str, received, design, channels, symbols,
-             solver, init_seed: int) -> dict:
-    """Run ``receiver`` on one received tensor and score it against the truth.
+def evaluate(receiver: str, scenarios, solver, init_seeds) -> list:
+    """Run ``receiver`` on a block of scenarios ``(design, channels, symbols,
+    received)`` of one configuration, in lockstep (``Receiver.run``), and
+    score each trial against its truth.
 
-    Returns ``nmse_h``, ``nmse_g``, ``ser``, ``iterations`` and ``wall_ms``,
-    the time of the receiver's run alone, hard decisions included, without
-    scoring.  Only the oracle reads the true channels: its channel estimates
+    Returns per trial a dict of ``nmse_h``, ``nmse_g``, ``ser``,
+    ``iterations`` and ``wall_ms``, the trial's share of the receiver's time
+    (hard decisions included, scoring not), or the tolerated error the trial
+    raised.  Only the oracle reads the true channels: its channel estimates
     are ``None``, the truth itself, scored 0.0.
     """
-    run = find_receiver(receiver).run
-    t0 = time.perf_counter()
-    out = run(received, design, symbols.alphabet, solver, init_seed, channels)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return dict(
-        nmse_h=(0.0 if out.hs_hat is None else
-                nmse_aligned(channels.h @ design.s, out.hs_hat, "per-column")),
-        nmse_g=(0.0 if out.gbar_hat is None else
-                nmse_aligned(channels.gbar, out.gbar_hat, "per-column")),
-        ser=ser(symbols, out.x_detected),
-        iterations=out.iterations,
-        wall_ms=wall_ms,
-    )
+    cases = [(received, design, symbols.alphabet, seed, channels)
+             for (design, channels, symbols, received), seed in zip(scenarios, init_seeds)]
+    outputs, wall_ms = find_receiver(receiver).run(cases, solver)
+    scored = []
+    for (design, channels, symbols, _), out, ms in zip(scenarios, outputs, wall_ms):
+        scored.append(out if isinstance(out, Exception) else dict(
+            nmse_h=(0.0 if out.hs_hat is None else
+                    nmse_aligned(channels.h @ design.s, out.hs_hat, "per-column")),
+            nmse_g=(0.0 if out.gbar_hat is None else
+                    nmse_aligned(channels.gbar, out.gbar_hat, "per-column")),
+            ser=ser(symbols, out.x_detected),
+            iterations=out.iterations,
+            wall_ms=ms,
+        ))
+    return scored
 
 
 @functools.lru_cache(maxsize=1)
@@ -186,35 +196,52 @@ def _noised_scenario(cfg: SystemConfig, snr_db: float, snr_index: int,
     return scenario_seed, design, channels, symbols, received
 
 
+def _run_block(cfg: SystemConfig, receiver: str, snr_db: float, snr_index: int,
+               master: int, trials) -> list:
+    """``receiver`` on ``trials``, ``(trial_index, scenario)`` pairs of one SNR
+    with each scenario as :func:`_noised_scenario` returns it, in lockstep: a
+    TrialResult per trial, or the tolerated error it raised."""
+    init_seeds = [derive_seed(master, "init", receiver, snr_index, r,
+                              cfg.solver.init_seed) for r, _ in trials]
+    scores = evaluate(receiver, [s[1:] for _, s in trials], cfg.solver, init_seeds)
+    return [s if isinstance(s, Exception) else TrialResult(scenario[0], snr_db, receiver, **s)
+            for (_, scenario), s in zip(trials, scores)]
+
+
 def run_trial(cfg: SystemConfig, receiver: str, snr_db: float,
               snr_index: int = 0, trial_index: int = 0,
               master_seed: int | None = None, noiseless: bool = False):
-    """One seeded end-to-end trial; returns a TrialResult.  ``noiseless``
-    sets ``snr_db = inf``."""
+    """One seeded end-to-end trial, a block of one; returns a TrialResult, or
+    raises the trial's error.  ``noiseless`` sets ``snr_db = inf``."""
     master = cfg.seed if master_seed is None else master_seed
     if noiseless:
         snr_db = math.inf
-    scenario_seed, design, channels, symbols, received = _noised_scenario(
-        cfg, snr_db, snr_index, trial_index, master)
-    init_seed = derive_seed(master, "init", receiver, snr_index, trial_index,
-                            cfg.solver.init_seed)
-    return TrialResult(scenario_seed, snr_db, receiver, **evaluate(
-        receiver, received, design, channels, symbols, cfg.solver, init_seed))
+    scenario = _noised_scenario(cfg, snr_db, snr_index, trial_index, master)
+    (result,) = _run_block(cfg, receiver, snr_db, snr_index, master,
+                           [(trial_index, scenario)])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
-def _scenario_task(args):
-    """Every requested receiver on one (SNR, trial) scenario, in order; a
-    receiver's tolerated error becomes its own TrialFailure."""
-    cfg, receivers, snr_db, snr_index, trial_index = args
+def _block_task(args):
+    """Every requested receiver on one block of trials of one SNR, each
+    receiver on the whole block in lockstep; a trial's tolerated error
+    becomes its TrialFailure.  Returns the trials of each receiver."""
+    cfg, receivers, snr_db, snr_index, trial_indices = args
+    trials = [(r, _noised_scenario(cfg, snr_db, snr_index, r, cfg.seed))
+              for r in trial_indices]
     out = []
     for receiver in receivers:
         try:
-            out.append(run_trial(cfg, receiver, snr_db, snr_index, trial_index))
-        except (ScalingResolutionError, NumericalError, IdentifiabilityError,
-                np.linalg.LinAlgError) as err:
-            seed = derive_seed(cfg.seed, "scenario", snr_index, trial_index)
-            out.append(TrialFailure(seed=seed, snr_db=snr_db, receiver=receiver,
-                                    error=f"{type(err).__name__}: {err}"))
+            results = _run_block(cfg, receiver, snr_db, snr_index, cfg.seed, trials)
+        except TOLERATED as err:  # raised for the whole block
+            results = [err] * len(trials)
+        out.append([
+            TrialFailure(seed=scenario[0], snr_db=snr_db, receiver=receiver,
+                         error=f"{type(res).__name__}: {res}")
+            if isinstance(res, Exception) else res
+            for (_, scenario), res in zip(trials, results)])
     return out
 
 
@@ -225,11 +252,15 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
     trial index) order and includes failures.  Receiver names, then every
     requested receiver's identifiability, are checked before any trial runs.
 
-    The grid runs with receivers innermost: one task per (snr, trial), serial
-    or in ``jobs`` processes (``chunksize`` 8), runs every receiver on that
-    trial's scenario, so the scenario is drawn and noised once per task (see
-    :func:`run_trial`); the results are then put back in output order.  The
-    result does not depend on ``jobs``.
+    The trials of each SNR are cut into blocks of ``ceil(runs / jobs)``
+    trials, at most as many as stack ``BLOCK_BYTES`` of contracted data.  One
+    task per block, serial or in ``jobs``
+    processes, draws and noises the block's scenarios once and runs every
+    receiver on the whole block, its trials in lockstep (``Receiver.run``);
+    the results are then put back in output order.  Each trial's outcome has
+    the bits :func:`run_trial` gives it, so the result depends neither on
+    ``jobs`` nor on the blocks; only ``wall_ms``, a trial's share of its
+    block's receiver time, does.
     """
     if runs < 1 or jobs < 1:
         raise ValueError(f"runs and jobs must be at least 1, got {runs} and {jobs}")
@@ -242,22 +273,27 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
         find_receiver(rx)  # ValueError for an unknown name
     for rx in receivers:
         check_feasible(cfg, rx)
+    trial_bytes = 16 * cfg.frames * cfg.rx_antennas * cfg.slots * cfg.tx_antennas \
+        * cfg.ris_elements
+    size = min(-(-runs // jobs), max(1, BLOCK_BYTES // trial_bytes))
     tasks = [
-        (cfg, receivers, snr, si, r)
+        (cfg, receivers, snr, si, range(start, min(start + size, runs)))
         for si, snr in enumerate(cfg.snr_db)
-        for r in range(runs)
+        for start in range(0, runs, size)
     ]
     if jobs > 1:
         # imported here: it pulls multiprocessing into every import of bdris
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_scenario_task, tasks, chunksize=8))
+            done = list(pool.map(_block_task, tasks))
     else:
-        done = [_scenario_task(t) for t in tasks]
-    trials = [done[si * runs + r][ri]
+        done = [_block_task(t) for t in tasks]
+    per_snr = len(tasks) // len(cfg.snr_db)
+    trials = [trial
               for si in range(len(cfg.snr_db))
               for ri in range(len(receivers))
-              for r in range(runs)]
+              for block in done[si * per_snr:(si + 1) * per_snr]
+              for trial in block[ri]]
 
     report = SweepReport(config=cfg.to_mapping(), receivers=receivers, runs=runs)
     for si, snr in enumerate(cfg.snr_db):

@@ -44,10 +44,11 @@ def kruskal_check(cfg: SystemConfig, rank_h: int | None = None) -> dict:
     d) >= kruskal_rhs = 2d + 2``, with ``d = tx_antennas*ris_elements`` and
     ``rank(H) = min(rx_antennas, ris_elements)`` for generic fading (a
     deficient ``rank_h``, e.g. 1 under pure line of sight, replaces that
-    term), and the condition's row under ``"inequalities"``.  In the
-    deficient case with ``frames >= d`` the stacked per-frame factor has full
-    column rank, which restores uniqueness regardless of the additive bound;
-    this is reported via ``rank_deficient_override``.  A ``rank_h`` that
+    term), and the condition's row under ``"inequalities"``, whose ``ok`` is
+    the additive bound alone.  In the deficient case with ``frames >= d`` the
+    stacked per-frame factor has full column rank, which restores uniqueness
+    regardless of the additive bound; this is reported via
+    ``rank_deficient_override`` and counts in ``kruskal_ok``.  A ``rank_h`` that
     ``operator.index`` refuses, a bool, or one outside ``1 ..
     min(rx_antennas, ris_elements)`` raises ``ValueError``.
     """
@@ -66,8 +67,8 @@ def kruskal_check(cfg: SystemConfig, rank_h: int | None = None) -> dict:
     # a deficient static-channel rank plus enough frames makes the trilinear
     # stage unique even though the additive bound alone fails
     override = rank < full and ni >= d and lhs < rhs
-    ok = lhs >= rhs or override
-    return {"kruskal_lhs": lhs, "kruskal_rhs": rhs, "kruskal_ok": ok,
+    ok = lhs >= rhs
+    return {"kruskal_lhs": lhs, "kruskal_rhs": rhs, "kruskal_ok": ok or override,
             "rank_deficient_override": override,
             "inequalities": {"kruskal sum >= 2*tx_antennas*ris_elements + 2": {
                 "lhs": lhs, "rhs": rhs, "ok": ok}}}

@@ -18,6 +18,14 @@ Both receivers read the received tensor ``y`` through its third-order view
   ``H @ S`` and ``X`` updates split stage I's ``omega`` system over the two
   Kronecker factors of ``omega``; its channel update and fit are stage I's.
 
+Each receiver runs a batch of trials of one configuration at a time
+(``Receiver.run``), its trials in lockstep: each step of a sweep is one
+stacked numpy call for every trial still running (a :class:`Lockstep`), and
+a trial leaves the batch when it stops or raises a tolerated error, which
+fails it alone.  Each trial gets the bits it gets alone, so no output depends
+on the batch; a single trial, as :func:`pakron` and :func:`tucker` run it, is
+a batch of one.
+
 Both run their sweeps through one loop, ``_extrapolated_als``, which also
 tries an extrapolated step per sweep and keeps it when it lowers the fit;
 the step's length and the relative stopping tolerance ``eps`` of the loop
@@ -31,7 +39,7 @@ Every Gram either receiver solves is a Hadamard product of a factor Gram with
 ``psi``'s Gram, or (``tucker``'s ``H @ S`` and ``X`` updates) a contraction of
 one, so Schur's bound on its condition number comes from ``cond(psi^T
 conj(psi))`` and the factor Gram's diagonal, which each system carries.
-``solve_gram`` solves a trusted Gram by LU, reading its condition number off
+``solve_grams`` solves a trusted Gram by LU, reading its condition number off
 this bound or, when the bound is too loose, off the Gram's eigenvalues; an
 untrusted one falls back to ``pinv`` of the explicit matrix, which is built
 only then.
@@ -54,13 +62,14 @@ detection baseline.  Every other module reads the receivers from
 """
 
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import SolverOptions
-from .errors import IdentifiabilityError, ScalingResolutionError
+from .errors import IdentifiabilityError, NumericalError, ScalingResolutionError
 from .signal import ChannelSet, ReceivedTensor, ScatteringDesign, complex_normal, energy
 # perfbench wraps best_rank1, khatri_rao and pinv as attributes of this module
 from .tensor_ops import (  # noqa: F401
@@ -72,7 +81,7 @@ from .tensor_ops import (  # noqa: F401
     nearest_kronecker,
     pinv,
     schur_cond_bound,
-    solve_gram,
+    solve_grams,
     unfold,
 )
 
@@ -99,11 +108,98 @@ class StageOneResult:
     fit: float
 
 
+# the errors that end only the trial that raised them (a sweep records it)
+TOLERATED = (ScalingResolutionError, NumericalError, np.linalg.LinAlgError)
+
+
+class Lockstep:
+    """Trials of one configuration run in lockstep.  ``live`` holds the batch
+    indices of the trials still running and ``data`` their stacked arrays,
+    one row per live trial; ``errors`` holds each trial's tolerated error and
+    ``ms`` its share of receiver time, in milliseconds: :meth:`charge` splits
+    the time since its last call evenly over the trials it names."""
+
+    def __init__(self, n):
+        self.live, self.data = np.arange(n), ()
+        self.errors, self.ms = [None] * n, [0.0] * n
+        self.clock = time.perf_counter()
+
+    def charge(self, trials):
+        now = time.perf_counter()
+        for i in trials:
+            self.ms[i] += (now - self.clock) * 1e3 / len(trials)
+        self.clock = now
+
+    def attempt(self, i, fn, *args):
+        """``fn(*args)``; ``None`` when it raises a tolerated error, which is
+        kept as trial ``i``'s."""
+        try:
+            return fn(*args)
+        except TOLERATED as err:
+            self.errors[i] = err
+
+    def keep(self, rows):
+        """Keep the live trials at ``rows``, indices into ``live``."""
+        self.live = self.live[rows]
+        self.data = tuple(a[rows] for a in self.data)
+
+    def each(self, fn):
+        """``fn(i)`` of each live trial ``i``, timed alone; the trials it fails
+        leave the batch, and the others' results are returned."""
+        out = []
+        for i in self.live.tolist():
+            out.append(self.attempt(i, fn, i))
+            self.charge([i])
+        ok = [j for j, i in enumerate(self.live.tolist()) if self.errors[i] is None]
+        if len(ok) < len(out):
+            self.keep(ok)
+        return [out[j] for j in ok]
+
+    def finish(self, cases, results, output):
+        """``(outputs, ms)`` of a receiver's batch: per trial, timed alone,
+        ``output(result, case)`` of its result, or its error."""
+        done = []
+        for i, (res, case) in enumerate(zip(results, cases)):
+            res = None if res is None else self.attempt(i, output, res, case)
+            done.append(res if self.errors[i] is None else self.errors[i])
+            self.charge([i])
+        return done, self.ms
+
+
+def _alone(run, *args):
+    """``run(lock, *args)`` on a batch of one trial: its result, or its error
+    raised."""
+    lock = Lockstep(1)
+    (res,) = run(lock, *args)
+    if lock.errors[0] is not None:
+        raise lock.errors[0]
+    return res
+
+
+def _one(run, received, design, alphabet, solver, init_seed, channels=None):
+    """The receiver ``run`` on a batch of one trial: its output, or its error
+    raised."""
+    (out,), _ = run([(received, design, alphabet, init_seed, channels)], solver)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _resolved(case, h_hat, hs_hat, x_raw, gbar, trajectory, converged, fit):
+    """A semi-blind receiver's output on ``case``, resolved and detected."""
+    return resolve_and_detect(ReceiverOutput(
+        h_hat=h_hat, hs_hat=hs_hat, gbar_hat=gbar, x_hat=x_raw, x_detected=None,
+        iterations=len(trajectory), residual_trajectory=trajectory,
+        converged=converged, final_fit=fit), case[2])
+
+
 # Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
 # unfold(z, 2) == gbar @ khatri_rao(psi, omega).T on zp = z^T @ conj(psi),
 # with Khatri-Rao Grams as Hadamard products B ∘ psi_gram of factor Grams.
 # Each system carries the real diagonal of its factor Gram B, from which its
-# solve takes Schur's bound on the Gram's condition number.
+# solve takes Schur's bound on the Gram's condition number.  Every function
+# below works on a stack of trials, one per row of its arrays, and gives each
+# trial the bits it gets alone: the system builders also take one trial.
 
 def _contract(z, psi, spectrum):
     """``(zp, psi_gram, znorm2, psi_cond)`` of the third-order view ``z`` and
@@ -111,63 +207,91 @@ def _contract(z, psi, spectrum):
     ``psi^T conj(psi)``, ``||z||^2`` and the Gram's condition number; the Gram
     and its condition number are read off ``spectrum``, :func:`gram_spectrum`
     of ``psi``.  ``||z||^2``, by which every fit is normalized, is checked
-    by :func:`bdris.signal.energy` before the contraction.
+    by :func:`bdris.signal.energy` before the contraction.  One trial: a
+    stack of the trials' ``psi`` would change the product's bits.
     """
     znorm2 = energy(z)
     psi_gram, psi_cond, _ = spectrum
     return np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram, znorm2, psi_cond
 
 
+def _prepare(lock, zs, psis, spectra):
+    """:func:`_contract` of each live trial's view, stacked into
+    ``lock.data``; a trial whose data it refuses leaves the batch."""
+    prepared = lock.each(lambda i: _contract(zs[i], psis[i], spectra[i]))
+    zp, psi_gram, znorm2, psi_cond = zip(*prepared) if prepared else ((),) * 4
+    lock.data = np.array(zp), np.array(psi_gram), np.array(znorm2), np.array(psi_cond)
+
+
+def _dot(a, b):
+    """``np.vdot(a[j], b[j]).real`` of each trial, to its bits, as a list
+    (``einsum`` and sums of products round otherwise)."""
+    m = len(a)
+    return np.vecdot(a.reshape(m, -1), b.reshape(m, -1)).real.tolist()
+
+
 def _contracted_bound(bound, x):
     """Bound for ``sum_t (x_t ⊗ I)^T G conj(x_t ⊗ I)`` over the rows ``x_t`` of
     ``x``: its eigenvalues lie in ``||x||^2 [lambda_min(G), lambda_max(G)]``, so
     it keeps ``G``'s condition bound while ``x`` is finite and nonzero."""
-    scale = np.vdot(x, x).real
-    return bound if 0 < scale < np.inf else np.inf
+    return [b if 0 < scale < np.inf else np.inf
+            for b, scale in zip(bound, _dot(x, x))]
 
 
 def _omega_system(zp, psi_gram, gbar):
     """``(rhs, gram, b_diag)`` of the ``omega`` update at ``gbar``: its Gram
     is ``B ∘ psi_gram`` with ``B = gbar^T conj(gbar)``, whose real diagonal is
     ``b_diag``."""
-    b = gbar.T @ gbar.conj()
-    return (zp * gbar.conj()[:, None, :]).sum(0), b * psi_gram, b.diagonal().real
+    b = gbar.mT @ gbar.conj()
+    return ((zp * gbar.conj()[..., None, :]).sum(-3), b * psi_gram,
+            b.diagonal(0, -2, -1).real)
 
 
 def _gbar_system(zp, psi_gram, omega):
     """``(rhs, gram, b_diag)`` of the ``gbar`` update at ``omega``, with
     ``B = omega^T conj(omega)``."""
-    b = omega.T @ omega.conj()
-    return (zp * omega.conj()).sum(1), psi_gram * b, b.diagonal().real
+    b = omega.mT @ omega.conj()
+    return ((zp * omega.conj()[..., None, :, :]).sum(-2), psi_gram * b,
+            b.diagonal(0, -2, -1).real)
 
 
 def _gram_fit(x, rhs, gram, znorm2):
     """Normalized residual at ``x`` of the system ``(rhs, gram)``, from its
     Gram, clamped at 0; either system gives the residual of the same model."""
-    err = znorm2 - 2 * np.vdot(x, rhs).real + np.vdot(x, x @ gram).real
-    return max(float(err) / znorm2, 0.0)
+    return [max((z - 2 * a + b) / z, 0.0) for z, a, b in zip(
+        znorm2.tolist(), _dot(x, rhs), _dot(x, x @ gram))]
 
 
 def _solved_fit(x, rhs, znorm2):
     """:func:`_gram_fit` at the least-squares solution ``x`` of its system:
     there ``x @ gram`` meets ``rhs`` on the subspace the solve keeps (LU or
     ``pinv``), so the residual is ``(||z||^2 - Re<x, rhs>) / ||z||^2``."""
-    return max(float(znorm2 - np.vdot(x, rhs).real) / znorm2, 0.0)
+    return [max((z - a) / z, 0.0) for z, a in zip(znorm2.tolist(), _dot(x, rhs))]
 
 
-def _solve(rhs, gram, tol, cond_bound, fallback, *args):
-    """``rhs @ inv(gram)`` by :func:`solve_gram` with the Gram's condition
-    bound; on an untrusted Gram, ``fallback(*args, tol)``, which builds the
-    unfolding and the explicit mixing matrix only then."""
-    x = solve_gram(rhs, gram, tol, cond_bound)
-    return fallback(*args, tol) if x is None else x
+def _solve(lock, rhs, gram, tol, cond_bound, fallback, *stacks):
+    """``rhs @ inv(gram)`` of each live trial by :func:`solve_grams` with its
+    Gram's condition bound (no trusted Gram is singular to LU); the row ``j``
+    of an untrusted Gram of trial ``i`` is ``fallback(i, *rows, tol)`` with
+    ``rows`` the rows ``j`` of ``stacks``, which builds the trial's unfolding
+    and explicit mixing matrix only then.  A trial whose fallback raises a
+    tolerated error keeps it, and a zero row."""
+    x, trusted = solve_grams(rhs, gram, tol, cond_bound)
+    if not all(trusted):
+        for j, i in enumerate(lock.live.tolist()):
+            if not trusted[j] and lock.errors[i] is None:
+                row = lock.attempt(i, fallback, i, *(a[j] for a in stacks), tol)
+                if row is not None:
+                    x[j] = row
+    return x
 
 
-def _solve_system(system, psi_cond, tol, fallback, *args):
-    """:func:`_solve` of a Hadamard system ``(rhs, gram, b_diag)``, trusted
+def _solve_system(lock, system, psi_cond, tol, fallback, *stacks):
+    """:func:`_solve` of Hadamard systems ``(rhs, gram, b_diag)``, trusted
     by Schur's bound from ``cond(psi_gram)`` and ``b_diag``."""
     rhs, gram, b_diag = system
-    return _solve(rhs, gram, tol, schur_cond_bound(psi_cond, b_diag), fallback, *args)
+    return _solve(lock, rhs, gram, tol, schur_cond_bound(psi_cond, b_diag), fallback,
+                  *stacks)
 
 
 # the fallbacks of _solve: least squares by pinv of an explicit mixing matrix
@@ -184,40 +308,83 @@ def _mode_pinv(q4, mode, factor, psi, gbar, n, tol):
     return unfold(q4, mode) @ pinv(_mixing(mode, factor, psi, gbar, n), tol)
 
 
-def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step, rel_tol):
-    """Alternating least squares from ``factors`` with an extrapolated step.
+def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step, rel_tol,
+                      lock):
+    """Alternating least squares with an extrapolated step, on the live
+    trials of ``lock`` in lockstep.
 
-    ``sweep(factors)`` returns the updated factors and their fit.  From sweep
-    3 on, every factor is also tried at ``old + step(k) * (new - old)`` at
-    sweep ``k`` (Bro 1998, §4.6) with the calling receiver's ``step``, and
-    that point is kept when ``fit_at`` of it is strictly lower, so a sweep
-    never ends above the plain update's fit.  The loop stops (converged) when
-    the fit changes by no more than the larger of ``solver.delta`` and the
-    receiver's ``rel_tol`` times the fit, or after ``solver.max_iters`` sweeps.
+    ``factors`` are stacks with one row per live trial; ``sweep(factors)``
+    returns the updated factors and their fits.  From sweep 3 on, every
+    factor is also tried at ``old + step(k) * (new - old)`` at sweep ``k``
+    (Bro 1998, §4.6) with the calling receiver's ``step``, and a trial keeps
+    that point when its ``fit_at`` is strictly lower, so a sweep never ends
+    above the plain update's fit.  A trial stops (converged) when its fit
+    changes by no more than the larger of ``solver.delta`` and the receiver's
+    ``rel_tol`` times the fit, or after ``solver.max_iters`` sweeps; it then
+    leaves the batch, as does a trial that raised a tolerated error.
 
-    Returns ``(factors, trajectory, converged)`` with the fit of every sweep.
+    Returns ``(factors, trajectories, converged)``, each a list over the
+    batch: a trial's final factors (``None`` when it failed), the fit of
+    every sweep and whether it converged.
     """
-    trajectory = []
-    prev = np.inf
+    n = len(lock.errors)
+    out, trajectories, converged = [None] * n, [[] for _ in range(n)], [False] * n
+    live, prev, ok = lock.live.tolist(), [np.inf] * len(lock.live), lock.errors.count(None)
     for k in range(1, solver.max_iters + 1):
         new, fit = sweep(factors)
         if k >= 3:
             length = step(k)
             jump = tuple(old + length * (upd - old) for old, upd in zip(factors, new))
             jump_fit = fit_at(jump)
-            if jump_fit < fit:
+            better = [a < b for a, b in zip(jump_fit, fit)]
+            if all(better):
                 new, fit = jump, jump_fit
+            elif any(better):
+                mask = np.array(better)
+                new = tuple(np.where(mask.reshape(-1, *[1] * (a.ndim - 1)), a, b)
+                            for a, b in zip(jump, new))
+                fit = [a if keep else b for keep, a, b in zip(better, jump_fit, fit)]
         factors = new
-        trajectory.append(fit)
-        if abs(fit - prev) <= max(solver.delta, rel_tol * fit):
-            return factors, tuple(trajectory), True
+        stop = []
+        for i, f, p in zip(live, fit, prev):
+            trajectories[i].append(f)
+            stop.append(abs(f - p) <= max(solver.delta, rel_tol * f))
+        if any(stop) or k == solver.max_iters or lock.errors.count(None) < ok:
+            stays = []
+            for j, i in enumerate(live):
+                if lock.errors[i] is None and (stop[j] or k == solver.max_iters):
+                    out[i], converged[i] = tuple(a[j] for a in factors), stop[j]
+                elif lock.errors[i] is None:
+                    stays.append(j)
+            lock.charge(live)
+            if not stays:
+                break
+            lock.keep(stays)
+            live, ok = lock.live.tolist(), lock.errors.count(None)
+            factors = tuple(a[stays] for a in factors)
+            fit = [fit[j] for j in stays]
         prev = fit
-    return factors, tuple(trajectory), False
+    return out, [tuple(t) for t in trajectories], converged
 
 
 def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                   init_seed: int, gbar_init=None, spectrum=None) -> StageOneResult:
-    """Bilinear ALS on the third-order view ``z``.
+    """Bilinear ALS on the third-order view ``z`` of one trial: the batch of
+    one of :func:`pakron_stage1_batch`, which raises the trial's error.
+
+    ``spectrum`` is ``psi``'s :func:`gram_spectrum`, such as a design's
+    ``psi_spectrum``; without it, ``psi`` is decomposed here, to the same bits.
+    """
+    return _alone(pakron_stage1_batch, [np.asarray(z)], [psi],
+                  [spectrum or gram_spectrum(psi)], left_shape, right_shape, solver,
+                  [init_seed], None if gbar_init is None else [gbar_init])
+
+
+def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
+                        solver: SolverOptions, init_seeds, gbar_inits=None) -> list:
+    """Bilinear ALS on the third-order views ``zs`` of the trials of
+    ``lock``, in lockstep; a :class:`StageOneResult` per trial (``None`` for
+    a trial that failed, its error in ``lock``).
 
     Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
     ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
@@ -229,14 +396,14 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     with ``pakron``'s step and ``eps``; the sweeps in which the fit creeps
     near the noise share do not move stage II's output.  A candidate is
     scored by the Gram fit of the ``omega`` system at its ``gbar``, and when
-    the loop keeps it, the next sweep solves that system instead of building
-    it again.
+    every live trial keeps it, the next sweep solves that system instead of
+    building it again.
 
-    Without ``gbar_init``, column ``r`` of ``gbar`` starts as the top
-    eigenvector of ``T_r T_r^H`` for the least-squares ``T = zp @
+    Without ``gbar_inits``, column ``r`` of a trial's ``gbar`` starts as the
+    top eigenvector of ``T_r T_r^H`` for the least-squares ``T = zp @
     inv(psi_gram)`` (the Khatri-Rao factorization of de Araujo et al., IEEE
-    JSTSP 2021) when ``blocks >= d`` and ``psi_gram`` is trusted, else it is
-    drawn from ``init_seed``.
+    JSTSP 2021) when ``blocks >= d`` and its ``psi_gram`` is trusted, else it
+    is drawn from its ``init_seeds`` entry.
 
     ``left_shape = (slots, tx_antennas)`` and
     ``right_shape = (rx_antennas, ris_elements)`` describe the Kronecker
@@ -245,14 +412,11 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     converged ``omega``, then ``omega``, on the same systems.  That pins the
     per-column scale indeterminacy to a separable one without degrading the
     noiseless fit, and the reported fit is then read off that last ``omega``
-    solve, as a sweep's is off its ``gbar`` solve.
-
-    ``spectrum`` is ``psi``'s :func:`gram_spectrum`, such as a design's
-    ``psi_spectrum``; without it, ``psi`` is decomposed here, to the same bits.
+    solve, as a sweep's is off its ``gbar`` solve.  ``spectra`` are the
+    trials' :func:`gram_spectrum` of ``psi``.
     """
-    z = np.asarray(z)
-    tm_r, k, frames = z.shape
-    d = psi.shape[1]
+    tm_r, k, frames = zs[0].shape
+    d = psis[0].shape[1]
     (slots, mt), (mr, n) = left_shape, right_shape
     if slots * mr != tm_r or mt * n != d:
         raise ValueError("factor shapes inconsistent with the data view")
@@ -260,50 +424,79 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
                                     blocks=k, slots=slots, frames=frames))
 
     tol = solver.pinv_tol
-    zp, psi_gram, znorm2, psi_cond = _contract(z, psi, spectrum or gram_spectrum(psi))
+    _prepare(lock, zs, psis, spectra)
+    if not lock.live.size:
+        return [None] * len(zs)
+    zp, psi_gram, znorm2, psi_cond = lock.data
     # the Khatri-Rao factorization: zp = T @ psi_gram, T[f, a, r] = gbar[f, r] * omega[a, r]
-    t = (solve_gram(zp.reshape(-1, d), psi_gram, tol, psi_cond)
-         if gbar_init is None and k >= d else None)
-    if t is not None:
-        t = t.reshape(frames, -1, d).transpose(2, 0, 1)
-        gbar_init = np.linalg.eigh(t @ t.conj().transpose(0, 2, 1))[1][:, :, -1].T
-    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
-            else complex_normal(np.random.default_rng(init_seed), (frames, d)))
+    start = [False] * len(zp)
+    if gbar_inits is None and k >= d:
+        t, start = solve_grams(zp.reshape(len(zp), -1, d), psi_gram, tol,
+                               psi_cond.tolist())
+        if any(start):
+            t = (t if all(start) else t[start]).reshape(-1, frames, tm_r, d)
+            t = t.transpose(0, 3, 1, 2)
+            tops = iter(np.linalg.eigh(t @ t.conj().mT)[1][..., -1].mT)
+    gbar = np.array([next(tops) if started else gbar_inits[i] if gbar_inits is not None
+                     else complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
+                     for i, started in zip(lock.live.tolist(), start)], complex)
+    lock.charge(lock.live)
     # the gbar of the last candidate scored and its omega system
     scored = [None, None]
 
+    def omega_pinv(i, gbar, tol):
+        return _omega_pinv(zs[i], psis[i], gbar, tol)
+
+    def gbar_pinv(i, omega, tol):
+        return _gbar_pinv(zs[i], psis[i], omega, tol)
+
     def sweep(factors):
+        zp, psi_gram, znorm2, psi_cond = lock.data
         gbar = factors[1]
         system = (scored[1] if gbar is scored[0]
                   else _omega_system(zp, psi_gram, gbar))
-        omega = _solve_system(system, psi_cond, tol, _omega_pinv, z, psi, gbar)
+        omega = _solve_system(lock, system, psi_cond, tol, omega_pinv, gbar)
         system = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve_system(system, psi_cond, tol, _gbar_pinv, z, psi, omega)
+        gbar = _solve_system(lock, system, psi_cond, tol, gbar_pinv, omega)
         return (omega, gbar), _solved_fit(gbar, system[0], znorm2)
 
     def fit_at(factors):
         # scored on the omega system at the candidate's gbar, which the next
-        # sweep solves as it is when the loop keeps the candidate
+        # sweep solves as it is when every trial keeps the candidate
+        zp, psi_gram, znorm2, _ = lock.data
         omega, gbar = factors
         scored[:] = gbar, _omega_system(zp, psi_gram, gbar)
         rhs, gram, _ = scored[1]
         return _gram_fit(omega, rhs, gram, znorm2)
 
-    (omega, gbar), trajectory, converged = _extrapolated_als(
+    data, live = lock.data, lock.live
+    factors, trajectories, converged = _extrapolated_als(
         sweep, fit_at, (None, gbar), solver, RECEIVERS["pakron"].step,
-        RECEIVERS["pakron"].rel_tol)
-    fit = trajectory[-1]
+        RECEIVERS["pakron"].rel_tol, lock)
+    lock.data, lock.live = data, live
+    if any(lock.errors):
+        lock.keep([j for j, i in enumerate(live) if lock.errors[i] is None])
+    fits = [trajectories[i][-1] for i in lock.live]
+    omega, gbar = ([factors[i][m] for i in lock.live] for m in (0, 1))
 
-    if solver.structure_projection:
-        omega_p = kron(*nearest_kronecker(omega, left_shape, right_shape))
-        gbar = _solve_system(_gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
-                             _gbar_pinv, z, psi, omega_p)
+    if solver.structure_projection and lock.live.size:
+        omega_p = np.array(lock.each(
+            lambda i: kron(*nearest_kronecker(factors[i][0], left_shape, right_shape))))
+        zp, psi_gram, znorm2, psi_cond = lock.data
+        gbar = _solve_system(lock, _gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
+                             gbar_pinv, omega_p)
         system = _omega_system(zp, psi_gram, gbar)
-        omega = _solve_system(system, psi_cond, tol, _omega_pinv, z, psi, gbar)
-        fit = _solved_fit(omega, system[0], znorm2)
+        omega = _solve_system(lock, system, psi_cond, tol, omega_pinv, gbar)
+        fits = _solved_fit(omega, system[0], znorm2)
+        lock.charge(lock.live)
 
-    return StageOneResult(omega=omega, gbar=gbar, trajectory=trajectory,
-                          iterations=len(trajectory), converged=converged, fit=fit)
+    results = [None] * len(zs)
+    for j, i in enumerate(lock.live):
+        if lock.errors[i] is None:
+            results[i] = StageOneResult(
+                omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
+                iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
+    return results
 
 
 def kron_factorize(omega, s, slots, rx_antennas):
@@ -322,28 +515,30 @@ def kron_factorize(omega, s, slots, rx_antennas):
     return x_hat, hs_hat @ s.conj().T
 
 
+def pakron_batch(cases, solver: SolverOptions):
+    """Two-stage semi-blind receiver (alternating LS + Kronecker split) on a
+    batch of trials of one configuration, stage I in lockstep; as
+    ``Receiver.run``."""
+    lock = Lockstep(len(cases))
+    mr, slots, k, frames = cases[0][0].y.shape
+    n = cases[0][1].s.shape[0]
+    mt = cases[0][1].psi.shape[1] // n
+    stage1 = pakron_stage1_batch(
+        lock, [np.reshape(c[0].y, (mr * slots, k, frames), order="F") for c in cases],
+        [c[1].psi for c in cases], [c[1].psi_spectrum for c in cases], (slots, mt),
+        (mr, n), solver, [c[3] for c in cases])
+
+    def output(res, case):
+        x_raw, h_hat = kron_factorize(res.omega, case[1].s, slots, mr)
+        return _resolved(case, h_hat, h_hat @ case[1].s, x_raw, res.gbar,
+                         res.trajectory, res.converged, res.fit)
+    return lock.finish(cases, stage1, output)
+
+
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
-    """Two-stage semi-blind receiver (alternating LS + Kronecker split)."""
-    mr, slots, k, frames = received.y.shape
-    z = np.reshape(received.y, (mr * slots, k, frames), order="F")
-    n = design.s.shape[0]
-    mt = design.psi.shape[1] // n
-    stage1 = pakron_stage1(z, design.psi, (slots, mt), (mr, n), solver, init_seed,
-                           spectrum=design.psi_spectrum)
-    x_raw, h_hat = kron_factorize(stage1.omega, design.s, slots, mr)
-    out = ReceiverOutput(
-        h_hat=h_hat,
-        hs_hat=h_hat @ design.s,
-        gbar_hat=stage1.gbar,
-        x_hat=x_raw,
-        x_detected=None,
-        iterations=stage1.iterations,
-        residual_trajectory=stage1.trajectory,
-        converged=stage1.converged,
-        final_fit=stage1.fit,
-    )
-    return resolve_and_detect(out, alphabet)
+    """:func:`pakron_batch` on one trial."""
+    return _one(pakron_batch, received, design, alphabet, solver, init_seed)
 
 
 def _mixing(mode, factor, psi, gbar, n):
@@ -361,14 +556,16 @@ def _mixing(mode, factor, psi, gbar, n):
 
 def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
                x_init=None, gbar_init=None):
-    """:func:`tucker`'s trilinear ALS on the fourth-order view ``q4``, given
-    its core: ``core`` must be :func:`bdris.signal.build_core`'s for ``psi``'s
-    dimensions, and every call checks its shape, its ``d`` nonzeros and its
-    ones at the canonical positions.
+    """:func:`tucker`'s trilinear ALS on the fourth-order view ``q4`` of one
+    trial, given its core: ``core`` must be :func:`bdris.signal.build_core`'s
+    for ``psi``'s dimensions, and every call checks its shape, its ``d``
+    nonzeros and its ones at the canonical positions.
 
     Returns ``(f, x, gbar, trajectory, converged)`` with the trajectory of
-    normalized reconstruction errors.  Each call decomposes ``psi``, where
-    :func:`tucker` reads the design's ``psi_spectrum``, to the same bits.
+    normalized reconstruction errors, from the batch of one of
+    :func:`tucker_als_batch`, which raises the trial's error.  Each call
+    decomposes ``psi``, where :func:`tucker` reads the design's
+    ``psi_spectrum``, to the same bits.
     """
     n, mt = core.shape[0], core.shape[1]
     d = n * mt
@@ -377,16 +574,19 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
             or np.count_nonzero(core) != d
             or not np.all(core[r % n, r // n, r, r] == 1)):
         raise ValueError("core must be the canonical selection-structured core")
-    return _tucker_als(q4, n, psi, gram_spectrum(psi), solver, init_seed,
-                       x_init, gbar_init)
+    return _alone(tucker_als_batch, [np.asarray(q4)], n, [psi], [gram_spectrum(psi)],
+                  solver, [init_seed], x_init, gbar_init)
 
 
-def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
-                x_init=None, gbar_init=None):
-    """Trilinear ALS for ``n`` surface elements on the fourth-order view.
+def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_seeds,
+                     x_init=None, gbar_init=None) -> list:
+    """Trilinear ALS for ``n`` surface elements on the fourth-order views
+    ``q4s`` of the trials of ``lock``, in lockstep; per trial ``(f, x, gbar,
+    trajectory, converged)``, or ``None`` for a trial that failed (its error
+    in ``lock``).
 
     Per sweep it updates the effective channel ``F = H @ S``, the symbols
-    ``X`` and the stacked per-frame channel ``gbar`` on ``pakron_stage1``'s
+    ``X`` and the stacked per-frame channel ``gbar`` on ``pakron``'s
     ``psi``-contracted systems with ``omega = kron(X, F)``.  The F and X
     updates split its ``omega`` system (formed once per sweep from ``gbar``)
     over the two Kronecker factors, as products with a block view of its
@@ -394,73 +594,96 @@ def _tucker_als(q4, n, psi, spectrum, solver: SolverOptions, init_seed: int,
     are its ``gbar`` system.  A mode whose Gram is not trusted falls back to
     ``pinv`` of its explicit mixing matrix.  The sweeps run in
     :func:`_extrapolated_als` on the factors ``(F, X, gbar)`` with
-    ``tucker``'s step and ``eps``.  ``spectrum`` is ``psi``'s :func:`gram_spectrum`.
+    ``tucker``'s step and ``eps``.  ``spectra`` are the trials'
+    :func:`gram_spectrum` of ``psi``; ``x_init`` and ``gbar_init``, when
+    given, start every trial.
     """
-    q4 = np.asarray(q4)
-    mr, slots, k, frames = q4.shape
-    mt = psi.shape[1] // n
+    mr, slots, k, frames = q4s[0].shape
+    mt = psis[0].shape[1] // n
     d = n * mt
     require_feasible("tucker", dict(tx_antennas=mt, rx_antennas=mr, ris_elements=n,
                                     blocks=k, slots=slots, frames=frames))
 
-    rng = np.random.default_rng(init_seed)
-    x = (np.array(x_init, dtype=complex) if x_init is not None
-         else complex_normal(rng, (slots, mt)))
-    gbar = (np.array(gbar_init, dtype=complex) if gbar_init is not None
-            else complex_normal(rng, (frames, d)))
-
+    starts = []
+    for init_seed in init_seeds:
+        rng = np.random.default_rng(init_seed)
+        starts.append((np.array(x_init, dtype=complex) if x_init is not None
+                       else complex_normal(rng, (slots, mt)),
+                       np.array(gbar_init, dtype=complex) if gbar_init is not None
+                       else complex_normal(rng, (frames, d))))
     tol = solver.pinv_tol
-    z = np.reshape(q4, (mr * slots, k, frames), order="F")
-    zp, psi_gram, znorm2, psi_cond = _contract(z, psi, spectrum)
+    zs = [np.reshape(q4, (mr * slots, k, frames), order="F") for q4 in q4s]
+    _prepare(lock, zs, psis, spectra)
+    if not lock.live.size:
+        return [None] * len(q4s)
+    live = lock.live.tolist()
+    x, gbar = (np.array([starts[i][m] for i in live]) for m in (0, 1))
+
+    def f_pinv(i, x, gbar, tol):
+        return _mode_pinv(q4s[i], 0, x, psis[i], gbar, n, tol)
+
+    def x_pinv(i, f, gbar, tol):
+        return _mode_pinv(q4s[i], 1, f, psis[i], gbar, n, tol)
+
+    def gbar_pinv(i, omega, tol):
+        return _gbar_pinv(zs[i], psis[i], omega, tol)
 
     def sweep(factors):
+        zp, psi_gram, znorm2, psi_cond = lock.data
         _, x, gbar = factors
         rhs, gram, b_diag = _omega_system(zp, psi_gram, gbar)
         bound = schur_cond_bound(psi_cond, b_diag)
         # omega = kron(X, F): block (t, m) of rhs is rx x n, block (m, p) of
         # gram is n x n; rows of these views run over the blocks
-        rb = rhs.reshape(slots, mr, mt, n).transpose(0, 2, 1, 3).reshape(slots * mt, -1)
-        gb = gram.reshape(mt, n, mt, n).transpose(0, 2, 1, 3).reshape(mt * mt, -1)
-        f = _solve((x.conj().ravel() @ rb).reshape(mr, n),
-                   ((x.T @ x.conj()).ravel() @ gb).reshape(n, n), tol,
-                   _contracted_bound(bound, x), _mode_pinv, q4, 0, x, psi, gbar, n)
-        x = _solve((rb @ f.conj().ravel()).reshape(slots, mt),
-                   (gb @ (f.T @ f.conj()).ravel()).reshape(mt, mt), tol,
-                   _contracted_bound(bound, f), _mode_pinv, q4, 1, f, psi, gbar, n)
+        m = len(x)
+        rb = rhs.reshape(m, slots, mr, mt, n).transpose(0, 1, 3, 2, 4).reshape(
+            m, slots * mt, -1)
+        gb = gram.reshape(m, mt, n, mt, n).transpose(0, 1, 3, 2, 4).reshape(
+            m, mt * mt, -1)
+        f = _solve(lock, (x.conj().reshape(m, 1, -1) @ rb).reshape(m, mr, n),
+                   ((x.mT @ x.conj()).reshape(m, 1, -1) @ gb).reshape(m, n, n), tol,
+                   _contracted_bound(bound, x), f_pinv, x, gbar)
+        x = _solve(lock, (rb @ f.conj().reshape(m, -1, 1)).reshape(m, slots, mt),
+                   (gb @ (f.mT @ f.conj()).reshape(m, -1, 1)).reshape(m, mt, mt), tol,
+                   _contracted_bound(bound, f), x_pinv, f, gbar)
         omega = kron(x, f)
         system = _gbar_system(zp, psi_gram, omega)
-        gbar = _solve_system(system, psi_cond, tol, _gbar_pinv, z, psi, omega)
+        gbar = _solve_system(lock, system, psi_cond, tol, gbar_pinv, omega)
         return (f, x, gbar), _solved_fit(gbar, system[0], znorm2)
 
     def fit_at(factors):
+        zp, psi_gram, znorm2, _ = lock.data
         f, x, gbar = factors
         rhs, gram, _ = _gbar_system(zp, psi_gram, kron(x, f))
         return _gram_fit(gbar, rhs, gram, znorm2)
 
-    (f, x, gbar), trajectory, converged = _extrapolated_als(
+    factors, trajectories, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, RECEIVERS["tucker"].step,
-        RECEIVERS["tucker"].rel_tol)
-    return f, x, gbar, trajectory, converged
+        RECEIVERS["tucker"].rel_tol, lock)
+    return [None if factors[i] is None else (*factors[i], trajectories[i], converged[i])
+            for i in range(len(q4s))]
+
+
+def tucker_batch(cases, solver: SolverOptions):
+    """Single-stage semi-blind receiver (trilinear ALS on the 4-way view) on a
+    batch of trials of one configuration, in lockstep; as ``Receiver.run``."""
+    lock = Lockstep(len(cases))
+    results = tucker_als_batch(
+        lock, [c[0].y for c in cases], cases[0][1].s.shape[0], [c[1].psi for c in cases],
+        [c[1].psi_spectrum for c in cases], solver, [c[3] for c in cases])
+
+    def output(res, case):
+        f, x_raw, gbar, trajectory, converged = res
+        # S is unitary, so f @ S^H inverts it exactly
+        return _resolved(case, f @ case[1].s.conj().T, f, x_raw, gbar, trajectory,
+                         converged, trajectory[-1])
+    return lock.finish(cases, results, output)
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
-    """Single-stage semi-blind receiver (trilinear ALS on the 4-way view)."""
-    f, x_raw, gbar, trajectory, converged = _tucker_als(
-        received.y, design.s.shape[0], design.psi, design.psi_spectrum, solver,
-        init_seed)
-    out = ReceiverOutput(
-        h_hat=f @ design.s.conj().T,  # S is unitary, so this inverts it exactly
-        hs_hat=f,
-        gbar_hat=gbar,
-        x_hat=x_raw,
-        x_detected=None,
-        iterations=len(trajectory),
-        residual_trajectory=trajectory,
-        converged=converged,
-        final_fit=trajectory[-1],
-    )
-    return resolve_and_detect(out, alphabet)
+    """:func:`tucker_batch` on one trial."""
+    return _one(tucker_batch, received, design, alphabet, solver, init_seed)
 
 
 def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
@@ -484,6 +707,12 @@ def zf_oracle(received: ReceivedTensor, design: ScatteringDesign, alphabet,
         h_hat=None, hs_hat=None, gbar_hat=None, x_hat=x_hat,
         x_detected=np.asarray(alphabet)[hard_decisions(x_hat, alphabet)],
         iterations=0, residual_trajectory=(), converged=True, final_fit=math.nan)
+
+
+def zf_oracle_batch(cases, solver: SolverOptions):
+    """:func:`zf_oracle` on each trial of a batch in turn; as ``Receiver.run``."""
+    return Lockstep(len(cases)).finish(
+        cases, cases, lambda case, _: zf_oracle(*case[:3], solver, *case[3:]))
 
 
 def hard_decisions(x, alphabet) -> np.ndarray:
@@ -516,8 +745,11 @@ def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
 
 @dataclass(frozen=True)
 class Receiver:
-    """One receiver: ``run(received, design, alphabet, solver, init_seed,
-    channels)`` returns its output; only the oracle's reads the channels."""
+    """One receiver: ``run(cases, solver)`` runs it on a batch of trials of
+    one configuration, each case ``(received, design, alphabet, init_seed,
+    channels)``, and returns ``(outputs, wall_ms)``: per trial its
+    :class:`ReceiverOutput` or the tolerated error it raised, and its share of
+    the batch's time in milliseconds.  Only the oracle's reads the channels."""
     name: str
     run: Callable[..., ReceiverOutput]
     # an ALS receiver's extrapolated step length at sweep k (Bro 1998, §4.6)
@@ -538,18 +770,18 @@ RECEIVERS = {entry.name: entry for entry in (
     # against 15.1 from a random start at 1e-3, with NMSE medians at most 2 %
     # higher and mean SER no higher (5e-3: +4 %).  Its stage I takes more
     # sweeps with tucker's shorter step (36.6 -> 43.6 at 0 dB, d = 16).
-    Receiver("pakron", pakron, step=math.sqrt, rel_tol=3e-3,
+    Receiver("pakron", pakron_batch, step=math.sqrt, rel_tol=3e-3,
              inequalities=(("frames*blocks", "tx_antennas*ris_elements"),
                            ("blocks*slots*rx_antennas", "tx_antennas*ris_elements"))),
     # sqrt(k) overshoots tucker's trilinear problem: at 10-30 dB it kept 4-12 %
     # of its candidates, against 35-46 % with k^(1/3), which cut its mean
     # sweeps from 8.2-8.5 to 7.1-7.4.  Its 3e-4 cut them 10.3 -> 7.0 (40.8 ->
     # 19.1 at blocks = 16), and 1e-3 raised its SER at blocks = 16.
-    Receiver("tucker", tucker, step=lambda k: k ** (1 / 3), rel_tol=3e-4,
+    Receiver("tucker", tucker_batch, step=lambda k: k ** (1 / 3), rel_tol=3e-4,
              inequalities=(("frames*blocks*slots", "ris_elements"),
                            ("frames*blocks*rx_antennas", "tx_antennas"),
                            ("blocks*slots*rx_antennas", "tx_antennas*ris_elements"))),
-    Receiver("zf-oracle", zf_oracle),
+    Receiver("zf-oracle", zf_oracle_batch),
 )}
 
 

@@ -46,12 +46,14 @@ def unfold(t, mode):
 
 
 def kron(a, b):
-    """Kronecker product of two matrices; block (i, j) of the result is
-    ``a[i, j] * b``.  Equal to ``np.kron``, without its per-call overhead."""
+    """Kronecker product of two matrices, or of each pair of two stacks of
+    them; block (i, j) of the result is ``a[i, j] * b``.  Equal to
+    ``np.kron``, without its per-call overhead."""
     a = np.asarray(a)
     b = np.asarray(b)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2],
+                       a.shape[-1] * b.shape[-1])
 
 
 def khatri_rao(a, b):
@@ -77,23 +79,27 @@ def pinv(a, tol=DEFAULT_PINV_TOL):
 
 
 def _eigvalsh(a):
-    """Ascending eigenvalues of a Hermitian matrix; NaN when they do not
-    converge, as on NaN input."""
+    """Ascending eigenvalues of a Hermitian matrix, or of each of a stack;
+    NaN for a matrix whose eigenvalues do not converge, as on NaN input."""
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:  # find the matrix that failed
+            return np.array([_eigvalsh(m) for m in a])
         return np.full(a.shape[0], np.nan)
 
 
 def _cond(w):
-    """Condition number from ascending eigenvalues; ``inf`` unless all are
-    positive."""
-    return w[-1] / w[0] if w[0] > 0 else np.inf
+    """Condition numbers from ascending eigenvalues (on the last axis);
+    ``inf`` unless all are positive."""
+    lo = w[..., 0]
+    return np.divide(w[..., -1], lo, out=np.full(lo.shape, np.inf), where=lo > 0)
 
 
 def hermitian_cond(a):
-    """2-norm condition number of a Hermitian matrix from its extreme
-    eigenvalues; ``inf`` unless it is positive definite (NaN input too)."""
+    """2-norm condition number of a Hermitian matrix, or of each of a stack,
+    from its extreme eigenvalues; ``inf`` unless it is positive definite (NaN
+    input too)."""
     return _cond(_eigvalsh(a))
 
 
@@ -128,34 +134,57 @@ def schur_cond_bound(p_cond, b_diag):
     in Matrix Analysis*, Thm 5.3.4) every eigenvalue of ``B ∘ P`` lies in
     ``[lambda_min(P) min(b_diag), lambda_max(P) max(b_diag)]``.  The receivers
     pass the real diagonal of the factor Gram ``B`` they formed, so a zero
-    diagonal entry of ``P`` costs the bound nothing.
+    diagonal entry of ``P`` costs the bound nothing.  Stacks of ``p_cond``
+    and ``b_diag`` (one row per matrix) give a list of bounds.
     """
-    lo = b_diag.min()
-    return p_cond * b_diag.max() / lo if lo > 0 else np.inf
+    lo, hi = b_diag.min(-1), b_diag.max(-1)
+    if b_diag.ndim == 1:
+        return p_cond * hi / lo if lo > 0 else np.inf
+    return [p * h / low if low > 0 else np.inf
+            for p, h, low in zip(p_cond.tolist(), hi.tolist(), lo.tolist())]
 
 
-def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
-    """``rhs @ inv(gram)`` for a Hermitian positive definite ``d x d`` Gram,
-    solved by LU, or ``None`` when the Gram is not trusted.
+def solve_grams(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
+    """``rhs[j] @ inv(gram[j])`` for each Hermitian positive definite ``d x
+    d`` Gram of a stack that is trusted, solved by LU; returns ``(x,
+    trusted)``, ``trusted`` a list of bools, with the rows of the untrusted
+    Grams zero.
 
     A Gram is trusted when ``d * kappa * tol <= 1`` and ``d**2 * eps * kappa
     <= 1`` for its 2-norm condition number ``kappa``.  The first makes its
     1-norm reciprocal condition number at least ``tol``, because ``cond_1 <= d
     * cond_2``; the second keeps rounding of order ``d * eps`` in the computed
-    Gram from reaching its smallest eigenvalue.  ``kappa`` is ``cond_bound``,
-    an upper bound such as :func:`schur_cond_bound`, when that bound passes
-    the rule, and :func:`hermitian_cond` of the Gram otherwise (a NaN bound
-    passes nothing; a NaN or indefinite Gram is not trusted).
+    Gram from reaching its smallest eigenvalue.  ``kappa`` is the Gram's entry
+    of ``cond_bound``, upper bounds such as :func:`schur_cond_bound`, when that
+    bound passes the rule, and :func:`hermitian_cond` of the Gram otherwise (a
+    NaN bound passes nothing; a NaN or indefinite Gram is not trusted).  Each
+    Gram's solution has the bits it has when solved alone.
     """
-    d = gram.shape[0]
+    d = gram.shape[-1]
 
     def trusted(kappa):
-        return d * kappa * tol <= 1 and d * d * _EPS * kappa <= 1
+        return [d * k * tol <= 1 and d * d * _EPS * k <= 1 for k in kappa]
 
-    if cond_bound is None or not trusted(cond_bound):
-        if not trusted(hermitian_cond(gram)):
-            return None
-    return np.linalg.solve(gram.T, rhs.T).T
+    ok = [False] * len(gram) if cond_bound is None else trusted(cond_bound)
+    if all(ok):
+        return np.linalg.solve(gram.mT, rhs.mT).mT, ok
+    rest = [j for j, good in enumerate(ok) if not good]
+    for j, good in zip(rest, trusted(hermitian_cond(gram[rest]).tolist())):
+        ok[j] = good
+    if all(ok):
+        return np.linalg.solve(gram.mT, rhs.mT).mT, ok
+    x = np.zeros_like(rhs, dtype=np.result_type(rhs, gram))
+    if any(ok):
+        x[ok] = np.linalg.solve(gram[ok].mT, rhs[ok].mT).mT
+    return x, ok
+
+
+def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
+    """:func:`solve_grams` of one Gram: ``rhs @ inv(gram)``, or ``None`` when
+    the Gram is not trusted."""
+    bound = None if cond_bound is None else [cond_bound]
+    x, ok = solve_grams(rhs[None], gram[None], tol, bound)
+    return x[0] if ok[0] else None
 
 
 def best_rank1(a):

@@ -292,7 +292,7 @@ CHECK_OVERRIDE = """\
   "inequalities": {
     "kruskal sum >= 2*tx_antennas*ris_elements + 2": {
       "lhs": 52,
-      "ok": true,
+      "ok": false,
       "rhs": 66
     },
     "pakron: blocks*slots*rx_antennas >= tx_antennas*ris_elements": {

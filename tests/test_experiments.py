@@ -40,6 +40,23 @@ def scores(trial):
     return (trial.seed, trial.snr_db, trial.receiver, trial.error)
 
 
+def fail_on_scenario(mp, receiver, cfg, trial_index, snr_index=0):
+    """Make ``receiver``'s entry fail the one trial, in whatever batch, that
+    runs on the scenario of ``(snr_index, trial_index)`` of ``cfg``, chosen by
+    that scenario's seed; the batch's other trials run as they did."""
+    seed = experiments.derive_seed(cfg.seed, "scenario", snr_index, trial_index)
+    target = draw_instance(cfg, seed)[0]  # its design
+    run = RECEIVERS[receiver].run
+
+    def fails_one(cases, solver):
+        outputs, wall_ms = run(cases, solver)
+        return [NumericalError("synthetic failure")
+                if np.array_equal(case[1].psi, target.psi) else out
+                for case, out in zip(cases, outputs)], wall_ms
+
+    patch_entry(mp, receiver, run=fails_one)
+
+
 @pytest.fixture
 def fresh_scenarios():
     """An empty scenario cache before and after the test, so that a patched
@@ -218,17 +235,8 @@ class TestRunSweep:
                           np.median([t.nmse_h for t in loaded]))
 
     def test_csv_writes_failed_trials_as_rows(self, monkeypatch, tmp_path):
-        calls = []
-        tucker = RECEIVERS["tucker"].run
-
-        def second_call_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise NumericalError("synthetic failure")
-            return tucker(*args, **kwargs)
-
-        patch_entry(monkeypatch, "tucker", run=second_call_fails)
         cfg = desk_config(snr_db=(10.0,), seed=14)
+        fail_on_scenario(monkeypatch, "tucker", cfg, trial_index=1)
         trials, report = run_sweep(cfg, ["tucker"], runs=3)
         assert [type(t) for t in trials] == [TrialResult, TrialFailure, TrialResult]
         assert report.cells[0]["failures"] == 1
@@ -280,17 +288,8 @@ class TestRunSweep:
 
     def test_one_receivers_failure_spares_the_other(self, monkeypatch,
                                                     fresh_scenarios):
-        calls = []
-        pakron = RECEIVERS["pakron"].run
-
-        def first_call_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise NumericalError("synthetic failure")
-            return pakron(*args, **kwargs)
-
-        patch_entry(monkeypatch, "pakron", run=first_call_fails)
         cfg = desk_config(snr_db=(10.0,), seed=22)
+        fail_on_scenario(monkeypatch, "pakron", cfg, trial_index=0)
         trials, report = run_sweep(cfg, ["pakron", "tucker"], runs=2)
         assert [type(t) for t in trials] == [TrialFailure, TrialResult,
                                              TrialResult, TrialResult]
@@ -382,3 +381,23 @@ def test_property_sweeps_equal_per_call_trials(tx, rx, ris, extra_slots, frames,
     for jobs in (1, 2):
         trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs)
         assert [repr(scores(t)) for t in trials] == [repr(e) for e in expected]
+
+
+@pytest.mark.parametrize("cfg, jobs", [
+    (SystemConfig(snr_db=(0.0, 30.0)), 1),
+    (SystemConfig(snr_db=(0.0, 30.0)), 2),
+    (SystemConfig(blocks=16, snr_db=(10.0,)), 1),
+], ids=["default-serial", "default-pooled", "blocks16"])
+def test_batch_composition_changes_no_bit(cfg, jobs):
+    # run_sweep runs blocks of up to ceil(runs / jobs) trials in lockstep;
+    # each trial must keep run_trial's bits.  At the default dims a block of
+    # 16 trials stacks 256 KiB, numpy's size for eliding temporaries, and at
+    # blocks = 16 (< d) every solve takes eigvalsh.
+    runs = 32
+    receivers = ["pakron", "tucker"]
+    assert -(-runs // jobs) >= 16
+    expected = [repr(scores(run_trial(cfg, rx, snr, si, r)))
+                for si, snr in enumerate(cfg.snr_db) for rx in receivers
+                for r in range(runs)]
+    trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs)
+    assert [repr(scores(t)) for t in trials] == expected

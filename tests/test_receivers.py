@@ -233,7 +233,7 @@ class TestSweepSystems:
         build, solve = receivers._omega_system, receivers._solve_system
         loop = receivers._extrapolated_als
 
-        def logged_loop(sweep, fit_at, factors, solver, step, rel_tol):
+        def logged_loop(sweep, fit_at, factors, solver, step, rel_tol, lock):
             def logged_sweep(factors):
                 events.append(("sweep", factors))
                 return sweep(factors)
@@ -241,14 +241,15 @@ class TestSweepSystems:
             def logged_fit_at(factors):
                 events.append(("fit_at", factors))
                 return fit_at(factors)
-            return loop(logged_sweep, logged_fit_at, factors, solver, step, rel_tol)
+            return loop(logged_sweep, logged_fit_at, factors, solver, step, rel_tol,
+                        lock)
 
         monkeypatch.setattr(receivers, "_extrapolated_als", logged_loop)
         monkeypatch.setattr(receivers, "_omega_system",
                             lambda *args: events.append(("build", args[2])) or build(*args))
         monkeypatch.setattr(receivers, "_solve_system",
-                            lambda system, *args: events.append(("solve", system))
-                            or solve(system, *args))
+                            lambda lock, system, *args: events.append(("solve", system))
+                            or solve(lock, system, *args))
         solver = SolverOptions(max_iters=40, structure_projection=False)
         res = pakron_stage1(z, design.psi, (cfg.slots, cfg.tx_antennas),
                             (cfg.rx_antennas, cfg.ris_elements), solver, 87)
@@ -288,13 +289,17 @@ class TestSweepSystems:
             for system_at, at, fallback in (
                     (receivers._gbar_system, omega, receivers._gbar_pinv),
                     (receivers._omega_system, gbar, receivers._omega_pinv)):
-                system = system_at(zp, psi_gram, at)
-                x = receivers._solve_system(system, psi_cond, cfg.solver.pinv_tol,
-                                            fallback, z, design.psi, at)
+                # a batch of one trial
+                system = system_at(zp[None], psi_gram[None], at[None])
+                x = receivers._solve_system(
+                    receivers.Lockstep(1), system, np.array([psi_cond]),
+                    cfg.solver.pinv_tol,
+                    lambda i, at, tol: fallback(z, design.psi, at, tol), at[None])
                 rhs, gram, _ = system
-                solved = receivers._solved_fit(x, rhs, znorm2)
+                [solved] = receivers._solved_fit(x, rhs, np.array([znorm2]))
+                [gram_fit] = receivers._gram_fit(x, rhs, gram, np.array([znorm2]))
                 assert 0 < solved < 1
-                assert abs(solved - receivers._gram_fit(x, rhs, gram, znorm2)) <= 1e-14
+                assert abs(solved - gram_fit) <= 1e-14
         assert len(pinvs) == (6 if untrusted else 0)
 
 
@@ -671,12 +676,12 @@ class TestExtrapolatedALS:
                sweep_fit=None, rel_tol=None):
         log = []
 
-        def sweep(factors):
+        def sweep_one(factors):
             log.append(("sweep", factors))
             new = tuple(0.5 * f for f in factors)
             return new, new[0] ** 2 if sweep_fit is None else sweep_fit(new)
 
-        def fit_at(factors):
+        def fit_one(factors):
             log.append(("fit_at", factors))
             return factors[0] ** 2 if jump_fit is None else jump_fit(factors)
 
@@ -684,8 +689,20 @@ class TestExtrapolatedALS:
         entry = receivers.RECEIVERS[receiver]
         if rel_tol is None:
             rel_tol = entry.rel_tol
-        return log, receivers._extrapolated_als(
-            sweep, fit_at, (1.0, 2.0), solver, entry.step, rel_tol)
+
+        # the loop runs a batch of one trial, each factor a stack of one number
+        def sweep(factors):
+            new, fit = sweep_one(tuple(float(f[0]) for f in factors))
+            return tuple(np.array([f]) for f in new), [fit]
+
+        def fit_at(factors):
+            return [fit_one(tuple(float(f[0]) for f in factors))]
+
+        factors, trajectories, converged = receivers._extrapolated_als(
+            sweep, fit_at, (np.array([1.0]), np.array([2.0])), solver, entry.step,
+            rel_tol, receivers.Lockstep(1))
+        return log, (tuple(float(f) for f in factors[0]), trajectories[0],
+                     converged[0])
 
     @staticmethod
     def default_instances(snr_db):
@@ -757,7 +774,7 @@ class TestExtrapolatedALS:
     def outputs(receiver, cfg, instances):
         alphabet = signal.psk_alphabet(cfg.modulation_order)
         run = receivers.RECEIVERS[receiver].run
-        return [run(received, design, alphabet, cfg.solver, seed)
+        return [run([(received, design, alphabet, seed, None)], cfg.solver)[0][0]
                 for seed, (design, received) in enumerate(instances)]
 
     def check_stops_where_delta_alone_does(self, monkeypatch, receiver, snr_db):
@@ -809,9 +826,9 @@ class TestExtrapolatedALS:
         extrapolated = self.total_tucker_sweeps(cfg, instances)
         driver = receivers._extrapolated_als
         monkeypatch.setattr(receivers, "_extrapolated_als",
-                            lambda sweep, fit_at, factors, solver, step, rel_tol:
-                            driver(sweep, lambda _: np.inf, factors, solver, step,
-                                   rel_tol))
+                            lambda sweep, fit_at, factors, solver, step, rel_tol, lock:
+                            driver(sweep, lambda f: [np.inf] * len(f[0]), factors, solver,
+                                   step, rel_tol, lock))
         assert extrapolated < self.total_tucker_sweeps(cfg, instances)
 
     def test_tucker_step_takes_fewer_sweeps_than_sqrt_step(self, monkeypatch):
@@ -822,17 +839,21 @@ class TestExtrapolatedALS:
 
 
 def record_solves(mp):
-    """Record ``(rhs, gram, tol, cond_bound, x)`` for every ``solve_gram``
-    call in the receivers."""
+    """Record ``(rhs, gram, tol, cond_bound, x)`` for every Gram that the
+    receivers' ``solve_grams`` calls solve, one record per trial of a
+    call's stack, with ``x`` ``None`` for an untrusted Gram."""
     records = []
-    solve_gram = tensor_ops.solve_gram
+    solve_grams = tensor_ops.solve_grams
 
     def recording(rhs, gram, tol, cond_bound=None):
-        x = solve_gram(rhs, gram, tol, cond_bound)
-        records.append((rhs, gram, tol, cond_bound, x))
-        return x
+        x, trusted = solve_grams(rhs, gram, tol, cond_bound)
+        for j, ok in enumerate(trusted):
+            records.append((rhs[j], gram[j], tol,
+                            None if cond_bound is None else cond_bound[j],
+                            x[j] if ok else None))
+        return x, trusted
 
-    mp.setattr(receivers, "solve_gram", recording)
+    mp.setattr(receivers, "solve_grams", recording)
     return records
 
 
@@ -871,16 +892,16 @@ class TestCertifiedGrams:
         cfg = SystemConfig(blocks=16)
         design, _, symbols, received = draw_instance(cfg, 50)
         received = add_noise(received, 0.0, 52)
-        solve_gram = tensor_ops.solve_gram
+        solve_grams = tensor_ops.solve_grams
         records = record_solves(monkeypatch)
         exact = count_calls(monkeypatch, tensor_ops, "hermitian_cond")
         digest = output_digest(design, received, symbols.alphabet, cfg.solver)
         assert records and len(exact) == len(records)
 
         def unbounded(rhs, gram, tol, cond_bound=None):
-            return solve_gram(rhs, gram, tol)
+            return solve_grams(rhs, gram, tol)
 
-        monkeypatch.setattr(receivers, "solve_gram", unbounded)
+        monkeypatch.setattr(receivers, "solve_grams", unbounded)
         assert output_digest(design, received, symbols.alphabet, cfg.solver) == digest
 
     @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
@@ -1047,7 +1068,7 @@ class TestKhatriRaoStart:
         design, channels, _, received = draw_instance(cfg, 1200 + cfg.frames)
         starts = record_starts(monkeypatch)
         stage1(cfg, design, received, SolverOptions(max_iters=1), init_seed=1)
-        assert nmse_aligned(channels.gbar, starts[0][1]) <= 1e-20
+        assert nmse_aligned(channels.gbar, starts[0][1][0]) <= 1e-20
 
     def test_rank_deficient_psi_starts_from_the_seeded_draw(self):
         # blocks = 16 < d = 32: the outputs are those of the seeded draw given
@@ -1076,7 +1097,7 @@ class TestKhatriRaoStart:
         draw = seeded_draw(cfg.frames, psi.shape[1], 1222)
         assert records[0][0].shape == (z.shape[2] * z.shape[0], psi.shape[1])
         assert records[0][-1] is None
-        assert np.array_equal(starts[0][1], draw)
+        assert np.array_equal(starts[0][1][0], draw)
         assert same_output(res, pakron_stage1(z, psi, *shapes, solver, 0, gbar_init=draw))
 
     @pytest.mark.parametrize("cfg, snr_db", [(SystemConfig(), 0.0),
@@ -1085,15 +1106,16 @@ class TestKhatriRaoStart:
     def test_start_saves_sweeps_at_no_worse_nmse_or_ser(self, monkeypatch, cfg, snr_db):
         # against the seeded random start at eps = 1e-3
         started = forty_trials(cfg, "pakron", snr_db)
-        stage_one = receivers.pakron_stage1
+        stage_one = receivers.pakron_stage1_batch
 
-        def random_start(z, psi, left_shape, right_shape, solver, init_seed,
-                         gbar_init=None, spectrum=None):
-            draw = seeded_draw(z.shape[2], psi.shape[1], init_seed)
-            return stage_one(z, psi, left_shape, right_shape, solver, init_seed,
-                             draw, spectrum)
+        def random_start(lock, zs, psis, spectra, left_shape, right_shape, solver,
+                         init_seeds, gbar_inits=None):
+            draws = [seeded_draw(z.shape[2], psi.shape[1], init_seed)
+                     for z, psi, init_seed in zip(zs, psis, init_seeds)]
+            return stage_one(lock, zs, psis, spectra, left_shape, right_shape, solver,
+                             init_seeds, draws)
 
-        monkeypatch.setattr(receivers, "pakron_stage1", random_start)
+        monkeypatch.setattr(receivers, "pakron_stage1_batch", random_start)
         patch_entry(monkeypatch, "pakron", rel_tol=1e-3)
         assert_saves_sweeps(started, forty_trials(cfg, "pakron", snr_db))
 
@@ -1113,27 +1135,69 @@ class TestReceiverTable:
     def test_semi_blind_entries_run_with_the_channels_withheld(self, receiver):
         cfg, design, channels, symbols, received = self.scenario()
         run = receivers.RECEIVERS[receiver].run
-        given = run(received, design, symbols.alphabet, cfg.solver, 7, channels)
-        withheld = run(received, design, symbols.alphabet, cfg.solver, 7, None)
+        (given,), _ = run([(received, design, symbols.alphabet, 7, channels)], cfg.solver)
+        (withheld,), _ = run([(received, design, symbols.alphabet, 7, None)], cfg.solver)
         for field in dataclasses.fields(given):
             assert np.array_equal(getattr(given, field.name),
                                   getattr(withheld, field.name)), field.name
 
     def test_oracle_scores_exactly_zero_nmse(self):
         cfg, design, channels, symbols, received = self.scenario()
-        scores = experiments.evaluate("zf-oracle", received, design, channels,
-                                      symbols, cfg.solver, 0)
+        (scores,) = experiments.evaluate(
+            "zf-oracle", [(design, channels, symbols, received)], cfg.solver, [0])
         assert scores["nmse_h"] == scores["nmse_g"] == 0.0
         # the zero-forcing estimate and its plain hard decisions, no rescale
         x_hat = zf_perfect_csi(received, channels, design, cfg.solver.pinv_tol)
         detected = symbols.alphabet[hard_decisions(x_hat, symbols.alphabet)]
-        out = receivers.RECEIVERS["zf-oracle"].run(received, design, symbols.alphabet,
-                                                   cfg.solver, 0, channels)
+        (out,), _ = receivers.RECEIVERS["zf-oracle"].run(
+            [(received, design, symbols.alphabet, 0, channels)], cfg.solver)
         assert np.array_equal(out.x_hat, x_hat)
         assert np.array_equal(out.x_detected, detected)
         assert (out.hs_hat, out.gbar_hat) == (None, None)
         assert scores["ser"] == ser(symbols, detected)
         assert scores["iterations"] == 0
+
+
+class TestLockstep:
+    """A receiver's batch runs its trials in lockstep, and each trial gets the
+    output it gets alone, whatever else the batch holds."""
+
+    @staticmethod
+    def cases(n):
+        cfg = SystemConfig()
+        scenarios = [experiments._noised_scenario(cfg, 0.0, 0, r, cfg.seed) for r in range(n)]
+        return cfg, [(received, design, symbols.alphabet, 40 + r, channels)
+                     for r, (_, design, channels, symbols, received) in enumerate(scenarios)]
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    def test_batch_gives_each_trial_its_own_output(self, receiver):
+        cfg, cases = self.cases(6)
+        run = receivers.RECEIVERS[receiver].run
+        outputs, wall_ms = run(cases, cfg.solver)
+        assert len(wall_ms) == len(cases) and min(wall_ms) > 0
+        for case, out in zip(cases, outputs):
+            (alone,), _ = run([case], cfg.solver)
+            assert same_output(out, alone)
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    def test_a_trial_that_fails_mid_sweep_spares_the_others(self, monkeypatch, receiver):
+        cfg, cases = self.cases(5)
+        run = receivers.RECEIVERS[receiver].run
+        alone = [run([case], cfg.solver)[0][0] for case in cases]
+        solve, calls = receivers._solve, []
+
+        def failing(lock, *args):
+            # trial 2's fifth solve raises, as a failed pinv fallback would
+            calls.append(1)
+            if len(calls) == 5:
+                lock.errors[2] = NumericalError("synthetic failure")
+            return solve(lock, *args)
+
+        monkeypatch.setattr(receivers, "_solve", failing)
+        outputs, _ = run(cases, cfg.solver)
+        assert isinstance(outputs[2], NumericalError)
+        for j in (0, 1, 3, 4):
+            assert same_output(outputs[j], alone[j])
 
 
 class TestTrialPathBuildsNoCore:
