@@ -162,6 +162,19 @@ def json_safe(obj):
     return obj
 
 
+def _run_cases(run, cases, solver):
+    """``run(cases, solver)``.  A tolerated error it raises for the whole
+    batch becomes the outcome of each trial that raises it when run alone,
+    so that no trial's outcome depends on its batch."""
+    try:
+        return run(cases, solver)
+    except TOLERATED as err:
+        if len(cases) == 1:
+            return [err], [0.0]
+        alone = [_run_cases(run, [case], solver) for case in cases]
+        return [out for (out,), _ in alone], [ms for _, (ms,) in alone]
+
+
 def evaluate(receiver: str, scenarios, solver, init_seeds) -> list:
     """Run ``receiver`` on a block of scenarios ``(design, channels, symbols,
     received)`` of one configuration, in lockstep (``Receiver.run``), and
@@ -175,7 +188,7 @@ def evaluate(receiver: str, scenarios, solver, init_seeds) -> list:
     """
     cases = [(received, design, symbols.alphabet, seed, channels)
              for (design, channels, symbols, received), seed in zip(scenarios, init_seeds)]
-    outputs, wall_ms = find_receiver(receiver).run(cases, solver)
+    outputs, wall_ms = _run_cases(find_receiver(receiver).run, cases, solver)
     scored = []
     for (design, channels, symbols, _), out, ms in zip(scenarios, outputs, wall_ms):
         scored.append(out if isinstance(out, Exception) else dict(
@@ -239,10 +252,7 @@ def _block_task(args):
               for r in trial_indices]
     out = []
     for receiver in receivers:
-        try:
-            results = _run_block(cfg, receiver, snr_db, snr_index, cfg.seed, trials)
-        except TOLERATED as err:  # raised for the whole block
-            results = [err] * len(trials)
+        results = _run_block(cfg, receiver, snr_db, snr_index, cfg.seed, trials)
         out.append([
             TrialFailure(seed=scenario[0], snr_db=snr_db, receiver=receiver,
                          error=f"{type(res).__name__}: {res}")

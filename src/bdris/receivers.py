@@ -126,8 +126,9 @@ class Lockstep:
 
     def charge(self, trials):
         now = time.perf_counter()
+        share = (now - self.clock) * 1e3 / len(trials)
         for i in trials:
-            self.ms[i] += (now - self.clock) * 1e3 / len(trials)
+            self.ms[i] += share
         self.clock = now
 
     def attempt(self, i, fn, *args):
@@ -144,11 +145,12 @@ class Lockstep:
         self.data = tuple(a[rows] for a in self.data)
 
     def each(self, fn):
-        """``fn(i)`` of each live trial ``i``, timed alone; the trials it fails
-        leave the batch, and the others' results are returned."""
+        """``fn(j, i)`` of each live trial ``i`` at row ``j``, timed alone; the
+        trials it fails leave the batch, and the others' results are
+        returned."""
         out = []
-        for i in self.live.tolist():
-            out.append(self.attempt(i, fn, i))
+        for j, i in enumerate(self.live.tolist()):
+            out.append(self.attempt(i, fn, j, i))
             self.charge([i])
         ok = [j for j, i in enumerate(self.live.tolist()) if self.errors[i] is None]
         if len(ok) < len(out):
@@ -160,29 +162,19 @@ class Lockstep:
         ``output(result, case)`` of its result, or its error."""
         done = []
         for i, (res, case) in enumerate(zip(results, cases)):
-            res = None if res is None else self.attempt(i, output, res, case)
-            done.append(res if self.errors[i] is None else self.errors[i])
+            if self.errors[i] is None:
+                res = self.attempt(i, output, res, case)
+            done.append(self.errors[i] or res)
             self.charge([i])
         return done, self.ms
 
 
-def _alone(run, *args):
-    """``run(lock, *args)`` on a batch of one trial: its result, or its error
-    raised."""
-    lock = Lockstep(1)
-    (res,) = run(lock, *args)
-    if lock.errors[0] is not None:
-        raise lock.errors[0]
+def _alone(results):
+    """The one result of a batch of one trial, or its error raised."""
+    (res,) = results
+    if isinstance(res, Exception):
+        raise res
     return res
-
-
-def _one(run, received, design, alphabet, solver, init_seed, channels=None):
-    """The receiver ``run`` on a batch of one trial: its output, or its error
-    raised."""
-    (out,), _ = run([(received, design, alphabet, init_seed, channels)], solver)
-    if isinstance(out, Exception):
-        raise out
-    return out
 
 
 def _resolved(case, h_hat, hs_hat, x_raw, gbar, trajectory, converged, fit):
@@ -218,7 +210,7 @@ def _contract(z, psi, spectrum):
 def _prepare(lock, zs, psis, spectra):
     """:func:`_contract` of each live trial's view, stacked into
     ``lock.data``; a trial whose data it refuses leaves the batch."""
-    prepared = lock.each(lambda i: _contract(zs[i], psis[i], spectra[i]))
+    prepared = lock.each(lambda j, i: _contract(zs[i], psis[i], spectra[i]))
     zp, psi_gram, znorm2, psi_cond = zip(*prepared) if prepared else ((),) * 4
     lock.data = np.array(zp), np.array(psi_gram), np.array(znorm2), np.array(psi_cond)
 
@@ -324,8 +316,8 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step, rel_t
     leaves the batch, as does a trial that raised a tolerated error.
 
     Returns ``(factors, trajectories, converged)``, each a list over the
-    batch: a trial's final factors (``None`` when it failed), the fit of
-    every sweep and whether it converged.
+    batch: a trial's final factors (``None`` when it failed), copied out of
+    the stacks, the fit of every sweep and whether it converged.
     """
     n = len(lock.errors)
     out, trajectories, converged = [None] * n, [[] for _ in range(n)], [False] * n
@@ -353,7 +345,8 @@ def _extrapolated_als(sweep, fit_at, factors, solver: SolverOptions, step, rel_t
             stays = []
             for j, i in enumerate(live):
                 if lock.errors[i] is None and (stop[j] or k == solver.max_iters):
-                    out[i], converged[i] = tuple(a[j] for a in factors), stop[j]
+                    out[i] = tuple(a[j].copy(order="K") for a in factors)
+                    converged[i] = stop[j]
                 elif lock.errors[i] is None:
                     stays.append(j)
             lock.charge(live)
@@ -375,16 +368,17 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
     ``spectrum`` is ``psi``'s :func:`gram_spectrum`, such as a design's
     ``psi_spectrum``; without it, ``psi`` is decomposed here, to the same bits.
     """
-    return _alone(pakron_stage1_batch, [np.asarray(z)], [psi],
-                  [spectrum or gram_spectrum(psi)], left_shape, right_shape, solver,
-                  [init_seed], None if gbar_init is None else [gbar_init])
+    return _alone(pakron_stage1_batch(
+        Lockstep(1), [np.asarray(z)], [psi], [spectrum or gram_spectrum(psi)],
+        left_shape, right_shape, solver, [init_seed],
+        None if gbar_init is None else [gbar_init]))
 
 
 def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
                         solver: SolverOptions, init_seeds, gbar_inits=None) -> list:
     """Bilinear ALS on the third-order views ``zs`` of the trials of
-    ``lock``, in lockstep; a :class:`StageOneResult` per trial (``None`` for
-    a trial that failed, its error in ``lock``).
+    ``lock``, in lockstep; a :class:`StageOneResult` per trial, or the error
+    of a trial that failed.
 
     Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
     ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
@@ -426,21 +420,24 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
     tol = solver.pinv_tol
     _prepare(lock, zs, psis, spectra)
     if not lock.live.size:
-        return [None] * len(zs)
+        return lock.errors
     zp, psi_gram, znorm2, psi_cond = lock.data
     # the Khatri-Rao factorization: zp = T @ psi_gram, T[f, a, r] = gbar[f, r] * omega[a, r]
-    start = [False] * len(zp)
+    t, start = None, [False] * len(zp)
     if gbar_inits is None and k >= d:
         t, start = solve_grams(zp.reshape(len(zp), -1, d), psi_gram, tol,
                                psi_cond.tolist())
-        if any(start):
-            t = (t if all(start) else t[start]).reshape(-1, frames, tm_r, d)
-            t = t.transpose(0, 3, 1, 2)
-            tops = iter(np.linalg.eigh(t @ t.conj().mT)[1][..., -1].mT)
-    gbar = np.array([next(tops) if started else gbar_inits[i] if gbar_inits is not None
-                     else complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
-                     for i, started in zip(lock.live.tolist(), start)], complex)
+        t = t.reshape(-1, frames, tm_r, d).transpose(0, 3, 1, 2)
     lock.charge(lock.live)
+
+    def first_gbar(j, i):
+        if start[j]:
+            return np.linalg.eigh(t[j] @ t[j].conj().mT)[1][:, :, -1].T
+        if gbar_inits is not None:
+            return gbar_inits[i]
+        return complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
+    gbar = np.array(lock.each(first_gbar), complex)
+    t = None  # the stack is not kept through the sweeps
     # the gbar of the last candidate scored and its omega system
     scored = [None, None]
 
@@ -481,7 +478,7 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
 
     if solver.structure_projection and lock.live.size:
         omega_p = np.array(lock.each(
-            lambda i: kron(*nearest_kronecker(factors[i][0], left_shape, right_shape))))
+            lambda j, i: kron(*nearest_kronecker(factors[i][0], left_shape, right_shape))))
         zp, psi_gram, znorm2, psi_cond = lock.data
         gbar = _solve_system(lock, _gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
                              gbar_pinv, omega_p)
@@ -490,12 +487,11 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         fits = _solved_fit(omega, system[0], znorm2)
         lock.charge(lock.live)
 
-    results = [None] * len(zs)
+    results = list(lock.errors)
     for j, i in enumerate(lock.live):
-        if lock.errors[i] is None:
-            results[i] = StageOneResult(
-                omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
-                iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
+        results[i] = results[i] or StageOneResult(
+            omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
+            iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
     return results
 
 
@@ -538,7 +534,8 @@ def pakron_batch(cases, solver: SolverOptions):
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
     """:func:`pakron_batch` on one trial."""
-    return _one(pakron_batch, received, design, alphabet, solver, init_seed)
+    return _alone(pakron_batch([(received, design, alphabet, init_seed, channels)],
+                               solver)[0])
 
 
 def _mixing(mode, factor, psi, gbar, n):
@@ -574,16 +571,16 @@ def tucker_tals(q4, core, psi, solver: SolverOptions, init_seed: int,
             or np.count_nonzero(core) != d
             or not np.all(core[r % n, r // n, r, r] == 1)):
         raise ValueError("core must be the canonical selection-structured core")
-    return _alone(tucker_als_batch, [np.asarray(q4)], n, [psi], [gram_spectrum(psi)],
-                  solver, [init_seed], x_init, gbar_init)
+    return _alone(tucker_als_batch(Lockstep(1), [np.asarray(q4)], n, [psi],
+                                   [gram_spectrum(psi)], solver, [init_seed], x_init,
+                                   gbar_init))
 
 
 def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_seeds,
                      x_init=None, gbar_init=None) -> list:
     """Trilinear ALS for ``n`` surface elements on the fourth-order views
     ``q4s`` of the trials of ``lock``, in lockstep; per trial ``(f, x, gbar,
-    trajectory, converged)``, or ``None`` for a trial that failed (its error
-    in ``lock``).
+    trajectory, converged)``, or the error of a trial that failed.
 
     Per sweep it updates the effective channel ``F = H @ S``, the symbols
     ``X`` and the stacked per-frame channel ``gbar`` on ``pakron``'s
@@ -615,7 +612,7 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
     zs = [np.reshape(q4, (mr * slots, k, frames), order="F") for q4 in q4s]
     _prepare(lock, zs, psis, spectra)
     if not lock.live.size:
-        return [None] * len(q4s)
+        return lock.errors
     live = lock.live.tolist()
     x, gbar = (np.array([starts[i][m] for i in live]) for m in (0, 1))
 
@@ -660,7 +657,7 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
     factors, trajectories, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, RECEIVERS["tucker"].step,
         RECEIVERS["tucker"].rel_tol, lock)
-    return [None if factors[i] is None else (*factors[i], trajectories[i], converged[i])
+    return [lock.errors[i] or (*factors[i], trajectories[i], converged[i])
             for i in range(len(q4s))]
 
 
@@ -683,7 +680,8 @@ def tucker_batch(cases, solver: SolverOptions):
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
            solver: SolverOptions, init_seed: int, channels=None) -> ReceiverOutput:
     """:func:`tucker_batch` on one trial."""
-    return _one(tucker_batch, received, design, alphabet, solver, init_seed)
+    return _alone(tucker_batch([(received, design, alphabet, init_seed, channels)],
+                               solver)[0])
 
 
 def zf_perfect_csi(received: ReceivedTensor, channels: ChannelSet,
@@ -710,9 +708,17 @@ def zf_oracle(received: ReceivedTensor, design: ScatteringDesign, alphabet,
 
 
 def zf_oracle_batch(cases, solver: SolverOptions):
-    """:func:`zf_oracle` on each trial of a batch in turn; as ``Receiver.run``."""
-    return Lockstep(len(cases)).finish(
-        cases, cases, lambda case, _: zf_oracle(*case[:3], solver, *case[3:]))
+    """:func:`zf_oracle` on each trial of a batch in turn, each timed alone;
+    as ``Receiver.run``."""
+    outputs, wall_ms = [], []
+    for case in cases:
+        t0 = time.perf_counter()
+        try:
+            outputs.append(zf_oracle(*case[:3], solver, *case[3:]))
+        except TOLERATED as err:
+            outputs.append(err)
+        wall_ms.append((time.perf_counter() - t0) * 1e3)
+    return outputs, wall_ms
 
 
 def hard_decisions(x, alphabet) -> np.ndarray:
@@ -751,7 +757,7 @@ class Receiver:
     :class:`ReceiverOutput` or the tolerated error it raised, and its share of
     the batch's time in milliseconds.  Only the oracle's reads the channels."""
     name: str
-    run: Callable[..., ReceiverOutput]
+    run: Callable[..., tuple]
     # an ALS receiver's extrapolated step length at sweep k (Bro 1998, §4.6)
     step: Callable[[int], float] | None = None
     # an ALS receiver's relative stopping tolerance eps: its sweeps also stop

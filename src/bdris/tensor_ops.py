@@ -21,6 +21,8 @@ and for a dense core ``G`` of any order,
 """
 
 import numpy as np
+# the LU gufunc behind np.linalg.solve
+from numpy.linalg import _umath_linalg
 
 from .errors import NumericalError
 
@@ -116,7 +118,7 @@ def gram_spectrum(a):
     the squared singular values; it differs from ``matrix_rank`` only for an
     ``a`` whose singular values spread more than ``1 / sqrt(max(rows, cols)
     * eps)``: about 1.2e7 at 32 x 32, a Gram condition number of 1.4e14,
-    past the 4.4e12 that :func:`solve_gram`'s rule accepts at that size.
+    past the 4.4e12 that :func:`solve_grams`'s rule accepts at that size.
     Each call decomposes ``a``; a scattering design keeps its ``psi``'s result
     (:attr:`bdris.signal.ScatteringDesign.psi_spectrum`).
     """
@@ -127,21 +129,31 @@ def gram_spectrum(a):
 
 
 def schur_cond_bound(p_cond, b_diag):
-    """Upper bound on the 2-norm condition number of ``B ∘ P`` for Hermitian
-    positive semidefinite ``B`` (diagonal ``b_diag``) and ``P`` (condition
-    number ``p_cond``): ``p_cond * max(b_diag) / min(b_diag)``, ``inf`` unless
-    ``min(b_diag) > 0``.  By the Schur product theorem (Horn & Johnson, *Topics
-    in Matrix Analysis*, Thm 5.3.4) every eigenvalue of ``B ∘ P`` lies in
-    ``[lambda_min(P) min(b_diag), lambda_max(P) max(b_diag)]``.  The receivers
-    pass the real diagonal of the factor Gram ``B`` they formed, so a zero
-    diagonal entry of ``P`` costs the bound nothing.  Stacks of ``p_cond``
-    and ``b_diag`` (one row per matrix) give a list of bounds.
+    """Upper bounds on the 2-norm condition numbers of a stack of ``B ∘ P``
+    for Hermitian positive semidefinite ``B`` (diagonals ``b_diag``, one row
+    per matrix) and ``P`` (condition numbers ``p_cond``), as a list: ``p_cond
+    * max(b_diag) / min(b_diag)``, ``inf`` unless ``min(b_diag) > 0``.  By the
+    Schur product theorem (Horn & Johnson, *Topics in Matrix Analysis*, Thm
+    5.3.4) every eigenvalue of ``B ∘ P`` lies in ``[lambda_min(P) min(b_diag),
+    lambda_max(P) max(b_diag)]``.  The receivers pass the real diagonal of the
+    factor Gram ``B`` they formed, so a zero diagonal entry of ``P`` costs the
+    bound nothing.
     """
-    lo, hi = b_diag.min(-1), b_diag.max(-1)
-    if b_diag.ndim == 1:
-        return p_cond * hi / lo if lo > 0 else np.inf
-    return [p * h / low if low > 0 else np.inf
-            for p, h, low in zip(p_cond.tolist(), hi.tolist(), lo.tolist())]
+    return [p * hi / lo if lo > 0 else np.inf for p, hi, lo in zip(
+        p_cond.tolist(), b_diag.max(-1).tolist(), b_diag.min(-1).tolist())]
+
+
+def _singular(*_):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _lu_solve(gram, rhs):
+    """``rhs[j] @ inv(gram[j])`` by LU: ``np.linalg.solve``'s kernel and its
+    error on a singular matrix, without its argument checks, which cost more
+    than the LU of a 16 x 16 Gram."""
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.solve(gram.mT, rhs.mT).mT
 
 
 def solve_grams(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
@@ -154,11 +166,12 @@ def solve_grams(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
     <= 1`` for its 2-norm condition number ``kappa``.  The first makes its
     1-norm reciprocal condition number at least ``tol``, because ``cond_1 <= d
     * cond_2``; the second keeps rounding of order ``d * eps`` in the computed
-    Gram from reaching its smallest eigenvalue.  ``kappa`` is the Gram's entry
-    of ``cond_bound``, upper bounds such as :func:`schur_cond_bound`, when that
-    bound passes the rule, and :func:`hermitian_cond` of the Gram otherwise (a
-    NaN bound passes nothing; a NaN or indefinite Gram is not trusted).  Each
-    Gram's solution has the bits it has when solved alone.
+    Gram from reaching its smallest eigenvalue, so no trusted Gram is singular
+    to LU.  ``kappa`` is the Gram's entry of ``cond_bound``, upper bounds such
+    as :func:`schur_cond_bound`, when that bound passes the rule, and
+    :func:`hermitian_cond` of the Gram otherwise (a NaN bound passes nothing;
+    a NaN or indefinite Gram is not trusted).  Each Gram's solution has the
+    bits it has when solved alone.
     """
     d = gram.shape[-1]
 
@@ -166,25 +179,16 @@ def solve_grams(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
         return [d * k * tol <= 1 and d * d * _EPS * k <= 1 for k in kappa]
 
     ok = [False] * len(gram) if cond_bound is None else trusted(cond_bound)
+    if not all(ok):
+        rest = [j for j, good in enumerate(ok) if not good]
+        for j, good in zip(rest, trusted(hermitian_cond(gram[rest]).tolist())):
+            ok[j] = good
     if all(ok):
-        return np.linalg.solve(gram.mT, rhs.mT).mT, ok
-    rest = [j for j, good in enumerate(ok) if not good]
-    for j, good in zip(rest, trusted(hermitian_cond(gram[rest]).tolist())):
-        ok[j] = good
-    if all(ok):
-        return np.linalg.solve(gram.mT, rhs.mT).mT, ok
+        return _lu_solve(gram, rhs), ok
     x = np.zeros_like(rhs, dtype=np.result_type(rhs, gram))
     if any(ok):
-        x[ok] = np.linalg.solve(gram[ok].mT, rhs[ok].mT).mT
+        x[ok] = _lu_solve(gram[ok], rhs[ok])
     return x, ok
-
-
-def solve_gram(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
-    """:func:`solve_grams` of one Gram: ``rhs @ inv(gram)``, or ``None`` when
-    the Gram is not trusted."""
-    bound = None if cond_bound is None else [cond_bound]
-    x, ok = solve_grams(rhs[None], gram[None], tol, bound)
-    return x[0] if ok[0] else None
 
 
 def best_rank1(a):

@@ -297,6 +297,23 @@ class TestRunSweep:
         assert scores(trials[2]) == scores(run_trial(cfg, "tucker", 10.0, 0, 0))
         assert [c["failures"] for c in report.cells] == [1, 0]
 
+    def test_error_raised_for_a_block_runs_its_trials_alone(self, monkeypatch):
+        # an entry that raises for a batch of several trials: each trial of
+        # the block runs alone, so no outcome depends on the block
+        run = RECEIVERS["tucker"].run
+
+        def refuses_batches(cases, solver):
+            if len(cases) > 1:
+                raise NumericalError("synthetic batch failure")
+            return run(cases, solver)
+
+        cfg = desk_config(snr_db=(10.0,), seed=23)
+        expected = [scores(run_trial(cfg, "tucker", 10.0, 0, r)) for r in range(3)]
+        patch_entry(monkeypatch, "tucker", run=refuses_batches)
+        trials, report = run_sweep(cfg, ["tucker"], runs=3)
+        assert [scores(t) for t in trials] == expected
+        assert report.cells[0]["failures"] == 0
+
     def test_report_json_serializable(self):
         cfg = desk_config(snr_db=(10.0,), seed=12)
         _, report = run_sweep(cfg, ["zf-oracle"], runs=1)

@@ -17,7 +17,6 @@ from bdris.tensor_ops import (
     nearest_kronecker,
     pinv,
     schur_cond_bound,
-    solve_gram,
     unfold,
     unvec,
 )
@@ -29,6 +28,7 @@ from util import (
     nmode_product,
     rel_err,
     selection_matrix,
+    solve_gram,
     solve_rows,
     trilinear_oracle,
     unfold_multi,
@@ -246,7 +246,7 @@ class TestSolveRows:
 
 
 class TestCertifiedSolve:
-    """``solve_gram``'s trust rule: the condition bound when it passes the
+    """``solve_grams``'s trust rule, on stacks of one Gram (``solve_gram``): the condition bound when it passes the
     rule, the Gram's exact 2-norm condition number otherwise; LU when
     trusted, ``None`` when not."""
     EPS = np.finfo(float).eps
@@ -328,9 +328,9 @@ class TestCertifiedSolve:
             assert hermitian_cond(a) == np.inf
 
     def test_schur_bound_needs_positive_diagonal(self):
-        assert schur_cond_bound(3.0, np.array([2.0, 4.0])) == 6.0
-        for diag in ([1.0, 0.0], [1.0, np.nan], [np.nan, np.nan]):
-            assert schur_cond_bound(3.0, np.array(diag)) == np.inf
+        assert schur_cond_bound(np.array([3.0]), np.array([[2.0, 4.0]])) == [6.0]
+        diags = np.array([[1.0, 0.0], [1.0, np.nan], [np.nan, np.nan], [2.0, 4.0]])
+        assert schur_cond_bound(np.full(4, 3.0), diags) == [np.inf] * 3 + [6.0]
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 4), mt=st.integers(1, 3), rows=st.integers(1, 5),
@@ -347,7 +347,8 @@ class TestCertifiedSolve:
         factor = random_complex(rng, rows, d) * 10.0 ** rng.uniform(-spread, spread, (1, d))
         p = psi.T @ psi.conj()
         gram = (factor.T @ factor.conj()) * p
-        kappa = schur_cond_bound(hermitian_cond(p), np.diag(factor.T @ factor.conj()).real)
+        (kappa,) = schur_cond_bound(hermitian_cond(p[None]),
+                                    np.diag(factor.T @ factor.conj()).real[None])
         x = random_complex(rng, mt + 1, mt)
         f = random_complex(rng, 3, n)
         lift_x = [kron(row[:, None], np.eye(n)) for row in x]

@@ -11,7 +11,7 @@ from bdris.experiments import TrialFailure, TrialResult
 from bdris.receivers import RECEIVERS
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
 from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
-                              solve_gram, unfold, unvec)
+                              solve_grams, unfold, unvec)
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -93,6 +93,14 @@ def rel_err(actual, expected) -> float:
     if denom == 0:
         return float(np.linalg.norm(actual))
     return float(np.linalg.norm(np.asarray(actual) - np.asarray(expected)) / denom)
+
+
+def solve_gram(rhs, gram, tol, cond_bound=None):
+    """``solve_grams`` on a stack of one Gram: ``rhs @ inv(gram)``, or
+    ``None`` when the Gram is not trusted."""
+    bound = None if cond_bound is None else [cond_bound]
+    x, trusted = solve_grams(rhs[None], gram[None], tol, bound)
+    return x[0] if trusted[0] else None
 
 
 def solve_rows(z, m, tol):
