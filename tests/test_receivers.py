@@ -824,11 +824,11 @@ class TestExtrapolatedALS:
     def test_tucker_takes_fewer_sweeps_than_plain_als(self, monkeypatch):
         cfg, instances = self.default_instances(0.0)
         extrapolated = self.total_tucker_sweeps(cfg, instances)
-        driver = receivers._extrapolated_als
+        plain = receivers._extrapolated_als
         monkeypatch.setattr(receivers, "_extrapolated_als",
                             lambda sweep, fit_at, factors, solver, step, rel_tol, lock:
-                            driver(sweep, lambda f: [np.inf] * len(f[0]), factors, solver,
-                                   step, rel_tol, lock))
+                            plain(sweep, lambda f: [np.inf] * len(f[0]), factors, solver,
+                                  step, rel_tol, lock))
         assert extrapolated < self.total_tucker_sweeps(cfg, instances)
 
     def test_tucker_step_takes_fewer_sweeps_than_sqrt_step(self, monkeypatch):
