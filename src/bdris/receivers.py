@@ -140,9 +140,10 @@ class Lockstep:
             self.errors[i] = err
 
     def keep(self, rows):
-        """Keep the live trials at ``rows``, indices into ``live``."""
-        self.live = self.live[rows]
-        self.data = tuple(a[rows] for a in self.data)
+        """Keep the live trials at ``rows``, ascending indices into ``live``."""
+        if len(rows) < len(self.live):
+            self.live = self.live[rows]
+            self.data = tuple(a[rows] for a in self.data)
 
     def each(self, fn):
         """``fn(j, i)`` of each live trial ``i`` at row ``j``, timed alone; the
@@ -157,16 +158,56 @@ class Lockstep:
             self.keep(ok)
         return [out[j] for j in ok]
 
-    def finish(self, cases, results, output):
-        """``(outputs, ms)`` of a receiver's batch: per trial, timed alone,
-        ``output(result, case)`` of its result, or its error."""
-        done = []
-        for i, (res, case) in enumerate(zip(results, cases)):
-            if self.errors[i] is None:
-                res = self.attempt(i, output, res, case)
-            done.append(self.errors[i] or res)
-            self.charge([i])
+    def stacked(self, fn, *stacks):
+        """``fn(*stacks)`` of ``stacks`` with one row per live trial, timed as
+        one call.  When it raises a tolerated error, each trial's rows run
+        alone (:meth:`each`, stacks of one) and the trials that fail leave the
+        batch; the others' results are stacked again (a tuple of stacks when
+        ``fn`` returns a tuple), ``None`` when no trial is left."""
+        try:
+            out = fn(*stacks)
+        except TOLERATED:
+            rows = self.each(lambda j, i: fn(*(a[j:j + 1] for a in stacks)))
+            if not rows:
+                return None
+            if isinstance(rows[0], tuple):
+                return tuple(np.concatenate(r) for r in zip(*rows))
+            return np.concatenate(rows)
+        self.charge(self.live)
+        return out
+
+    def finish(self, cases, output, record, *stacks):
+        """``(outputs, ms)`` of a receiver's batch.  One stacked step,
+        ``output(*stacks, s, alphabets)`` of the live trials' ``stacks``, their
+        designs' ``S`` and their alphabets, gives stacks of ``(h_hat, hs_hat,
+        x_hat, x_detected)``, and ``record(i)`` trial ``i``'s ``(gbar,
+        trajectory, converged, fit)``; a trial that failed gives its error."""
+        live = self.live.tolist()
+        out = live and self.stacked(output, *stacks, np.array([cases[i][1].s for i in live]),
+                                    np.array([cases[i][2] for i in live]))
+        done = list(self.errors)
+        for j, i in enumerate(self.live.tolist()):
+            gbar, trajectory, converged, fit = record(i)
+            h_hat, hs_hat, x_hat, x_detected = (a[j] for a in out)
+            done[i] = ReceiverOutput(h_hat, hs_hat, gbar, x_hat, x_detected,
+                                     len(trajectory), trajectory, converged, fit)
         return done, self.ms
+
+
+class _Views:
+    """The third-order views ``z`` of received tensors ``ys``, each built
+    when read: ``np.reshape`` copies a C-ordered ``y``, and after the
+    contraction only a ``pinv`` fallback reads it again."""
+
+    def __init__(self, ys):
+        self.ys = ys
+
+    def __len__(self):
+        return len(self.ys)
+
+    def __getitem__(self, i):
+        mr, slots, k, frames = self.ys[i].shape
+        return np.reshape(self.ys[i], (mr * slots, k, frames), order="F")
 
 
 def _alone(results):
@@ -175,14 +216,6 @@ def _alone(results):
     if isinstance(res, Exception):
         raise res
     return res
-
-
-def _resolved(case, h_hat, hs_hat, x_raw, gbar, trajectory, converged, fit):
-    """A semi-blind receiver's output on ``case``, resolved and detected."""
-    return resolve_and_detect(ReceiverOutput(
-        h_hat=h_hat, hs_hat=hs_hat, gbar_hat=gbar, x_hat=x_raw, x_detected=None,
-        iterations=len(trajectory), residual_trajectory=trajectory,
-        converged=converged, final_fit=fit), case[2])
 
 
 # Both receivers solve the normal equations (Kolda & Bader 2009, §3.4) of
@@ -423,21 +456,20 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         return lock.errors
     zp, psi_gram, znorm2, psi_cond = lock.data
     # the Khatri-Rao factorization: zp = T @ psi_gram, T[f, a, r] = gbar[f, r] * omega[a, r]
-    t, start = None, [False] * len(zp)
+    start = dict.fromkeys(lock.live.tolist(), False)
     if gbar_inits is None and k >= d:
-        t, start = solve_grams(zp.reshape(len(zp), -1, d), psi_gram, tol,
-                               psi_cond.tolist())
+        t, trusted = solve_grams(zp.reshape(len(zp), -1, d), psi_gram, tol,
+                                 psi_cond.tolist())
+        start.update(zip(start, trusted))
         t = t.reshape(-1, frames, tm_r, d).transpose(0, 3, 1, 2)
-    lock.charge(lock.live)
-
-    def first_gbar(j, i):
-        if start[j]:
-            return np.linalg.eigh(t[j] @ t[j].conj().mT)[1][:, :, -1].T
-        if gbar_inits is not None:
-            return gbar_inits[i]
-        return complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
-    gbar = np.array(lock.each(first_gbar), complex)
-    t = None  # the stack is not kept through the sweeps
+        lock.charge(lock.live)
+        if any(trusted):  # column r of gbar: the top eigenvector of T_r T_r^H
+            top = lock.stacked(lambda g: np.linalg.eigh(g)[1][..., -1], t @ t.conj().mT)
+            if top is None:
+                return lock.errors
+    gbar = np.array([top[j].T if start[i] else gbar_inits[i] if gbar_inits is not None
+                     else complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
+                     for j, i in enumerate(lock.live.tolist())], complex)
     # the gbar of the last candidate scored and its omega system
     scored = [None, None]
 
@@ -471,14 +503,16 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         sweep, fit_at, (None, gbar), solver, RECEIVERS["pakron"].step,
         RECEIVERS["pakron"].rel_tol, lock)
     lock.data, lock.live = data, live
-    if any(lock.errors):
-        lock.keep([j for j, i in enumerate(live) if lock.errors[i] is None])
+    lock.keep([j for j, i in enumerate(live) if lock.errors[i] is None])
     fits = [trajectories[i][-1] for i in lock.live]
     omega, gbar = ([factors[i][m] for i in lock.live] for m in (0, 1))
 
     if solver.structure_projection and lock.live.size:
-        omega_p = np.array(lock.each(
-            lambda j, i: kron(*nearest_kronecker(factors[i][0], left_shape, right_shape))))
+        omega_p = lock.stacked(
+            lambda omega: kron(*nearest_kronecker(omega, left_shape, right_shape)),
+            np.array(omega))
+        if omega_p is None:
+            return lock.errors
         zp, psi_gram, znorm2, psi_cond = lock.data
         gbar = _solve_system(lock, _gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
                              gbar_pinv, omega_p)
@@ -487,16 +521,20 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         fits = _solved_fit(omega, system[0], znorm2)
         lock.charge(lock.live)
 
-    results = list(lock.errors)
-    for j, i in enumerate(lock.live):
-        results[i] = results[i] or StageOneResult(
-            omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
-            iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
+    results, rows = list(lock.errors), []
+    for j, i in enumerate(lock.live.tolist()):
+        if results[i] is None:
+            rows.append(j)
+            results[i] = StageOneResult(
+                omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
+                iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
+    lock.keep(rows)  # the trials left hold a result
     return results
 
 
 def kron_factorize(omega, s, slots, rx_antennas):
-    """Split an estimated ``kron(X, H @ S)`` into ``(X, H)``.
+    """Split an estimated ``kron(X, H @ S)`` into ``(X, H)``, or each of a
+    stack with its ``S``.
 
     The nearest Kronecker product to ``omega`` gives ``X`` and ``H @ S``, and
     ``S^H`` removes the known unitary factor.  This equals the nearest
@@ -505,10 +543,10 @@ def kron_factorize(omega, s, slots, rx_antennas):
     exact for perfectly structured input, up to one complex scale trade-off
     between the two factors.
     """
-    n = s.shape[0]
-    x_hat, hs_hat = nearest_kronecker(omega, (slots, omega.shape[1] // n),
+    n = s.shape[-1]
+    x_hat, hs_hat = nearest_kronecker(omega, (slots, omega.shape[-1] // n),
                                       (rx_antennas, n))
-    return x_hat, hs_hat @ s.conj().T
+    return x_hat, hs_hat @ s.conj().mT
 
 
 def pakron_batch(cases, solver: SolverOptions):
@@ -516,19 +554,23 @@ def pakron_batch(cases, solver: SolverOptions):
     batch of trials of one configuration, stage I in lockstep; as
     ``Receiver.run``."""
     lock = Lockstep(len(cases))
-    mr, slots, k, frames = cases[0][0].y.shape
+    mr, slots = cases[0][0].y.shape[:2]
     n = cases[0][1].s.shape[0]
     mt = cases[0][1].psi.shape[1] // n
     stage1 = pakron_stage1_batch(
-        lock, [np.reshape(c[0].y, (mr * slots, k, frames), order="F") for c in cases],
-        [c[1].psi for c in cases], [c[1].psi_spectrum for c in cases], (slots, mt),
-        (mr, n), solver, [c[3] for c in cases])
+        lock, _Views([c[0].y for c in cases]), [c[1].psi for c in cases],
+        [c[1].psi_spectrum for c in cases], (slots, mt), (mr, n), solver,
+        [c[3] for c in cases])
 
-    def output(res, case):
-        x_raw, h_hat = kron_factorize(res.omega, case[1].s, slots, mr)
-        return _resolved(case, h_hat, h_hat @ case[1].s, x_raw, res.gbar,
-                         res.trajectory, res.converged, res.fit)
-    return lock.finish(cases, stage1, output)
+    def output(omega, s, alphabet):
+        x_raw, h_hat = kron_factorize(omega, s, slots, mr)
+        return h_hat, h_hat @ s, *_resolve(x_raw, alphabet)
+
+    def record(i):
+        res = stage1[i]
+        return res.gbar, res.trajectory, res.converged, res.fit
+    return lock.finish(cases, output, record,
+                       np.array([stage1[i].omega for i in lock.live]))
 
 
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
@@ -609,7 +651,7 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
                        np.array(gbar_init, dtype=complex) if gbar_init is not None
                        else complex_normal(rng, (frames, d))))
     tol = solver.pinv_tol
-    zs = [np.reshape(q4, (mr * slots, k, frames), order="F") for q4 in q4s]
+    zs = _Views(q4s)
     _prepare(lock, zs, psis, spectra)
     if not lock.live.size:
         return lock.errors
@@ -654,9 +696,12 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
         rhs, gram, _ = _gbar_system(zp, psi_gram, kron(x, f))
         return _gram_fit(gbar, rhs, gram, znorm2)
 
+    data, live = lock.data, lock.live
     factors, trajectories, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, RECEIVERS["tucker"].step,
         RECEIVERS["tucker"].rel_tol, lock)
+    lock.data, lock.live = data, live
+    lock.keep([j for j, i in enumerate(live) if lock.errors[i] is None])
     return [lock.errors[i] or (*factors[i], trajectories[i], converged[i])
             for i in range(len(q4s))]
 
@@ -669,12 +714,16 @@ def tucker_batch(cases, solver: SolverOptions):
         lock, [c[0].y for c in cases], cases[0][1].s.shape[0], [c[1].psi for c in cases],
         [c[1].psi_spectrum for c in cases], solver, [c[3] for c in cases])
 
-    def output(res, case):
-        f, x_raw, gbar, trajectory, converged = res
+    def output(f, x_raw, s, alphabet):
         # S is unitary, so f @ S^H inverts it exactly
-        return _resolved(case, f @ case[1].s.conj().T, f, x_raw, gbar, trajectory,
-                         converged, trajectory[-1])
-    return lock.finish(cases, results, output)
+        return f @ s.conj().mT, f, *_resolve(x_raw, alphabet)
+
+    def record(i):
+        _, _, gbar, trajectory, converged = results[i]
+        return gbar, trajectory, converged, trajectory[-1]
+    live = lock.live.tolist()
+    return lock.finish(cases, output, record, *(np.array([results[i][m] for i in live])
+                                                 for m in (0, 1)))
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
@@ -733,20 +782,30 @@ def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
     Column m of the soft estimate is scaled by ``alphabet[0] / x_hat[0, m]``,
     the known reference symbol over its estimate, cancelling the per-stream
     diagonal indeterminacy; the remaining rows are hard-decided to the nearest
-    constellation point.  The channel estimates are left untouched.
+    constellation point.  The channel estimates are left untouched.  The
+    batch of one of the receivers' stacked step.
     """
-    ref = complex(alphabet[0])
-    x = out.x_hat
-    pivot = x[0, :]
+    x_res, detected = _resolve(out.x_hat[None], np.asarray(alphabet)[None])
+    return replace(out, x_hat=x_res[0], x_detected=detected[0])
+
+
+def _resolve(x, alphabet):
+    """``(x_hat, x_detected)`` of :func:`resolve_and_detect` for a stack of
+    soft estimates ``x`` and their alphabets, one row each; each trial gets
+    the bits it gets alone, and a trial whose reference-row estimate is zero
+    raises for the stack."""
+    pivot = x[:, 0, :]
     # zero relative to its column: a tiny column whose scale is intact is fine
-    if np.any(np.abs(pivot) <= np.finfo(float).eps * np.linalg.norm(x, axis=0)):
+    if (np.abs(pivot) <= np.finfo(float).eps * np.linalg.norm(x, axis=-2)).any():
         raise ScalingResolutionError(
             "reference-row estimate is numerically zero; cannot resolve scaling"
         )
-    x_res = x * (ref / pivot)[None, :]
-    detected = np.asarray(alphabet)[hard_decisions(x_res, alphabet)]
-    detected[0, :] = ref
-    return replace(out, x_hat=x_res, x_detected=detected)
+    ref = alphabet[:, :1]
+    x_res = x * (ref / pivot)[:, None, :]
+    detected = alphabet[np.arange(len(x))[:, None, None],
+                        hard_decisions(x_res, alphabet[:, None, None, :])]
+    detected[:, 0, :] = ref
+    return x_res, detected
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,6 @@ DEFAULT_PINV_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
 
-def unvec(v, rows, cols):
-    """The matrix whose stacked columns are ``v``."""
-    return np.reshape(v, (rows, cols), order="F")
-
-
 def unfold(t, mode):
     """Mode-``mode`` unfolding: ``dims[mode] x prod(other dims)`` matrix.
 
@@ -192,7 +187,8 @@ def solve_grams(rhs, gram, tol=DEFAULT_PINV_TOL, cond_bound=None):
 
 
 def best_rank1(a):
-    """Dominant singular triple ``(u, v, sigma)`` of a matrix.
+    """Dominant singular triple ``(u, v, sigma)`` of a matrix, or of each of a
+    stack (stacks of ``u``, ``v`` and ``sigma``).
 
     ``sigma * outer(u, v.conj())`` is the Frobenius-optimal rank-1
     approximation of ``a``.  The triple comes from the leading eigenpair of
@@ -200,30 +196,34 @@ def best_rank1(a):
     ``sigma`` is the root of its eigenvalue, the eigenvector is one singular
     vector and the other is ``a^H u / sigma`` (``a v / sigma``), which costs
     less than a full SVD and gives the same product.  A zero matrix yields
-    ``sigma == 0`` with valid unit-norm singular vectors.
+    ``sigma == 0`` with valid unit-norm singular vectors.  Each matrix of a
+    stack gets the bits it gets alone.
     """
     a = np.asarray(a)
     if a.size == 0:
         raise ValueError("empty matrix")
-    wide = a.shape[0] <= a.shape[1]
-    b = a if wide else a.conj().T  # a wide view: b = sigma * x @ y^H
+    wide = a.shape[-2] <= a.shape[-1]
+    b = a if wide else a.conj().mT  # a wide view: b = sigma * x @ y^H
     try:
-        w, q = np.linalg.eigh(b @ b.conj().T)
+        w, q = np.linalg.eigh(b @ b.conj().mT)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"eigh did not converge in best_rank1: {err}") from err
-    x = q[:, -1]
-    sigma = float(np.sqrt(max(w[-1], 0.0)))
-    if sigma > 0:
-        y = b.conj().T @ x / sigma
-    else:
-        y = np.zeros(b.shape[1], dtype=x.dtype)
-        y[0] = 1.0
+    x = q[..., -1]
+    sigma = np.sqrt(np.maximum(w[..., -1], 0.0))
+    y = (b.conj().mT @ x[..., None])[..., 0]
+    positive = sigma > 0
+    if positive.all():
+        y /= sigma[..., None]
+    else:  # the first unit vector where sigma is 0
+        y = np.where(positive[..., None], y / np.where(positive, sigma, 1.0)[..., None],
+                     np.arange(y.shape[-1]) == 0)
     return (x, y, sigma) if wide else (y, x, sigma)
 
 
 def kron_rearrange(m, left_shape, right_shape):
-    """Rearrange a ``(ra*rb) x (ca*cb)`` matrix so a Kronecker-structured
-    input ``kron(A, B)`` maps to the rank-1 matrix ``vec(A) @ vec(B).T``.
+    """Rearrange a ``(ra*rb) x (ca*cb)`` matrix, or each of a stack, so a
+    Kronecker-structured input ``kron(A, B)`` maps to the rank-1 matrix
+    ``vec(A) @ vec(B).T``.
 
     ``left_shape = (ra, ca)`` and ``right_shape = (rb, cb)`` are the factor
     shapes.  This is the standard rank-1 rearrangement behind nearest
@@ -232,24 +232,31 @@ def kron_rearrange(m, left_shape, right_shape):
     ra, ca = left_shape
     rb, cb = right_shape
     m = np.asarray(m)
-    if m.shape != (ra * rb, ca * cb):
+    if m.shape[-2:] != (ra * rb, ca * cb):
         raise ValueError(
             f"matrix shape {m.shape} incompatible with factors {left_shape} x {right_shape}"
         )
     # rows of m enumerate (i_a, i_b) with i_b fastest; columns (j_a, j_b)
-    # with j_b fastest.  Target: rows (i_a, j_a) i_a fastest, cols (i_b, j_b).
-    m4 = np.reshape(m, (rb, ra, cb, ca), order="F")
-    return np.reshape(np.transpose(m4, (1, 3, 0, 2)), (ra * ca, rb * cb), order="F")
+    # with j_b fastest.  Target: rows (i_a, j_a) i_a fastest, cols (i_b, j_b),
+    # built as its transpose, whose rows run over (j_b, i_b) and columns over
+    # (j_a, i_a), last fastest
+    lead = m.shape[:-2]
+    k = len(lead)
+    m4 = m.mT.reshape(*lead, ca, cb, ra, rb).transpose(*range(k), k + 1, k + 3, k, k + 2)
+    return m4.reshape(*lead, cb * rb, ca * ra).mT
 
 
 def nearest_kronecker(m, left_shape, right_shape):
-    """Frobenius-nearest separable matrix ``kron(A, B)`` to ``m``.
+    """Frobenius-nearest separable matrix ``kron(A, B)`` to ``m``, or to each
+    of a stack.
 
     Returns the factors ``(A, B)``; their Kronecker product is the
     projection.  The split of the overall scale between the factors is the
     symmetric ``sqrt(sigma)`` one.
     """
     u, v, sigma = best_rank1(kron_rearrange(m, left_shape, right_shape))
-    a = unvec(np.sqrt(sigma) * u, *left_shape)
-    b = unvec(np.sqrt(sigma) * v.conj(), *right_shape)
+    root = np.sqrt(sigma)[..., None]
+    # unvec: the matrices whose stacked columns are the scaled vectors
+    a = (root * u).reshape(*u.shape[:-1], left_shape[1], left_shape[0]).mT
+    b = (root * v.conj()).reshape(*v.shape[:-1], right_shape[1], right_shape[0]).mT
     return a, b

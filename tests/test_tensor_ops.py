@@ -18,7 +18,6 @@ from bdris.tensor_ops import (
     pinv,
     schur_cond_bound,
     unfold,
-    unvec,
 )
 from util import (
     count_calls,
@@ -32,6 +31,7 @@ from util import (
     solve_rows,
     trilinear_oracle,
     unfold_multi,
+    unvec,
     vec,
 )
 

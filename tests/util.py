@@ -11,7 +11,7 @@ from bdris.experiments import TrialFailure, TrialResult
 from bdris.receivers import RECEIVERS
 from bdris.signal import ChannelSet, ScatteringDesign, SymbolBlock, draw_scenario
 from bdris.tensor_ops import (best_rank1, khatri_rao, kron, kron_rearrange, pinv,
-                              solve_grams, unfold, unvec)
+                              solve_grams, unfold)
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -36,6 +36,11 @@ def draw_instance(cfg: SystemConfig, seed: int):
 def vec(a):
     """Stack the columns of a matrix (or flatten a tensor, first mode fastest)."""
     return np.ravel(a, order="F")
+
+
+def unvec(v, rows, cols):
+    """The matrix whose stacked columns are ``v``."""
+    return np.reshape(v, (rows, cols), order="F")
 
 
 def loop_oracle(cfg: SystemConfig, design, channels, symbols) -> np.ndarray:
