@@ -1,7 +1,8 @@
 """Semi-blind estimation of (channel pair, symbols) from the received tensor.
 
 Both receivers read the received tensor ``y`` through its third-order view
-``z`` (``y`` reshaped to rx*slots x blocks x frames in Fortran order, no copy):
+``z`` (``y`` reshaped to rx*slots x blocks x frames in Fortran order, a copy
+of a C-ordered ``y`` made where it is read):
 
 * ``pakron``  - two stages.  Stage I runs bilinear alternating least squares
   on the third-order view to estimate the mixed factor
@@ -19,12 +20,15 @@ Both receivers read the received tensor ``y`` through its third-order view
   Kronecker factors of ``omega``; its channel update and fit are stage I's.
 
 Each receiver runs a batch of trials of one configuration at a time
-(``Receiver.run``), its trials in lockstep: each step of a sweep is one
-stacked numpy call for every trial still running (a :class:`Lockstep`), and
-a trial leaves the batch when it stops or raises a tolerated error, which
-fails it alone.  Each trial gets the bits it gets alone, so no output depends
-on the batch; a single trial, as :func:`pakron` and :func:`tucker` run it, is
-a batch of one.
+(``Receiver.run``), its trials in lockstep (a :class:`Lockstep`): each step of
+a sweep, ``pakron``'s Khatri-Rao start, structure projection and Kronecker
+split, and both receivers' symbol resolution are each one stacked numpy call
+for every trial still running; only the contraction runs trial by trial.  A
+trial leaves the batch when it stops or raises a tolerated error, which fails
+it alone: a stacked step that raises reruns its trials one by one, and only
+the trial that fails leaves.  Each trial gets the bits it gets alone, so no
+output depends on the batch; a single trial, as :func:`pakron` and
+:func:`tucker` run it, is a batch of one.
 
 Both run their sweeps through one loop, ``_extrapolated_als``, which also
 tries an extrapolated step per sweep and keeps it when it lowers the fit;
@@ -65,6 +69,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -154,60 +159,48 @@ class Lockstep:
             out.append(self.attempt(i, fn, j, i))
             self.charge([i])
         ok = [j for j, i in enumerate(self.live.tolist()) if self.errors[i] is None]
-        if len(ok) < len(out):
-            self.keep(ok)
+        self.keep(ok)
         return [out[j] for j in ok]
 
     def stacked(self, fn, *stacks):
         """``fn(*stacks)`` of ``stacks`` with one row per live trial, timed as
         one call.  When it raises a tolerated error, each trial's rows run
-        alone (:meth:`each`, stacks of one) and the trials that fail leave the
-        batch; the others' results are stacked again (a tuple of stacks when
-        ``fn`` returns a tuple), ``None`` when no trial is left."""
+        alone (:meth:`each`, stacks of one), the trials that fail leave the
+        batch and the others' results are stacked again (a tuple of stacks)."""
         try:
             out = fn(*stacks)
         except TOLERATED:
             rows = self.each(lambda j, i: fn(*(a[j:j + 1] for a in stacks)))
-            if not rows:
-                return None
-            if isinstance(rows[0], tuple):
-                return tuple(np.concatenate(r) for r in zip(*rows))
-            return np.concatenate(rows)
+            if rows and isinstance(rows[0], tuple):
+                return tuple(map(np.concatenate, zip(*rows)))
+            return rows and np.concatenate(rows)
         self.charge(self.live)
         return out
 
-    def finish(self, cases, output, record, *stacks):
-        """``(outputs, ms)`` of a receiver's batch.  One stacked step,
-        ``output(*stacks, s, alphabets)`` of the live trials' ``stacks``, their
-        designs' ``S`` and their alphabets, gives stacks of ``(h_hat, hs_hat,
-        x_hat, x_detected)``, and ``record(i)`` trial ``i``'s ``(gbar,
-        trajectory, converged, fit)``; a trial that failed gives its error."""
+    def finish(self, cases, results, output, record, *fields):
+        """``(outputs, ms)`` of a receiver's batch from its ``results``: one
+        stacked step ``output(*stacks, s, alphabets)`` of each of ``fields``
+        of the trials without an error, their designs' ``S`` and alphabets,
+        gives stacks of ``(h_hat, hs_hat, x_hat, x_detected)``, and
+        ``record(result)`` the rest, ``(gbar, trajectory, converged, fit)``."""
+        self.live, self.data = np.flatnonzero([err is None for err in self.errors]), ()
         live = self.live.tolist()
-        out = live and self.stacked(output, *stacks, np.array([cases[i][1].s for i in live]),
-                                    np.array([cases[i][2] for i in live]))
+        out = live and self.stacked(
+            output, *(np.array([field(results[i]) for i in live]) for field in fields),
+            np.array([cases[i][1].s for i in live]), np.array([cases[i][2] for i in live]))
         done = list(self.errors)
         for j, i in enumerate(self.live.tolist()):
-            gbar, trajectory, converged, fit = record(i)
+            gbar, trajectory, converged, fit = record(results[i])
             h_hat, hs_hat, x_hat, x_detected = (a[j] for a in out)
             done[i] = ReceiverOutput(h_hat, hs_hat, gbar, x_hat, x_detected,
                                      len(trajectory), trajectory, converged, fit)
         return done, self.ms
 
 
-class _Views:
-    """The third-order views ``z`` of received tensors ``ys``, each built
-    when read: ``np.reshape`` copies a C-ordered ``y``, and after the
-    contraction only a ``pinv`` fallback reads it again."""
-
-    def __init__(self, ys):
-        self.ys = ys
-
-    def __len__(self):
-        return len(self.ys)
-
-    def __getitem__(self, i):
-        mr, slots, k, frames = self.ys[i].shape
-        return np.reshape(self.ys[i], (mr * slots, k, frames), order="F")
+def _view(y):
+    """The third-order view ``z`` of a received tensor ``y``, or ``y`` when it
+    is one; built where it is read (contraction, ``pinv`` fallback)."""
+    return y if y.ndim == 3 else np.reshape(y, (-1, *y.shape[2:]), order="F")
 
 
 def _alone(results):
@@ -241,9 +234,9 @@ def _contract(z, psi, spectrum):
 
 
 def _prepare(lock, zs, psis, spectra):
-    """:func:`_contract` of each live trial's view, stacked into
+    """:func:`_contract` of each live trial's :func:`_view`, stacked into
     ``lock.data``; a trial whose data it refuses leaves the batch."""
-    prepared = lock.each(lambda j, i: _contract(zs[i], psis[i], spectra[i]))
+    prepared = lock.each(lambda j, i: _contract(_view(zs[i]), psis[i], spectra[i]))
     zp, psi_gram, znorm2, psi_cond = zip(*prepared) if prepared else ((),) * 4
     lock.data = np.array(zp), np.array(psi_gram), np.array(znorm2), np.array(psi_cond)
 
@@ -267,17 +260,17 @@ def _omega_system(zp, psi_gram, gbar):
     """``(rhs, gram, b_diag)`` of the ``omega`` update at ``gbar``: its Gram
     is ``B ∘ psi_gram`` with ``B = gbar^T conj(gbar)``, whose real diagonal is
     ``b_diag``."""
-    b = gbar.mT @ gbar.conj()
-    return ((zp * gbar.conj()[..., None, :]).sum(-3), b * psi_gram,
-            b.diagonal(0, -2, -1).real)
+    conj = gbar.conj()
+    b = gbar.mT @ conj
+    return (zp * conj[..., None, :]).sum(-3), b * psi_gram, b.diagonal(0, -2, -1).real
 
 
 def _gbar_system(zp, psi_gram, omega):
     """``(rhs, gram, b_diag)`` of the ``gbar`` update at ``omega``, with
     ``B = omega^T conj(omega)``."""
-    b = omega.mT @ omega.conj()
-    return ((zp * omega.conj()[..., None, :, :]).sum(-2), psi_gram * b,
-            b.diagonal(0, -2, -1).real)
+    conj = omega.conj()
+    b = omega.mT @ conj
+    return (zp * conj[..., None, :, :]).sum(-2), psi_gram * b, b.diagonal(0, -2, -1).real
 
 
 def _gram_fit(x, rhs, gram, znorm2):
@@ -322,11 +315,11 @@ def _solve_system(lock, system, psi_cond, tol, fallback, *stacks):
 # the fallbacks of _solve: least squares by pinv of an explicit mixing matrix
 
 def _omega_pinv(z, psi, gbar, tol):
-    return unfold(z, 0) @ pinv(khatri_rao(gbar, psi).T, tol)
+    return unfold(_view(z), 0) @ pinv(khatri_rao(gbar, psi).T, tol)
 
 
 def _gbar_pinv(z, psi, omega, tol):
-    return unfold(z, 2) @ pinv(khatri_rao(psi, omega).T, tol)
+    return unfold(_view(z), 2) @ pinv(khatri_rao(psi, omega).T, tol)
 
 
 def _mode_pinv(q4, mode, factor, psi, gbar, n, tol):
@@ -410,8 +403,8 @@ def pakron_stage1(z, psi, left_shape, right_shape, solver: SolverOptions,
 def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
                         solver: SolverOptions, init_seeds, gbar_inits=None) -> list:
     """Bilinear ALS on the third-order views ``zs`` of the trials of
-    ``lock``, in lockstep; a :class:`StageOneResult` per trial, or the error
-    of a trial that failed.
+    ``lock`` (or their received tensors, viewed where read), in lockstep; a
+    :class:`StageOneResult` per trial, or the error of a trial that failed.
 
     Alternates ``omega <- unfold(z,0) @ pinv(khatri_rao(gbar, psi).T)`` and
     ``gbar <- unfold(z,2) @ pinv(khatri_rao(psi, omega).T)`` without forming
@@ -442,7 +435,7 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
     solve, as a sweep's is off its ``gbar`` solve.  ``spectra`` are the
     trials' :func:`gram_spectrum` of ``psi``.
     """
-    tm_r, k, frames = zs[0].shape
+    tm_r, (k, frames) = math.prod(zs[0].shape[:-2]), zs[0].shape[-2:]
     d = psis[0].shape[1]
     (slots, mt), (mr, n) = left_shape, right_shape
     if slots * mr != tm_r or mt * n != d:
@@ -465,7 +458,7 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         lock.charge(lock.live)
         if any(trusted):  # column r of gbar: the top eigenvector of T_r T_r^H
             top = lock.stacked(lambda g: np.linalg.eigh(g)[1][..., -1], t @ t.conj().mT)
-            if top is None:
+            if not lock.live.size:
                 return lock.errors
     gbar = np.array([top[j].T if start[i] else gbar_inits[i] if gbar_inits is not None
                      else complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
@@ -511,7 +504,7 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         omega_p = lock.stacked(
             lambda omega: kron(*nearest_kronecker(omega, left_shape, right_shape)),
             np.array(omega))
-        if omega_p is None:
+        if not lock.live.size:
             return lock.errors
         zp, psi_gram, znorm2, psi_cond = lock.data
         gbar = _solve_system(lock, _gbar_system(zp, psi_gram, omega_p), psi_cond, tol,
@@ -521,14 +514,11 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
         fits = _solved_fit(omega, system[0], znorm2)
         lock.charge(lock.live)
 
-    results, rows = list(lock.errors), []
+    results = list(lock.errors)
     for j, i in enumerate(lock.live.tolist()):
-        if results[i] is None:
-            rows.append(j)
-            results[i] = StageOneResult(
-                omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
-                iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
-    lock.keep(rows)  # the trials left hold a result
+        results[i] = results[i] or StageOneResult(
+            omega=omega[j], gbar=gbar[j], trajectory=trajectories[i],
+            iterations=len(trajectories[i]), converged=converged[i], fit=fits[j])
     return results
 
 
@@ -558,7 +548,7 @@ def pakron_batch(cases, solver: SolverOptions):
     n = cases[0][1].s.shape[0]
     mt = cases[0][1].psi.shape[1] // n
     stage1 = pakron_stage1_batch(
-        lock, _Views([c[0].y for c in cases]), [c[1].psi for c in cases],
+        lock, [c[0].y for c in cases], [c[1].psi for c in cases],
         [c[1].psi_spectrum for c in cases], (slots, mt), (mr, n), solver,
         [c[3] for c in cases])
 
@@ -566,11 +556,8 @@ def pakron_batch(cases, solver: SolverOptions):
         x_raw, h_hat = kron_factorize(omega, s, slots, mr)
         return h_hat, h_hat @ s, *_resolve(x_raw, alphabet)
 
-    def record(i):
-        res = stage1[i]
-        return res.gbar, res.trajectory, res.converged, res.fit
-    return lock.finish(cases, output, record,
-                       np.array([stage1[i].omega for i in lock.live]))
+    return lock.finish(cases, stage1, output,
+                       attrgetter("gbar", "trajectory", "converged", "fit"), attrgetter("omega"))
 
 
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,
@@ -651,8 +638,7 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
                        np.array(gbar_init, dtype=complex) if gbar_init is not None
                        else complex_normal(rng, (frames, d))))
     tol = solver.pinv_tol
-    zs = _Views(q4s)
-    _prepare(lock, zs, psis, spectra)
+    _prepare(lock, q4s, psis, spectra)
     if not lock.live.size:
         return lock.errors
     live = lock.live.tolist()
@@ -665,7 +651,7 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
         return _mode_pinv(q4s[i], 1, f, psis[i], gbar, n, tol)
 
     def gbar_pinv(i, omega, tol):
-        return _gbar_pinv(zs[i], psis[i], omega, tol)
+        return _gbar_pinv(q4s[i], psis[i], omega, tol)
 
     def sweep(factors):
         zp, psi_gram, znorm2, psi_cond = lock.data
@@ -696,12 +682,9 @@ def tucker_als_batch(lock, q4s, n, psis, spectra, solver: SolverOptions, init_se
         rhs, gram, _ = _gbar_system(zp, psi_gram, kron(x, f))
         return _gram_fit(gbar, rhs, gram, znorm2)
 
-    data, live = lock.data, lock.live
     factors, trajectories, converged = _extrapolated_als(
         sweep, fit_at, (None, x, gbar), solver, RECEIVERS["tucker"].step,
         RECEIVERS["tucker"].rel_tol, lock)
-    lock.data, lock.live = data, live
-    lock.keep([j for j, i in enumerate(live) if lock.errors[i] is None])
     return [lock.errors[i] or (*factors[i], trajectories[i], converged[i])
             for i in range(len(q4s))]
 
@@ -718,12 +701,8 @@ def tucker_batch(cases, solver: SolverOptions):
         # S is unitary, so f @ S^H inverts it exactly
         return f @ s.conj().mT, f, *_resolve(x_raw, alphabet)
 
-    def record(i):
-        _, _, gbar, trajectory, converged = results[i]
-        return gbar, trajectory, converged, trajectory[-1]
-    live = lock.live.tolist()
-    return lock.finish(cases, output, record, *(np.array([results[i][m] for i in live])
-                                                 for m in (0, 1)))
+    return lock.finish(cases, results, output, lambda res: (*res[2:], res[3][-1]),
+                       itemgetter(0), itemgetter(1))
 
 
 def tucker(received: ReceivedTensor, design: ScatteringDesign, alphabet,
@@ -782,8 +761,7 @@ def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
     Column m of the soft estimate is scaled by ``alphabet[0] / x_hat[0, m]``,
     the known reference symbol over its estimate, cancelling the per-stream
     diagonal indeterminacy; the remaining rows are hard-decided to the nearest
-    constellation point.  The channel estimates are left untouched.  The
-    batch of one of the receivers' stacked step.
+    constellation point.  The channel estimates are left untouched.
     """
     x_res, detected = _resolve(out.x_hat[None], np.asarray(alphabet)[None])
     return replace(out, x_hat=x_res[0], x_detected=detected[0])
@@ -791,9 +769,8 @@ def resolve_and_detect(out: ReceiverOutput, alphabet) -> ReceiverOutput:
 
 def _resolve(x, alphabet):
     """``(x_hat, x_detected)`` of :func:`resolve_and_detect` for a stack of
-    soft estimates ``x`` and their alphabets, one row each; each trial gets
-    the bits it gets alone, and a trial whose reference-row estimate is zero
-    raises for the stack."""
+    soft estimates ``x`` and their alphabets, each row with its bits alone; a
+    zero reference-row estimate of any row raises for the stack."""
     pivot = x[:, 0, :]
     # zero relative to its column: a tiny column whose scale is intact is fine
     if (np.abs(pivot) <= np.finfo(float).eps * np.linalg.norm(x, axis=-2)).any():

@@ -196,8 +196,7 @@ def best_rank1(a):
     ``sigma`` is the root of its eigenvalue, the eigenvector is one singular
     vector and the other is ``a^H u / sigma`` (``a v / sigma``), which costs
     less than a full SVD and gives the same product.  A zero matrix yields
-    ``sigma == 0`` with valid unit-norm singular vectors.  Each matrix of a
-    stack gets the bits it gets alone.
+    ``sigma == 0`` with valid unit-norm singular vectors.
     """
     a = np.asarray(a)
     if a.size == 0:
@@ -237,11 +236,9 @@ def kron_rearrange(m, left_shape, right_shape):
             f"matrix shape {m.shape} incompatible with factors {left_shape} x {right_shape}"
         )
     # rows of m enumerate (i_a, i_b) with i_b fastest; columns (j_a, j_b)
-    # with j_b fastest.  Target: rows (i_a, j_a) i_a fastest, cols (i_b, j_b),
-    # built as its transpose, whose rows run over (j_b, i_b) and columns over
-    # (j_a, i_a), last fastest
-    lead = m.shape[:-2]
-    k = len(lead)
+    # with j_b fastest.  Target: rows (i_a, j_a) i_a fastest, cols (i_b, j_b):
+    # the transpose of rows (j_b, i_b) and columns (j_a, i_a), last fastest
+    lead, k = m.shape[:-2], m.ndim - 2
     m4 = m.mT.reshape(*lead, ca, cb, ra, rb).transpose(*range(k), k + 1, k + 3, k, k + 2)
     return m4.reshape(*lead, cb * rb, ca * ra).mT
 
@@ -255,8 +252,7 @@ def nearest_kronecker(m, left_shape, right_shape):
     symmetric ``sqrt(sigma)`` one.
     """
     u, v, sigma = best_rank1(kron_rearrange(m, left_shape, right_shape))
-    root = np.sqrt(sigma)[..., None]
-    # unvec: the matrices whose stacked columns are the scaled vectors
+    root = np.sqrt(sigma)[..., None]  # folded back into matrices column by column
     a = (root * u).reshape(*u.shape[:-1], left_shape[1], left_shape[0]).mT
     b = (root * v.conj()).reshape(*v.shape[:-1], right_shape[1], right_shape[0]).mT
     return a, b

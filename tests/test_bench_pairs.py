@@ -128,13 +128,15 @@ def test_in_process_summary_of_the_shared_block():
                 "reference": {"shape": [512, 32], "svd_ms": 2.0},
                 "tucker": block,
                 "shared": {"tucker": {**block, "ms_per_trial": shared_ms,
-                                      "cost": shared_cost}}}
+                                      "cost": shared_cost}},
+                "sweep": {"tucker": {**block, "ms_per_trial": shared_ms / 2,
+                                     "cost": shared_cost / 2}}}
 
     runs = [timing("parent", 12.0, 6.0, 11.0, 5.5), timing("change", 7.0, 3.5, 5.0, 2.5),
             timing("change", 8.0, 4.0, 6.0, 3.0), timing("parent", 10.0, 5.0, 9.0, 4.5),
             timing("parent", 11.0, 5.5, 10.0, 5.0), timing("change", 9.0, 4.5, 7.0, 3.5)]
     summary = bench_pairs.in_process_summary(runs)
-    assert set(summary) == {"tucker", "shared"}
+    assert set(summary) == {"tucker", "shared", "sweep"}
     assert summary["tucker"]["parent"]["ms_per_trial"] == [12.0, 10.0, 11.0]
     shared = summary["shared"]
     assert set(shared) == {"tucker"} and set(shared["tucker"]) == {"parent", "change"}
@@ -144,6 +146,9 @@ def test_in_process_summary_of_the_shared_block():
     assert shared["tucker"]["change"]["cost_median"] == 3.0
     assert shared["tucker"]["change"]["sweeps_max"] == 50
     assert "first_call_ms" not in shared["tucker"]["change"]  # timed alone only
+    sweep = summary["sweep"]["tucker"]
+    assert sweep["parent"]["ms_per_trial"] == [5.5, 4.5, 5.0]
+    assert sweep["change"]["cost_median"] == 1.5
 
 
 def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
@@ -176,25 +181,37 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
         clock[0] += 0.05 if trial_index == 2 else 0.001  # the first call is slow
         return Done(trial_index)
 
-    blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5])
+    def fake_sweep(cfg, receivers, runs, jobs):
+        # the lockstep path: one serial sweep of the timed trials at one SNR
+        assert cfg.snr_db == (30.0,) and jobs == 1
+        swept.append((tuple(receivers), runs))
+        clock[0] += 0.001 * runs
+        return [Done(t) for t in range(runs)], None
+
+    swept = []
+    blocks = iter([2.0, 1.0, 4.0, 3.0, 2.5, 5.0, 6.0, 7.0])
     monkeypatch.setattr(trial_timing, "run_trial", fake_trial)
+    monkeypatch.setattr(trial_timing, "run_sweep", fake_sweep)
     monkeypatch.setattr(trial_timing, "time", Clock)
     monkeypatch.setattr(trial_timing, "reference_ms", lambda matrix: next(blocks))
     monkeypatch.setattr(trial_timing, "TRIALS", 2)
     assert trial_timing.main(["--set", "snr_db=30,10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert {snr for snr, _, _ in seen} == {30.0} and out["snr_db"] == 30.0
-    assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0, 2.5]
+    assert out["reference"]["svd_ms_blocks"] == [2.0, 1.0, 4.0, 3.0, 2.5, 5.0, 6.0, 7.0]
     # each block's unit is the mean of the references right before and after it
-    units = {"pakron": (1.5, 2.75), "tucker": (2.5, 2.75), "zf-oracle": (3.5, 2.75)}
+    units = {"pakron": (1.5, 2.75, 3.75), "tucker": (2.5, 2.75, 5.5),
+             "zf-oracle": (3.5, 2.75, 6.5)}
     receivers = ("pakron", "tucker", "zf-oracle")
+    assert swept == [((rx,), 2) for rx in receivers]
     # each receiver alone (first call on trial 2, then 0 and 1), then the shared
     # block: every receiver on trial 0, then on trial 1, in trial-0db order
     alone = [(rx, t) for rx in receivers for t in (2, 0, 1)]
     shared = [(rx, t) for t in (0, 1) for rx in receivers]
     assert [(rx, t) for _, rx, t in seen] == alone + shared
     for receiver in receivers:
-        for timing, unit in zip((out[receiver], out["shared"][receiver]), units[receiver]):
+        for timing, unit in zip((out[receiver], out["shared"][receiver],
+                                 out["sweep"][receiver]), units[receiver]):
             assert timing["ms_per_trial"] == pytest.approx(1.0)
             assert timing["svd_ms"] == unit
             assert timing["cost"] == pytest.approx(1.0 / unit)
@@ -207,6 +224,9 @@ def test_trial_timing_uses_first_snr_and_reference_units(monkeypatch, capsys):
         assert out[receiver]["first_call_ms"] == pytest.approx(50.0)
         assert out[receiver]["first_call_cost"] == pytest.approx(50.0 / units[receiver][0])
         assert "first_call_ms" not in out["shared"][receiver]
+        assert "first_call_ms" not in out["sweep"][receiver]
+        # the same trials' outputs, whichever path ran them
+        assert out["sweep"][receiver]["outputs_sha256"] == out[receiver]["outputs_sha256"]
     assert out["peak_rss_mb"] > 0.0
 
 

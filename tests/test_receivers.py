@@ -12,7 +12,7 @@ from bdris import experiments, receivers, signal, tensor_ops
 from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import (ConfigError, IdentifiabilityError, NumericalError,
                           ScalingResolutionError)
-from bdris.experiments import TrialResult, nmse_aligned, run_sweep, run_trial, ser
+from bdris.experiments import TrialFailure, TrialResult, nmse_aligned, run_sweep, run_trial, ser
 from bdris.receivers import (
     hard_decisions,
     kron_factorize,
@@ -24,7 +24,7 @@ from bdris.receivers import (
     zf_perfect_csi,
 )
 from bdris.signal import (ReceivedTensor, add_noise, build_core, complex_normal,
-                          reshape_views)
+                          psk_alphabet, reshape_views)
 from bdris.tensor_ops import khatri_rao, kron, nearest_kronecker, pinv, unfold
 from util import (
     count_calls,
@@ -356,6 +356,19 @@ class TestKronFactorize:
         omega = kron(x, h @ design.s)
         x_hat, h_hat = kron_factorize(omega, design.s, 5, 4)
         assert rel_err(kron(x_hat, h_hat @ design.s), omega) < 1e-10
+
+
+    @pytest.mark.parametrize("size", [1, 13])
+    def test_stack_equals_the_per_matrix_calls(self, size):
+        # each trial's omega with its own unitary S, as the receivers stack them
+        rng = np.random.default_rng(60)
+        omega = rng.standard_normal((size, 12, 8)) + 1j * rng.standard_normal((size, 12, 8))
+        s = np.linalg.qr(rng.standard_normal((size, 4, 4))
+                         + 1j * rng.standard_normal((size, 4, 4)))[0]
+        x_hat, h_hat = kron_factorize(omega, s, 4, 3)
+        for j in range(size):
+            x, h = kron_factorize(omega[j], s[j], 4, 3)
+            assert np.array_equal(x_hat[j], x) and np.array_equal(h_hat[j], h)
 
 
 class TestPakron:
@@ -1111,7 +1124,7 @@ class TestKhatriRaoStart:
 
         def random_start(lock, zs, psis, spectra, left_shape, right_shape, solver,
                          init_seeds, gbar_inits=None):
-            draws = [seeded_draw(z.shape[2], psi.shape[1], init_seed)
+            draws = [seeded_draw(z.shape[-1], psi.shape[1], init_seed)
                      for z, psi, init_seed in zip(zs, psis, init_seeds)]
             return stage_one(lock, zs, psis, spectra, left_shape, right_shape, solver,
                              init_seeds, draws)
@@ -1199,6 +1212,92 @@ class TestLockstep:
         assert isinstance(outputs[2], NumericalError)
         for j in (0, 1, 3, 4):
             assert same_output(outputs[j], alone[j])
+
+
+    @pytest.mark.parametrize("receiver", ["pakron", "tucker"])
+    def test_a_trial_whose_reference_estimate_is_zero_spares_the_others(self, monkeypatch,
+                                                                           receiver):
+        cfg, cases = self.cases(6)
+        run = receivers.RECEIVERS[receiver].run
+        alone = [run([case], cfg.solver)[0][0] for case in cases]
+        resolve, seen, sizes = receivers._resolve, [], []
+
+        def recording(x, alphabet):
+            seen.append(x)
+            return resolve(x, alphabet)
+
+        monkeypatch.setattr(receivers, "_resolve", recording)
+        run([cases[3]], cfg.solver)
+        target = seen[0][0]  # trial 3's soft symbols, as its resolution sees them
+
+        def zeroing(x, alphabet):
+            # trial 3's reference row reads zero, in whatever stack
+            sizes.append(len(x))
+            x = x.copy(order="K")
+            x[[np.array_equal(row, target) for row in x], 0] = 0.0
+            return resolve(x, alphabet)
+
+        monkeypatch.setattr(receivers, "_resolve", zeroing)
+        outputs, _ = run(cases, cfg.solver)
+        assert sizes == [6] + [1] * 6  # the stack, then each trial alone
+        assert isinstance(outputs[3], ScalingResolutionError)
+        for j in (0, 1, 2, 4, 5):
+            assert same_output(outputs[j], alone[j])
+
+    @pytest.mark.parametrize("call, error", [(0, np.linalg.LinAlgError), (1, NumericalError),
+                                             (2, NumericalError)],
+                             ids=["start", "projection", "split"])
+    def test_a_trial_whose_stacked_eigh_fails_spares_the_others(self, monkeypatch, call,
+                                                              error):
+        # pakron's three stacked eighs: the start's Grams, the projection's
+        # and the split's rank-1 fits
+        cfg, cases = self.cases(6)
+        run = receivers.RECEIVERS["pakron"].run
+        alone = [run([case], cfg.solver)[0][0] for case in cases]
+        eigh, seen = np.linalg.eigh, []
+
+        def recording(a):
+            seen.append(a)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        run([cases[3]], cfg.solver)
+        assert len(seen) == 3
+        target = seen[call][0]  # trial 3's matrices of that call
+
+        def failing(a):
+            if a.shape[1:] == target.shape and any(np.array_equal(m, target) for m in a):
+                raise np.linalg.LinAlgError("synthetic failure")
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        outputs, _ = run(cases, cfg.solver)
+        assert isinstance(outputs[3], error)
+        for j in (0, 1, 2, 4, 5):
+            assert same_output(outputs[j], alone[j])
+
+
+@pytest.mark.parametrize("shape, error", [((2, 2), np.linalg.LinAlgError),
+                                          ((8, 8), NumericalError)],
+                         ids=["start", "projection"])
+def test_a_step_that_fails_every_trial_fails_each(monkeypatch, shape, error):
+    # the start's eigh (frames x frames Grams) or the projection's rank-1 fit
+    # (8 x 8 Grams at the default dimensions) fails for every live trial
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if a.shape[-2:] == shape:
+            raise np.linalg.LinAlgError("synthetic failure")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    cfg = SystemConfig(snr_db=(10.0,), seed=3)
+    with pytest.raises(error):
+        run_trial(cfg, "pakron", 10.0, 0, 1)
+    trials, report = run_sweep(cfg, ["pakron"], runs=3)
+    assert [type(t) for t in trials] == [TrialFailure] * 3
+    assert all(t.error.startswith(error.__name__) for t in trials)
+    assert report.cells[0]["failures"] == 3
 
 
 class TestTrialPathBuildsNoCore:
@@ -1358,6 +1457,32 @@ class TestResolveAndDetect:
         x[0, 0] = 0.0
         with pytest.raises(ScalingResolutionError):
             resolve_and_detect(self._output_with(x), sym.alphabet)
+
+
+    @pytest.mark.parametrize("size", [1, 13])
+    def test_stack_equals_the_per_trial_calls(self, size):
+        # the receivers resolve a stack of trials; each row gets the bits of
+        # resolve_and_detect and of its one-trial arithmetic
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((size, 5, 2)) + 1j * rng.standard_normal((size, 5, 2))
+        x[-1, :, 1] *= 1e-160  # a tiny column is rescaled
+        alphabet = psk_alphabet(4)
+        x_res, detected = receivers._resolve(x, np.array([alphabet] * size))
+        for j in range(size):
+            out = resolve_and_detect(self._output_with(x[j]), alphabet)
+            assert np.array_equal(x_res[j], out.x_hat)
+            assert np.array_equal(detected[j], out.x_detected)
+            one = x[j] * (complex(alphabet[0]) / x[j][0, :])[None, :]
+            assert np.array_equal(x_res[j], one)
+            expected = alphabet[hard_decisions(one, alphabet)]
+            expected[0, :] = alphabet[0]
+            assert np.array_equal(detected[j], expected)
+
+    def test_a_zero_reference_in_the_stack_raises(self):
+        x = np.ones((13, 5, 2), complex)
+        x[7, 0, 1] = 0.0
+        with pytest.raises(ScalingResolutionError):
+            receivers._resolve(x, np.array([psk_alphabet(4)] * 13))
 
 
 def test_output_fields_are_complete():

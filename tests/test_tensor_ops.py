@@ -480,6 +480,72 @@ class TestBestRank1:
         assert np.linalg.norm(sigma * np.outer(u, v.conj()) - leading) <= 1e-12 * s[0]
 
 
+
+def rank1_one_matrix(a):
+    """The one-matrix arithmetic of ``best_rank1``: the smaller Gram's leading
+    eigenpair, the other vector by a matrix-vector product over sigma."""
+    wide = a.shape[0] <= a.shape[1]
+    b = a if wide else a.conj().T
+    w, q = np.linalg.eigh(b @ b.conj().T)
+    x = q[:, -1]
+    sigma = float(np.sqrt(max(w[-1], 0.0)))
+    if sigma > 0:
+        y = b.conj().T @ x / sigma
+    else:
+        y = np.zeros(b.shape[1], dtype=x.dtype)
+        y[0] = 1.0
+    return (x, y, sigma) if wide else (y, x, sigma)
+
+
+def nearest_kronecker_one_matrix(m, left_shape, right_shape):
+    """The one-matrix arithmetic of ``nearest_kronecker``: the Fortran-order
+    rearrangement and the scaled singular vectors folded back by ``unvec``."""
+    (ra, ca), (rb, cb) = left_shape, right_shape
+    m4 = np.reshape(m, (rb, ra, cb, ca), order="F")
+    r = np.reshape(np.transpose(m4, (1, 3, 0, 2)), (ra * ca, rb * cb), order="F")
+    u, v, sigma = rank1_one_matrix(r)
+    return unvec(np.sqrt(sigma) * u, ra, ca), unvec(np.sqrt(sigma) * v.conj(), rb, cb)
+
+
+class TestStackedRank1:
+    """A stack of matrices gets, matrix by matrix, the bits of the one-matrix
+    calls and of their one-matrix arithmetic, whatever the stack holds."""
+
+    @staticmethod
+    def stack(rows, cols):
+        a = random_complex(np.random.default_rng(17), 13, rows, cols)
+        a[5] = 0.0  # sigma = 0
+        a[8] = np.outer(a[8][:, 0], a[8][0])  # rank 1
+        return a
+
+    @pytest.mark.parametrize("shape", [(8, 32), (32, 8), (8, 8)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("size", [1, 13])
+    def test_best_rank1(self, shape, size):
+        a = self.stack(*shape)
+        stacks = [a] if size == 13 else [a[:1], a[5:6]]  # a stack of one zero matrix too
+        for stack in stacks:
+            u, v, sigma = best_rank1(stack)
+            assert u.shape == (size, shape[0]) and sigma.shape == (size,)
+            for j, m in enumerate(stack):
+                for one in (best_rank1(m), rank1_one_matrix(m)):
+                    assert np.array_equal(u[j], one[0]) and np.array_equal(v[j], one[1])
+                    assert sigma[j] == one[2]
+        assert 0.0 in sigma
+
+    @pytest.mark.parametrize("size", [1, 13])
+    def test_nearest_kronecker(self, size):
+        left, right = (4, 2), (4, 16)
+        m = self.stack(16, 32)[:size]
+        a, b = nearest_kronecker(m, left, right)
+        assert a.shape == (size, *left) and b.shape == (size, *right)
+        for j in range(size):
+            for one in (nearest_kronecker(m[j], left, right),
+                        nearest_kronecker_one_matrix(m[j], left, right)):
+                assert np.array_equal(a[j], one[0]) and np.array_equal(b[j], one[1])
+            assert np.array_equal(kron_rearrange(m, left, right)[j],
+                                  kron_rearrange(m[j], left, right))
+
+
 class TestSelectionMatrix:
     def test_l1(self):
         assert np.array_equal(selection_matrix(1), np.array([[1.0]]))

@@ -20,8 +20,10 @@ benchmark).  ``trial_timing.py`` times each receiver on its own trial
 indices, so no two consecutive calls share a scenario, and then every
 receiver on each trial index in turn (its ``shared`` block, the order of
 the ``trial-0db`` workload), where later receivers reuse the scenario and
-its preparation; both are summarized, with each receiver's first call and
-each run's peak RSS.
+its preparation, and last each receiver through one serial ``run_sweep`` of
+the same trials (its ``sweep`` block, the lockstep path without a process
+pool); all three are summarized, with each receiver's first call and each
+run's peak RSS.
 Last, each side runs its tier-1 suite (``SUITE``) once and its wall time is
 recorded, beside each side's line count of ``src/bdris/*.py``.
 The output file is rewritten after every run, so a run that fails later, or
@@ -135,14 +137,17 @@ def in_process_summary(runs) -> dict:
     per trial, the NMSE medians, the mean SER and ``outputs_sha256``, equal
     on both sides when the change keeps the trials' outputs bit-identical).
     The runs' ``shared`` blocks, timed with every receiver on each trial
-    index in turn, are summarized the same way under ``"shared"``, and each
-    side's peak RSS of every run and its median under ``"peak_rss_mb"``.  A
-    failed run holds only its return code and stderr, so it adds nothing."""
+    index in turn, and their ``sweep`` blocks, each receiver's trials through
+    one serial ``run_sweep``, are summarized the same way under ``"shared"``
+    and ``"sweep"``, and each side's peak RSS of every run and its median
+    under ``"peak_rss_mb"``.  A failed run holds only its return code and
+    stderr, so it adds nothing."""
     summary = _timing_summary(runs)
-    shared = _timing_summary([{"side": run["side"], **run["shared"]}
-                              for run in runs if "shared" in run])
-    if shared:
-        summary["shared"] = shared
+    for block in ("shared", "sweep"):
+        timed = _timing_summary([{"side": run["side"], **run[block]}
+                                 for run in runs if block in run])
+        if timed:
+            summary[block] = timed
     rss = {}
     for run in runs:
         if "peak_rss_mb" in run:

@@ -31,10 +31,17 @@ receiver.  Then (under ``"shared"``) every receiver runs on each trial
 index in turn, in ``RECEIVERS`` order as on the benchmark's
 ``trial-0db`` workload, so each one after the first reuses the trial's
 scenario, and with its design the decomposition of ``psi`` that the draw
-made; each receiver still contracts the data itself.
+made; each receiver still contracts the data itself.  Last (under
+``"sweep"``), each receiver runs the same trials through its lockstep path,
+one serial ``run_sweep`` of ``TRIALS`` runs at that one SNR, which draws each
+block's scenarios once and runs the receiver on the whole block; its
+``outputs_sha256`` equals the ``run_trial`` digest, because every trial gets
+the bits it gets alone.  This times, without a process pool, the batched
+path that the benchmark's ``sweep-accept`` workload runs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import resource
@@ -45,7 +52,7 @@ import time
 import numpy as np
 
 from bdris.config import load_config
-from bdris.experiments import run_trial
+from bdris.experiments import run_sweep, run_trial
 
 # the receivers of the benchmark's trial-0db workload, in its order; named
 # here rather than read from bdris.receivers.RECEIVERS, because
@@ -135,6 +142,14 @@ def main(argv=None) -> int:
     refs.append(reference_ms(matrix))
     for receiver in RECEIVERS:
         in_units(out["shared"][receiver], refs[-2:])
+    one_snr = dataclasses.replace(cfg, snr_db=(snr_db,))
+    out["sweep"] = {}
+    for receiver in RECEIVERS:
+        start = time.perf_counter()
+        trials, _ = run_sweep(one_snr, [receiver], runs=TRIALS, jobs=1)
+        out["sweep"][receiver] = timing((time.perf_counter() - start) * 1e3, trials)
+        refs.append(reference_ms(matrix))
+        in_units(out["sweep"][receiver], refs[-2:])
     out["reference"] = {"shape": REF_SHAPE, "subblocks": REF_SUBBLOCKS,
                         "svds_per_subblock": REF_SVDS, "svd_ms_blocks": refs}
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
