@@ -463,6 +463,7 @@ def pakron_stage1_batch(lock, zs, psis, spectra, left_shape, right_shape,
     gbar = np.array([top[j].T if start[i] else gbar_inits[i] if gbar_inits is not None
                      else complex_normal(np.random.default_rng(init_seeds[i]), (frames, d))
                      for j, i in enumerate(lock.live.tolist())], complex)
+    t = top = None  # the stacks are not kept through the sweeps
     # the gbar of the last candidate scored and its omega system
     scored = [None, None]
 
@@ -556,8 +557,8 @@ def pakron_batch(cases, solver: SolverOptions):
         x_raw, h_hat = kron_factorize(omega, s, slots, mr)
         return h_hat, h_hat @ s, *_resolve(x_raw, alphabet)
 
-    return lock.finish(cases, stage1, output,
-                       attrgetter("gbar", "trajectory", "converged", "fit"), attrgetter("omega"))
+    record = attrgetter("gbar", "trajectory", "converged", "fit")
+    return lock.finish(cases, stage1, output, record, attrgetter("omega"))
 
 
 def pakron(received: ReceivedTensor, design: ScatteringDesign, alphabet,

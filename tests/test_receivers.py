@@ -12,7 +12,8 @@ from bdris import experiments, receivers, signal, tensor_ops
 from bdris.config import SolverOptions, SystemConfig
 from bdris.errors import (ConfigError, IdentifiabilityError, NumericalError,
                           ScalingResolutionError)
-from bdris.experiments import TrialFailure, TrialResult, nmse_aligned, run_sweep, run_trial, ser
+from bdris.experiments import (TrialFailure, TrialResult, nmse_aligned, run_sweep, run_trial,
+                               ser)
 from bdris.receivers import (
     hard_decisions,
     kron_factorize,

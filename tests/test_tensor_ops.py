@@ -518,7 +518,8 @@ class TestStackedRank1:
         a[8] = np.outer(a[8][:, 0], a[8][0])  # rank 1
         return a
 
-    @pytest.mark.parametrize("shape", [(8, 32), (32, 8), (8, 8)], ids=["wide", "tall", "square"])
+    @pytest.mark.parametrize("shape", [(8, 32), (32, 8), (8, 8)],
+                             ids=["wide", "tall", "square"])
     @pytest.mark.parametrize("size", [1, 13])
     def test_best_rank1(self, shape, size):
         a = self.stack(*shape)
