@@ -170,6 +170,7 @@ class Lockstep:
         try:
             out = fn(*stacks)
         except TOLERATED:
+            self.charge(self.live)  # the failed call, split over its trials
             rows = self.each(lambda j, i: fn(*(a[j:j + 1] for a in stacks)))
             if rows and isinstance(rows[0], tuple):
                 return tuple(map(np.concatenate, zip(*rows)))
@@ -198,9 +199,9 @@ class Lockstep:
 
 
 def _view(y):
-    """The third-order view ``z`` of a received tensor ``y``, or ``y`` when it
-    is one; built where it is read (contraction, ``pinv`` fallback)."""
-    return y if y.ndim == 3 else np.reshape(y, (-1, *y.shape[2:]), order="F")
+    """The third-order view ``z`` of a received tensor ``y`` (of ``z``, ``z``
+    itself); built where it is read (contraction, ``pinv`` fallback)."""
+    return np.reshape(y, (-1, *y.shape[-2:]), order="F")
 
 
 def _alone(results):

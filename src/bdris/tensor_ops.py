@@ -210,12 +210,9 @@ def best_rank1(a):
     x = q[..., -1]
     sigma = np.sqrt(np.maximum(w[..., -1], 0.0))
     y = (b.conj().mT @ x[..., None])[..., 0]
-    positive = sigma > 0
-    if positive.all():
-        y /= sigma[..., None]
-    else:  # the first unit vector where sigma is 0
-        y = np.where(positive[..., None], y / np.where(positive, sigma, 1.0)[..., None],
-                     np.arange(y.shape[-1]) == 0)
+    positive = sigma > 0  # the first unit vector where sigma is 0
+    y = np.where(positive[..., None], y / np.where(positive, sigma, 1.0)[..., None],
+                 np.arange(y.shape[-1]) == 0)
     return (x, y, sigma) if wide else (y, x, sigma)
 
 

@@ -1277,6 +1277,22 @@ class TestLockstep:
         for j in (0, 1, 2, 4, 5):
             assert same_output(outputs[j], alone[j])
 
+    def test_a_failed_stacked_call_is_charged_to_all_its_trials(self, monkeypatch):
+        # a clock that reads 0 at the start, 3 s after the failed stacked
+        # call and one second more after each rerun trial
+        monkeypatch.setattr(receivers.time, "perf_counter",
+                            iter([0.0, 3.0, 4.0, 5.0, 6.0]).__next__)
+        lock = receivers.Lockstep(3)
+
+        def double(a):
+            if len(a) > 1 or a[0] == 1:
+                raise NumericalError("synthetic failure")
+            return 2 * a
+
+        assert lock.stacked(double, np.arange(3)).tolist() == [0, 4]
+        assert lock.live.tolist() == [0, 2] and isinstance(lock.errors[1], NumericalError)
+        assert lock.ms == [2000.0, 2000.0, 2000.0]
+
 
 @pytest.mark.parametrize("shape, error", [((2, 2), np.linalg.LinAlgError),
                                           ((8, 8), NumericalError)],
