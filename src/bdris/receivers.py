@@ -2,7 +2,7 @@
 
 Both receivers read the received tensor ``y`` through its third-order view
 ``z`` (``y`` reshaped to rx*slots x blocks x frames in Fortran order, a copy
-of a C-ordered ``y`` made where it is read):
+of a C-ordered ``y`` made where it is read and not kept):
 
 * ``pakron``  - two stages.  Stage I runs bilinear alternating least squares
   on the third-order view to estimate the mixed factor
@@ -234,10 +234,12 @@ def _contract(z, psi, spectrum):
     return np.transpose(z, (2, 0, 1)) @ psi.conj(), psi_gram, znorm2, psi_cond
 
 
-def _prepare(lock, zs, psis, spectra):
+def _prepare(lock, ys, psis, spectra):
     """:func:`_contract` of each live trial's :func:`_view`, stacked into
-    ``lock.data``; a trial whose data it refuses leaves the batch."""
-    prepared = lock.each(lambda j, i: _contract(_view(zs[i]), psis[i], spectra[i]))
+    ``lock.data``; a trial whose data it refuses leaves the batch.  The views
+    are all built first: freed one by one, they let malloc trim and refault the heap."""
+    zs = [_view(y) for y in ys]
+    prepared = lock.each(lambda j, i: _contract(zs[i], psis[i], spectra[i]))
     zp, psi_gram, znorm2, psi_cond = zip(*prepared) if prepared else ((),) * 4
     lock.data = np.array(zp), np.array(psi_gram), np.array(znorm2), np.array(psi_cond)
 
