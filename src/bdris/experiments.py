@@ -25,6 +25,7 @@ one.  A trial's ``wall_ms`` is its share of its block's receiver time.
 import csv
 import functools
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -42,6 +43,8 @@ TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
 # that a sweep task stacks to run its trials in lockstep: past it the stacks
 # leave the caches, and a trial cost more at 64 default-dims trials than at 16
 BLOCK_BYTES = 2 ** 18
+# run_sweep's worker pool, kept across calls: (pid, jobs, executor) or None
+_pool = None
 
 
 def nmse_aligned(truth, estimate, mode="per-column") -> float:
@@ -261,6 +264,35 @@ def _block_task(args):
     return out
 
 
+def _close_pool():
+    """Shut the kept pool down if this process made it, and drop it."""
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
+def _pooled(tasks, jobs: int) -> list:
+    """:func:`_block_task` on each task in the kept pool of ``jobs`` workers;
+    a pool found broken (say, a worker was killed) is replaced once."""
+    # imported here: it pulls multiprocessing into every import of bdris
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+    from multiprocessing.util import Finalize
+    global _pool
+    for retry in (False, True):
+        if _pool is None or _pool[:2] != (os.getpid(), jobs):
+            _close_pool()
+            _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
+            # at exit, and in a multiprocessing child before it joins its own
+            Finalize(None, _close_pool, exitpriority=100)
+        try:
+            return list(_pool[2].map(_block_task, tasks))
+        except BrokenProcessPool:
+            _close_pool()
+            if retry:
+                raise
+
+
 def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
     """Run the full (``cfg.snr_db`` x receiver x trial) grid.
 
@@ -270,13 +302,17 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
 
     The trials of each SNR are cut into blocks of ``ceil(runs / jobs)``
     trials, at most as many as stack ``BLOCK_BYTES`` of contracted data.  One
-    task per block, serial or in ``jobs``
-    processes, draws and noises the block's scenarios once and runs every
-    receiver on the whole block, its trials in lockstep (``Receiver.run``);
-    the results are then put back in output order.  Each trial's outcome has
-    the bits :func:`run_trial` gives it, so the result depends neither on
-    ``jobs`` nor on the blocks; only ``wall_ms``, a trial's share of its
-    block's receiver time, does.
+    task per block, serial or in ``jobs`` processes, draws and noises the
+    block's scenarios once and runs every receiver on the whole block, its
+    trials in lockstep (``Receiver.run``); the results are then put back in
+    output order.  Each trial's outcome has the bits :func:`run_trial` gives
+    it, so the result depends neither on ``jobs`` nor on the blocks; only
+    ``wall_ms``, a trial's share of its block's receiver time, does.
+
+    The ``jobs`` processes are forked at the first pooled call and kept until
+    exit or a call with another ``jobs``.  They do not see what the caller
+    changes later (a monkeypatch, a new ``receivers.RECEIVERS`` entry):
+    change it before the first pooled call, or run ``jobs=1``.
     """
     if runs < 1 or jobs < 1:
         raise ValueError(f"runs and jobs must be at least 1, got {runs} and {jobs}")
@@ -297,13 +333,7 @@ def run_sweep(cfg: SystemConfig, receivers, runs: int, jobs: int = 1):
         for si, snr in enumerate(cfg.snr_db)
         for start in range(0, runs, size)
     ]
-    if jobs > 1:
-        # imported here: it pulls multiprocessing into every import of bdris
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_block_task, tasks))
-    else:
-        done = [_block_task(t) for t in tasks]
+    done = _pooled(tasks, jobs) if jobs > 1 else [_block_task(t) for t in tasks]
     per_snr = len(tasks) // len(cfg.snr_db)
     trials = [trial
               for si in range(len(cfg.snr_db))

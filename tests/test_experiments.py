@@ -1,8 +1,16 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +426,104 @@ def test_batch_composition_changes_no_bit(cfg, jobs):
                 for r in range(runs)]
     trials, _ = run_sweep(cfg, receivers, runs, jobs=jobs)
     assert [repr(scores(t)) for t in trials] == expected
+
+
+def _pool_pids():
+    return sorted(p.pid for p in multiprocessing.active_children())
+
+
+def _ended(pid) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _kill_own_worker(args):
+    os._exit(1)
+
+
+class TestKeptPool:
+    """run_sweep forks its workers at the first pooled call and keeps them for
+    later calls with the same ``jobs``."""
+
+    def serial_and_pooled(self, cfg, jobs=2, receivers=("tucker", "zf-oracle")):
+        serial, _ = run_sweep(cfg, receivers, runs=3, jobs=1)
+        pooled, _ = run_sweep(cfg, receivers, runs=3, jobs=jobs)
+        return [repr(scores(t)) for t in serial], [repr(scores(t)) for t in pooled]
+
+    def test_a_script_exits_cleanly_and_ends_its_workers(self):
+        code = ("import multiprocessing\n"
+                "from bdris.experiments import run_sweep\n"
+                "from bdris.config import SystemConfig\n"
+                "run_sweep(SystemConfig(snr_db=(10.0,)), ['zf-oracle'], runs=2, jobs=2)\n"
+                "print(*[p.pid for p in multiprocessing.active_children()])")
+        env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 2 and all(_ended(p) for p in pids)
+
+    def test_calls_reuse_the_workers_and_serve_no_stale_scenario(self):
+        # B has A's dims; each serial result is drawn with an empty cache, so
+        # that a kept worker's cached scenario of the other config would show
+        a = desk_config(seed=5)
+        b = replace(a, seed=6, solver=SolverOptions(max_iters=7, init_seed=3))
+        serial = {}
+        for cfg in (a, b):
+            experiments._noised_scenario.cache_clear()
+            serial[cfg] = [repr(scores(t)) for t in run_sweep(cfg, ["tucker"], 3)[0]]
+        assert serial[a] != serial[b]
+        workers = None
+        for cfg in (a, b, a):
+            pooled, _ = run_sweep(cfg, ["tucker"], 3, jobs=2)
+            assert [repr(scores(t)) for t in pooled] == serial[cfg]
+            workers = workers or _pool_pids()
+            assert len(workers) == 2 and _pool_pids() == workers
+
+    def test_another_jobs_replaces_the_pool(self):
+        cfg = desk_config(seed=7)
+        self.serial_and_pooled(cfg, jobs=2)
+        two = _pool_pids()
+        serial, pooled = self.serial_and_pooled(cfg, jobs=3)
+        three = _pool_pids()
+        assert pooled == serial and len(three) == 3
+        assert not set(two) & set(three) and all(_ended(p) for p in two)
+
+    def test_a_forked_child_runs_its_own_pool(self):
+        cfg = desk_config(seed=8)
+        serial, _ = self.serial_and_pooled(cfg)  # the parent's pool exists
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+
+        def child():
+            trials, _ = run_sweep(cfg, ["tucker", "zf-oracle"], runs=3, jobs=2)
+            writer.send([repr(scores(t)) for t in trials])
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            got = reader.recv() if reader.poll(60) else None
+            proc.join(60)
+        finally:
+            proc.kill()  # only if it still runs
+        assert got == serial and proc.exitcode == 0
+        # and the parent's pool still serves the parent
+        assert self.serial_and_pooled(cfg)[1] == serial
+
+    def test_a_broken_pool_is_replaced(self):
+        cfg = desk_config(seed=9)
+        self.serial_and_pooled(cfg)
+        victim = _pool_pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        serial, pooled = self.serial_and_pooled(cfg)
+        assert pooled == serial and victim not in _pool_pids()
+
+    def test_a_second_break_raises(self, monkeypatch):
+        experiments._close_pool()  # the next pool is forked with the patch
+        monkeypatch.setattr(experiments, "_block_task", _kill_own_worker)
+        with pytest.raises(BrokenProcessPool):
+            run_sweep(desk_config(), ["zf-oracle"], runs=2, jobs=2)
+        assert experiments._pool is None
