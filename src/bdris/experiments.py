@@ -43,8 +43,7 @@ TRIAL_CSV_HEADER = ("seed", "snr_db", "receiver", "nmse_h", "nmse_g", "ser",
 # that a sweep task stacks to run its trials in lockstep: past it the stacks
 # leave the caches, and a trial cost more at 64 default-dims trials than at 16
 BLOCK_BYTES = 2 ** 18
-# run_sweep's worker pool, kept across calls: (pid, jobs, executor) or None
-_pool = None
+_pool = None  # run_sweep's workers, kept across calls: (pid, jobs, executor)
 
 
 def nmse_aligned(truth, estimate, mode="per-column") -> float:
@@ -283,7 +282,8 @@ def _pooled(tasks, jobs: int) -> list:
         if _pool is None or _pool[:2] != (os.getpid(), jobs):
             _close_pool()
             _pool = (os.getpid(), jobs, ProcessPoolExecutor(max_workers=jobs))
-            # at exit, and in a multiprocessing child before it joins its own
+            # at exit, also in a multiprocessing child, which would otherwise
+            # wait on these workers; before its queues' feeders close (10)
             Finalize(None, _close_pool, exitpriority=100)
         try:
             return list(_pool[2].map(_block_task, tasks))
